@@ -11,7 +11,7 @@
 
 use crate::bundle::Bundle;
 use crate::params::Params;
-use crate::pricing::{self, PriceMode, PricedOutcome, PricingCtx};
+use crate::pricing::{self, Candidates, PriceMode, PricedOutcome, PricingCtx};
 use crate::wtp::WtpMatrix;
 
 /// A market instance: `M` consumers, `N` items, WTP, and parameters.
@@ -215,7 +215,8 @@ impl Market {
     pub fn price_listed(&self, item: u32) -> Option<PricedOutcome> {
         let price = self.wtp.listed_price(item)?;
         let values: Vec<f64> = self.wtp.col(item).values.to_vec();
-        Some(pricing::optimize_with_price_list(&values, &self.pricing, &[price]))
+        let ctx = &self.pricing;
+        Some(pricing::optimize_with(&values, ctx, ctx.objective, Candidates::List(&[price])))
     }
 
     /// All unordered item pairs co-rated by at least one consumer — the

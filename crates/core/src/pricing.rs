@@ -22,11 +22,10 @@
 //!   `(0, max α·w]`, consumers bucketed once (`O(M)`), each level scored
 //!   from bucket aggregates (`O(T²)`, constant for fixed `T`).
 //!
-//! A free-standing [`optimize_with_price_list`] supports arbitrary price
-//! lists (the "binary search (if arbitrary price levels)" variant §4.2
-//! mentions).
+//! [`Candidates::List`] scores an arbitrary price list instead (the
+//! "binary search (if arbitrary price levels)" variant §4.2 mentions).
 //!
-//! All entry points are thin wrappers over [`optimize_with`], which takes
+//! [`optimize`] is a thin wrapper over [`optimize_with`], which takes
 //! the candidate source ([`Candidates`]) and the revenue statistic to
 //! maximize ([`Objective`]) as parameters: mean vs lower-quantile vs CVaR
 //! is a knob, not a function family. Robust objectives re-score each
@@ -161,8 +160,8 @@ pub enum Candidates<'a> {
 /// positive WTP entries matter; zero/negative/non-finite entries are
 /// ignored — non-finite WTPs cannot enter through
 /// [`crate::wtp::CsrBuilder`], but this free-standing entry point accepts
-/// arbitrary slices. [`optimize`] and [`optimize_with_price_list`] are
-/// thin wrappers that pass `ctx.objective` through.
+/// arbitrary slices. [`optimize`] is the thin wrapper that passes
+/// `ctx.objective` through with [`Candidates::Auto`].
 pub fn optimize_with(
     values: &[f64],
     ctx: &PricingCtx,
@@ -336,15 +335,10 @@ fn optimize_grid(values: &[f64], ctx: &PricingCtx) -> PricedOutcome {
     best
 }
 
-/// Price search over an explicit, arbitrary price list (sorted or not).
-/// Scores every listed price exactly (no bucketing); `O(M · |list|)`.
-/// Thin wrapper over [`optimize_with`] with [`Candidates::List`].
-pub fn optimize_with_price_list(values: &[f64], ctx: &PricingCtx, prices: &[f64]) -> PricedOutcome {
-    optimize_with(values, ctx, ctx.objective, Candidates::List(prices))
-}
-
-/// List-candidate scoring; `positive` is already filtered to finite
-/// positive WTPs by [`optimize_with`].
+/// Price search over an explicit, arbitrary price list (sorted or not):
+/// scores every listed price exactly (no bucketing), `O(M · |list|)`.
+/// `positive` is already filtered to finite positive WTPs by
+/// [`optimize_with`].
 fn optimize_price_list(positive: &[f64], ctx: &PricingCtx, prices: &[f64]) -> PricedOutcome {
     if prices.is_empty() {
         return PricedOutcome::zero();
@@ -481,7 +475,12 @@ mod tests {
     #[test]
     fn price_list_mode() {
         let ctx = step_ctx();
-        let out = optimize_with_price_list(&[12.0, 8.0, 5.0], &ctx, &[5.0, 9.99, 11.99]);
+        let out = optimize_with(
+            &[12.0, 8.0, 5.0],
+            &ctx,
+            ctx.objective,
+            Candidates::List(&[5.0, 9.99, 11.99]),
+        );
         // At 5.00: 3 buyers → 15; at 9.99: 1 buyer → 9.99; at 11.99: 11.99.
         assert!((out.price - 5.0).abs() < 1e-12);
         assert!((out.revenue - 15.0).abs() < 1e-9);
@@ -539,9 +538,12 @@ mod tests {
         }
         // Same for the explicit price-list search.
         let prices: Vec<f64> = (1..=300).map(|k| k as f64 * 0.13).collect();
-        let seq = optimize_with_price_list(&values, &PricingCtx { threads: 1, ..base }, &prices);
+        let list = |ctx: PricingCtx| {
+            optimize_with(&values, &ctx, ctx.objective, Candidates::List(&prices))
+        };
+        let seq = list(PricingCtx { threads: 1, ..base });
         for threads in [2, 4, 7] {
-            let par = optimize_with_price_list(&values, &PricingCtx { threads, ..base }, &prices);
+            let par = list(PricingCtx { threads, ..base });
             assert_eq!(par.price.to_bits(), seq.price.to_bits(), "threads={threads}");
             assert_eq!(par.revenue.to_bits(), seq.revenue.to_bits(), "threads={threads}");
         }
@@ -676,7 +678,12 @@ mod tests {
         // The unified filter drops non-finite WTPs in list mode as well
         // (the pre-unification list path admitted +∞ into the sums).
         let ctx = step_ctx();
-        let out = optimize_with_price_list(&[f64::INFINITY, f64::NAN, 6.0], &ctx, &[5.0]);
+        let out = optimize_with(
+            &[f64::INFINITY, f64::NAN, 6.0],
+            &ctx,
+            ctx.objective,
+            Candidates::List(&[5.0]),
+        );
         assert_eq!(out.expected_buyers, 1.0);
         assert!((out.revenue - 5.0).abs() < 1e-12);
     }

@@ -6,7 +6,8 @@
 //!
 //! * [`par_index_map`] computes `f(i)` for every index independently and
 //!   returns the results in index order; the thread count only decides who
-//!   computes what, never what is computed.
+//!   computes what, never what is computed. [`par_index_map_with`] is the
+//!   same fan-out with reusable per-worker state.
 //! * [`par_chunks_map_reduce`] splits the input at **fixed chunk
 //!   boundaries** — a pure function of the input length and the requested
 //!   chunk size, never of the thread count — maps each chunk, and reduces
@@ -89,22 +90,45 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_index_map_with(threads, n, || (), |_, i| f(i))
+}
+
+/// [`par_index_map`] with per-worker state: `init` runs once per worker
+/// (once in total when inline, never when `n == 0`) and `f(&mut state, i)`
+/// runs per index — so reusable scratch is built once per worker, not
+/// once per index.
+///
+/// The determinism contract is unchanged **provided `f`'s result does not
+/// depend on what earlier indices left in the state** (which indices share
+/// a worker is scheduling-dependent). Scratch that every call fully
+/// resets, or restores before returning, qualifies.
+pub fn par_index_map_with<S, R, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let workers = threads.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
+    if workers == 0 {
+        return Vec::new();
+    }
+    if workers == 1 {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
+                    let mut state = init();
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(i)));
+                        local.push((i, f(&mut state, i)));
                     }
                     local
                 })
@@ -163,9 +187,6 @@ where
     M: Fn(&[T]) -> R + Sync,
     F: FnMut(A, R) -> A,
 {
-    if items.is_empty() {
-        return init;
-    }
     let c = effective_chunk_size(items.len(), chunk);
     let n_chunks = items.len().div_ceil(c);
     let mapped = par_index_map(threads, n_chunks, |k| {
@@ -194,6 +215,29 @@ mod tests {
         assert!(par_index_map(4, 0, |i| i).is_empty());
         assert_eq!(par_index_map(4, 1, |i| i + 10), vec![10]);
         assert_eq!(par_index_map(8, 3, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn index_map_with_builds_state_once_per_worker() {
+        for threads in [1, 2, 4, 7] {
+            let inits = AtomicUsize::new(0);
+            let init = || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            };
+            let got = par_index_map_with(threads, 100, init, |buf: &mut Vec<usize>, i| {
+                buf.clear();
+                buf.push(i * i);
+                buf[0]
+            });
+            let want: Vec<usize> = (0..100).map(|i| i * i).collect();
+            assert_eq!(got, want, "threads={threads}");
+            let built = inits.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&built), "threads={threads}: {built} inits");
+        }
+        let none =
+            par_index_map_with(4, 0, || panic!("no state for an empty range"), |_: &mut (), i| i);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::query::chunked_payment_fold;
 use crate::swap::ServeHandle;
 use revmax_core::market::Market;
 use revmax_core::marketlog::{Event, MarketLog};
-use revmax_engine::LiveEngine;
+use revmax_engine::{CacheStats, LiveEngine};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,25 +143,35 @@ impl LatencyHistogram {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum QueryKind {
     Assign,
     Revenue,
-    Marginal,
+    /// A marginal what-if with its perturbation. Marginal jobs never
+    /// coalesce — two what-ifs rarely share a perturbation, and a mixed
+    /// batch would need one tile re-walk per distinct price table.
+    Marginal {
+        offer: u32,
+        dprice: f64,
+    },
 }
 
 /// One admitted point query waiting for a worker.
 struct Job {
     kind: QueryKind,
-    /// `None` = whole market (the allocation-free `*_all` paths);
-    /// `Some` = an explicit id batch.
+    /// `None` = whole market (the `*_all` paths, which materialize no id
+    /// batch); `Some` = an explicit id batch.
     ids: Option<Vec<u32>>,
-    /// `Marginal` only: the (offer, dprice) perturbation. Marginal jobs
-    /// never coalesce — two what-ifs rarely share a perturbation, and a
-    /// mixed batch would need one tile re-walk per distinct price table.
-    marginal: Option<(u32, f64)>,
     reply: mpsc::Sender<Response>,
     enqueued: Instant,
+}
+
+impl Job {
+    /// Whether this job may share a batched call: explicit-id assign and
+    /// revenue queries only.
+    fn coalesces(&self) -> bool {
+        self.ids.is_some() && !matches!(self.kind, QueryKind::Marginal { .. })
+    }
 }
 
 /// Bounded MPMC queue on `Mutex<VecDeque>` + `Condvar`. `try_push` is the
@@ -193,8 +203,8 @@ impl JobQueue {
 
     /// Pop the front job plus up to `max_extra` directly-following jobs
     /// that can share one batched call: same kind, and only explicit-id
-    /// batches coalesce (an `All` query runs alone on the allocation-free
-    /// whole-market path). Blocks until a job arrives; returns `None` once
+    /// batches coalesce (an `All` query runs alone on the whole-market
+    /// path). Blocks until a job arrives; returns `None` once
     /// the queue is empty *and* `stop` is set — pending jobs are always
     /// drained before workers exit.
     fn pop_coalesced(&self, max_extra: usize, stop: &AtomicBool) -> Option<Vec<Job>> {
@@ -202,18 +212,12 @@ impl JobQueue {
         loop {
             if let Some(first) = q.pop_front() {
                 let mut batch = vec![first];
-                if batch[0].ids.is_some() && batch[0].marginal.is_none() {
-                    while batch.len() <= max_extra {
-                        match q.front() {
-                            Some(j)
-                                if j.kind == batch[0].kind
-                                    && j.ids.is_some()
-                                    && j.marginal.is_none() =>
-                            {
-                                batch.push(q.pop_front().expect("front just probed"));
-                            }
-                            _ => break,
+                while batch[0].coalesces() && batch.len() <= max_extra {
+                    match q.front() {
+                        Some(j) if j.kind == batch[0].kind && j.coalesces() => {
+                            batch.push(q.pop_front().expect("front just probed"));
                         }
+                        _ => break,
                     }
                 }
                 return Some(batch);
@@ -244,6 +248,14 @@ struct Counters {
     mutations_rejected: AtomicU64,
     resolve_hits: AtomicU64,
     resolve_misses: AtomicU64,
+}
+
+impl Counters {
+    /// Fold one incremental resolve's cache statistics into the counters.
+    fn record_resolve(&self, stats: &CacheStats) {
+        self.resolve_hits.fetch_add(stats.hits as u64, Ordering::Relaxed);
+        self.resolve_misses.fetch_add(stats.misses as u64, Ordering::Relaxed);
+    }
 }
 
 struct Shared {
@@ -328,8 +340,7 @@ impl Daemon {
             assign_hist: LatencyHistogram::new(),
             revenue_hist: LatencyHistogram::new(),
         });
-        shared.counters.resolve_misses.fetch_add(initial.stats.misses as u64, Ordering::Relaxed);
-        shared.counters.resolve_hits.fetch_add(initial.stats.hits as u64, Ordering::Relaxed);
+        shared.counters.record_resolve(&initial.stats);
 
         let (churn_tx, churn_rx) = mpsc::channel::<ChurnMsg>();
         let churn = {
@@ -424,6 +435,13 @@ fn send(stream: &mut TcpStream, resp: &Response) -> bool {
     proto::write_frame(stream, &proto::encode_response(resp)).is_ok()
 }
 
+/// A typed error response.
+fn error(code: ErrorCode, message: impl ToString) -> Response {
+    Response::Error { code, message: message.to_string() }
+}
+
+const SHUTTING_DOWN: &str = "daemon is shutting down";
+
 fn connection_loop(
     mut stream: TcpStream,
     daemon_addr: SocketAddr,
@@ -439,10 +457,7 @@ fn connection_loop(
                 // Oversized length prefix: the stream offset is gone, so
                 // answer and hang up.
                 shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                send(
-                    &mut stream,
-                    &Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                );
+                send(&mut stream, &error(ErrorCode::Malformed, e));
                 return;
             }
             Err(_) => return,
@@ -453,24 +468,19 @@ fn connection_loop(
                 // Frame boundaries are intact — report and keep serving
                 // this connection.
                 shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                if !send(
-                    &mut stream,
-                    &Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                ) {
+                if !send(&mut stream, &error(ErrorCode::Malformed, e)) {
                     return;
                 }
                 continue;
             }
         };
         let keep_going = match req {
-            Request::Assign(sel) => {
-                handle_query(&mut stream, &shared, QueryKind::Assign, sel, None)
-            }
+            Request::Assign(sel) => handle_query(&mut stream, &shared, QueryKind::Assign, sel),
             Request::ExpectedRevenue(sel) => {
-                handle_query(&mut stream, &shared, QueryKind::Revenue, sel, None)
+                handle_query(&mut stream, &shared, QueryKind::Revenue, sel)
             }
             Request::MarginalRevenue { offer, dprice, sel } => {
-                handle_query(&mut stream, &shared, QueryKind::Marginal, sel, Some((offer, dprice)))
+                handle_query(&mut stream, &shared, QueryKind::Marginal { offer, dprice }, sel)
             }
             Request::MutateMarket(events) => {
                 let n = events.len() as u64;
@@ -478,13 +488,7 @@ fn connection_loop(
                 if shared.shutdown.load(Ordering::Acquire)
                     || churn_tx.send(ChurnMsg::Batch(events)).is_err()
                 {
-                    send(
-                        &mut stream,
-                        &Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "daemon is shutting down".into(),
-                        },
-                    )
+                    send(&mut stream, &error(ErrorCode::ShuttingDown, SHUTTING_DOWN))
                 } else {
                     send(&mut stream, &Response::MutateAck { accepted: n, generation })
                 }
@@ -507,21 +511,9 @@ fn connection_loop(
 
 /// Admit one point query (or shed it), wait for the worker's reply, and
 /// write it back. Returns false when the connection died.
-fn handle_query(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    kind: QueryKind,
-    sel: UserSel,
-    marginal: Option<(u32, f64)>,
-) -> bool {
+fn handle_query(stream: &mut TcpStream, shared: &Shared, kind: QueryKind, sel: UserSel) -> bool {
     if shared.shutdown.load(Ordering::Acquire) {
-        return send(
-            stream,
-            &Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "daemon is shutting down".into(),
-            },
-        );
+        return send(stream, &error(ErrorCode::ShuttingDown, SHUTTING_DOWN));
     }
     let (tx, rx) = mpsc::channel();
     let ids = match sel {
@@ -529,16 +521,10 @@ fn handle_query(
         UserSel::Ids(ids) => Some(ids),
     };
     // audit: allow(wall-clock) queue-latency histogram timestamp; responses never read it
-    let job = Job { kind, ids, marginal, reply: tx, enqueued: Instant::now() };
+    let job = Job { kind, ids, reply: tx, enqueued: Instant::now() };
     if shared.queue.try_push(job).is_err() {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        return send(
-            stream,
-            &Response::Error {
-                code: ErrorCode::Overloaded,
-                message: "request queue full, retry".into(),
-            },
-        );
+        return send(stream, &error(ErrorCode::Overloaded, "request queue full, retry"));
     }
     match rx.recv() {
         Ok(resp) => send(stream, &resp),
@@ -573,38 +559,29 @@ fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
         shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
     }
 
-    // A marginal what-if runs alone (it never coalesces): one call does
-    // its own validation and answers either selector shape.
-    if kind == QueryKind::Marginal {
+    // Marginal what-ifs and whole-market queries run alone (they never
+    // coalesce): one call validates and answers either selector shape.
+    if !jobs[0].coalesces() {
         debug_assert_eq!(jobs.len(), 1);
-        let mut job = jobs.pop().expect("one marginal job");
-        let (offer, dprice) = job.marginal.take().expect("marginal job carries its perturbation");
-        let result = match &job.ids {
-            None => index.try_marginal_revenue_all(offer, dprice),
-            Some(ids) => index.try_marginal_revenue(offer, dprice, ids),
+        let job = jobs.pop().expect("one solo job");
+        let result = match (kind, job.ids.as_deref()) {
+            (QueryKind::Marginal { offer, dprice }, Some(ids)) => {
+                index.try_marginal_revenue(offer, dprice, ids).map(Response::Marginal)
+            }
+            (QueryKind::Marginal { offer, dprice }, None) => {
+                index.try_marginal_revenue_all(offer, dprice).map(Response::Marginal)
+            }
+            // A non-marginal solo job is a whole-market (`All`) query.
+            (QueryKind::Assign, _) => Ok(Response::Assignments(index.assign_all())),
+            (QueryKind::Revenue, _) => Ok(Response::Revenue(index.expected_revenue_all())),
         };
         let resp = match result {
-            Ok(m) => {
+            Ok(resp) => {
                 served(shared, kind);
-                Response::Marginal(m)
+                resp
             }
-            Err(e) => Response::Error { code: ErrorCode::Query, message: e.to_string() },
+            Err(e) => error(ErrorCode::Query, e),
         };
-        finish(shared, job, resp);
-        return;
-    }
-
-    // A whole-market query runs alone on the allocation-free `*_all`
-    // paths (the queue never coalesces an `All` job).
-    if jobs[0].ids.is_none() {
-        debug_assert_eq!(jobs.len(), 1);
-        let job = jobs.pop().expect("one whole-market job");
-        let resp = match kind {
-            QueryKind::Assign => Response::Assignments(index.assign_all()),
-            QueryKind::Revenue => Response::Revenue(index.expected_revenue_all()),
-            QueryKind::Marginal => unreachable!("handled above"),
-        };
-        served(shared, kind);
         finish(shared, job, resp);
         return;
     }
@@ -617,11 +594,7 @@ fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
         let ids = job.ids.take().expect("only id batches coalesce");
         match index.validate_users(&ids) {
             Ok(()) => valid.push((job, ids)),
-            Err(e) => finish(
-                shared,
-                job,
-                Response::Error { code: ErrorCode::Query, message: e.to_string() },
-            ),
+            Err(e) => finish(shared, job, error(ErrorCode::Query, e)),
         }
     }
     if valid.is_empty() {
@@ -648,7 +621,7 @@ fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
                 finish(shared, job, Response::Revenue(total));
             }
         }
-        QueryKind::Marginal => unreachable!("handled above"),
+        QueryKind::Marginal { .. } => unreachable!("handled above"),
     }
 }
 
@@ -656,7 +629,9 @@ fn served(shared: &Shared, kind: QueryKind) {
     match kind {
         QueryKind::Assign => shared.counters.served_assign.fetch_add(1, Ordering::Relaxed),
         QueryKind::Revenue => shared.counters.served_revenue.fetch_add(1, Ordering::Relaxed),
-        QueryKind::Marginal => shared.counters.served_marginal.fetch_add(1, Ordering::Relaxed),
+        QueryKind::Marginal { .. } => {
+            shared.counters.served_marginal.fetch_add(1, Ordering::Relaxed)
+        }
     };
 }
 
@@ -668,7 +643,7 @@ fn finish(shared: &Shared, job: Job, resp: Response) {
     match job.kind {
         QueryKind::Assign => shared.assign_hist.record(ns),
         QueryKind::Revenue => shared.revenue_hist.record(ns),
-        QueryKind::Marginal => {}
+        QueryKind::Marginal { .. } => {}
     }
     let _ = job.reply.send(resp);
 }
@@ -721,14 +696,7 @@ fn churn_loop(
             let churned = log.snapshot();
             match live.resolve(&churned) {
                 Ok(report) => {
-                    shared
-                        .counters
-                        .resolve_hits
-                        .fetch_add(report.stats.hits as u64, Ordering::Relaxed);
-                    shared
-                        .counters
-                        .resolve_misses
-                        .fetch_add(report.stats.misses as u64, Ordering::Relaxed);
+                    shared.counters.record_resolve(&report.stats);
                     let Some(cell) = report.whole_cell() else {
                         continue;
                     };
@@ -781,7 +749,7 @@ mod tests {
 
     fn job(kind: QueryKind, ids: Option<Vec<u32>>) -> (Job, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
-        (Job { kind, ids, marginal: None, reply: tx, enqueued: Instant::now() }, rx)
+        (Job { kind, ids, reply: tx, enqueued: Instant::now() }, rx)
     }
 
     #[test]

@@ -104,88 +104,57 @@ impl MenuIndex {
     pub fn compile(market: &Market, config: &BundleConfig) -> MenuIndex {
         config.validate(market.n_items());
         let n_items = market.n_items();
+        let mut shape = MenuShape {
+            strategy: config.strategy,
+            n_items,
+            node_indptr: vec![0],
+            node_items: Vec::new(),
+            prices: Vec::new(),
+            n_children: Vec::new(),
+            subtree_start: Vec::new(),
+            roots: Vec::new(),
+            post_indptr: vec![0; n_items + 1],
+            post_nodes: Vec::new(),
+        };
 
         // Flatten post-order per root (children before parents, original
         // child order preserved).
-        let mut node_indptr = vec![0usize];
-        let mut node_items: Vec<u32> = Vec::new();
-        let mut prices: Vec<f64> = Vec::new();
-        let mut n_children: Vec<u32> = Vec::new();
-        let mut subtree_start: Vec<u32> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
-        fn flatten(
-            node: &OfferNode,
-            node_indptr: &mut Vec<usize>,
-            node_items: &mut Vec<u32>,
-            prices: &mut Vec<f64>,
-            n_children: &mut Vec<u32>,
-            subtree_start: &mut Vec<u32>,
-        ) -> u32 {
-            let start = prices.len() as u32;
+        fn flatten(node: &OfferNode, s: &mut MenuShape) -> u32 {
+            let start = s.prices.len() as u32;
             for c in &node.children {
-                flatten(c, node_indptr, node_items, prices, n_children, subtree_start);
+                flatten(c, s);
             }
-            node_items.extend_from_slice(node.bundle.items());
-            node_indptr.push(node_items.len());
-            prices.push(node.price);
-            n_children.push(node.children.len() as u32);
-            subtree_start.push(start);
-            prices.len() as u32 - 1
+            s.node_items.extend_from_slice(node.bundle.items());
+            s.node_indptr.push(s.node_items.len());
+            s.prices.push(node.price);
+            s.n_children.push(node.children.len() as u32);
+            s.subtree_start.push(start);
+            s.prices.len() as u32 - 1
         }
         for r in &config.roots {
-            roots.push(flatten(
-                r,
-                &mut node_indptr,
-                &mut node_items,
-                &mut prices,
-                &mut n_children,
-                &mut subtree_start,
-            ));
+            let root = flatten(r, &mut shape);
+            shape.roots.push(root);
         }
 
         // Item → containing nodes, counting scatter. Nodes are visited in
         // ascending id order, so each item's posting list is ascending.
-        let n_nodes = prices.len();
-        let mut post_indptr = vec![0usize; n_items + 1];
-        for &i in &node_items {
+        let MenuShape { node_indptr, node_items, post_indptr, post_nodes, .. } = &mut shape;
+        for &i in node_items.iter() {
             post_indptr[i as usize + 1] += 1;
         }
         for i in 0..n_items {
             post_indptr[i + 1] += post_indptr[i];
         }
         let mut cursor = post_indptr[..n_items].to_vec();
-        let mut post_nodes = vec![0u32; node_items.len()];
-        for n in 0..n_nodes {
+        *post_nodes = vec![0u32; node_items.len()];
+        for n in 0..node_indptr.len() - 1 {
             for &i in &node_items[node_indptr[n]..node_indptr[n + 1]] {
                 let slot = &mut cursor[i as usize];
                 post_nodes[*slot] = n as u32;
                 *slot += 1;
             }
         }
-
-        MenuIndex {
-            threads: market.threads(),
-            kernel: KernelKind::Tiled,
-            block: 0,
-            store: Arc::new(MenuStore {
-                shape: Arc::new(MenuShape {
-                    strategy: config.strategy,
-                    n_items,
-                    node_indptr,
-                    node_items,
-                    prices,
-                    n_children,
-                    subtree_start,
-                    roots,
-                    post_indptr,
-                    post_nodes,
-                }),
-                n_users: market.n_users(),
-                params: *market.params(),
-                adoption: market.pricing_ctx().adoption,
-                wtp: market.wtp().clone(),
-            }),
-        }
+        MenuIndex::bind(Arc::new(shape), market, KernelKind::Tiled, 0)
     }
 
     /// Re-bind this compiled menu to a churned market with the **same item
@@ -200,12 +169,17 @@ impl MenuIndex {
             self.store.shape.n_items,
             "rebind requires the compiled item universe"
         );
+        MenuIndex::bind(Arc::clone(&self.store.shape), market, self.kernel, self.block)
+    }
+
+    /// A menu shape bound to `market`'s half of the store.
+    fn bind(shape: Arc<MenuShape>, market: &Market, kernel: KernelKind, block: usize) -> MenuIndex {
         MenuIndex {
             threads: market.threads(),
-            kernel: self.kernel,
-            block: self.block,
+            kernel,
+            block,
             store: Arc::new(MenuStore {
-                shape: Arc::clone(&self.store.shape),
+                shape,
                 n_users: market.n_users(),
                 params: *market.params(),
                 adoption: market.pricing_ctx().adoption,
@@ -242,8 +216,9 @@ impl MenuIndex {
     }
 
     /// Override the tile kernel's user-block width (0 restores
-    /// [`crate::kernel::DEFAULT_BLOCK`]). Never affects results, only
-    /// cache behavior; ignored by [`KernelKind::Rows`].
+    /// [`crate::kernel::DEFAULT_BLOCK`]); each query caps it at its §6
+    /// chunk length. Never affects results, only cache behavior; the
+    /// [`KernelKind::Rows`] reference walks one user at a time anyway.
     pub fn with_block(mut self, block: usize) -> MenuIndex {
         self.block = block;
         self

@@ -1,6 +1,6 @@
 //! The cache-blocked user×offer tile kernel (`DESIGN.md` §12).
 //!
-//! [`crate::query`]'s historical evaluation is row-at-a-time: scatter one
+//! The reference evaluation (`serve/src/reference.rs`) is row-at-a-time: scatter one
 //! consumer's WTP row into a per-node accumulator, walk the offer tables,
 //! reset, repeat. Every node's metadata (price, size, child count,
 //! subtree range) is re-loaded per user, the mixed walk allocates a
@@ -36,7 +36,7 @@
 //!   adoption decision as one branchless OR into a per-lane bitmap
 //!   (`⌈n_nodes/64⌉` words), so the collect walk stays as tight as the
 //!   payment-only walk. The held-offer list is reconstructed afterwards
-//!   by `TileScratch::take_offers`: adopting a node wipes every
+//!   by `take_offers`: adopting a node wipes every
 //!   holding in its subtree, so the final list is exactly the adopted
 //!   nodes without an adopted ancestor — a descending bit-scan that
 //!   masks off each emitted node's subtree in O(held) word ops.
@@ -80,6 +80,22 @@ impl KernelKind {
     }
 }
 
+/// A block evaluator: the unit [`crate::query`]'s driver builds once per
+/// worker and hands every user block of a query to. Implemented by the
+/// tile kernel ([`TileScratch`]) and the row-walk reference
+/// ([`crate::reference::RowScratch`]); both give every lane the same bits.
+pub(crate) trait BlockEval {
+    /// Evaluate one block of users (no wider than the evaluator was built
+    /// for). Per-lane payments land in `payments()[..users.len()]`; with
+    /// `collect`, per-lane held offers are readable via `take_offers`.
+    fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool);
+    /// Per-lane expected payments of the last evaluated block.
+    fn payments(&self) -> &[f64];
+    /// One lane's held offer node ids (menu order) from the last collect
+    /// evaluation.
+    fn take_offers(&mut self, store: &MenuStore, lane: usize) -> Vec<u32>;
+}
+
 /// Default user-block width. 512 lanes × 8 bytes = 4 KiB per node row —
 /// a ~100-node tile is ~430 KiB, past L1 but L2-resident, and the sweep
 /// in `EXPERIMENTS.md` shows throughput climbing to a plateau at
@@ -112,11 +128,11 @@ impl TileEntry {
 }
 
 /// Reusable per-worker tile state. One `TileScratch` serves every block
-/// of a §6 chunk; nothing here escapes, results are read out of
-/// [`TileScratch::payments`] / [`TileScratch::take_offers`] after
-/// [`TileScratch::eval_block`].
+/// a worker evaluates during a query — across §6 chunks, since every
+/// consuming walk leaves the tile all-zero again. Nothing here escapes;
+/// results are read out through [`BlockEval`].
 pub(crate) struct TileScratch {
-    /// Lane capacity (the resolved block size).
+    /// Lane capacity (the block width).
     block: usize,
     /// Row pitch of `acc` in `f64`s: `block` rounded up so each node row
     /// spans an **odd** number of cache lines. A power-of-two pitch (e.g.
@@ -127,8 +143,8 @@ pub(crate) struct TileScratch {
     stride: usize,
     /// Node-major bundle-sum tile: `acc[n * stride + lane]`.
     acc: Vec<f64>,
-    /// Per-lane expected payment of the last evaluated block.
-    pub(crate) payments: Vec<f64>,
+    /// Per-lane expected payment of the last walk.
+    payments: Vec<f64>,
     /// Words per lane of `flag_words`: `⌈n_nodes / 64⌉`.
     wpl: usize,
     /// Collect mode: per-lane adoption bitmap of the last walk,
@@ -136,7 +152,7 @@ pub(crate) struct TileScratch {
     /// `flag_words[l * wpl + n / 64]`. Recording a decision is one
     /// branchless OR, so the collect walk stays as tight as the
     /// payment-only walk, and a lane's whole outcome sits in `wpl` words
-    /// for [`TileScratch::take_offers`]. Cleared per collect walk.
+    /// for [`BlockEval::take_offers`]. Cleared per collect walk.
     flag_words: Vec<u64>,
     /// Readout scratch: one lane's `wpl` flag words, consumed bit by bit.
     readout: Vec<u64>,
@@ -150,13 +166,12 @@ pub(crate) struct TileScratch {
 }
 
 impl TileScratch {
-    /// Scratch for `store` at block width `block` (0 ⇒ [`DEFAULT_BLOCK`]).
+    /// Scratch for `store` at block width `block` (≥ 1).
     pub(crate) fn new(store: &MenuStore, block: usize) -> Self {
-        let block = if block == 0 { DEFAULT_BLOCK } else { block };
         // Odd number of 64-byte lines per row (see `stride`): round up to
         // a whole line, then pad one more if the line count came out even.
         let mut stride = block.next_multiple_of(8);
-        if (stride / 8) % 2 == 0 {
+        if (stride / 8).is_multiple_of(2) {
             stride += 8;
         }
         let wpl = store.shape.prices.len().div_ceil(64);
@@ -172,21 +187,6 @@ impl TileScratch {
             sp: 0,
             active: Vec::with_capacity(block),
         }
-    }
-
-    /// The resolved block width.
-    pub(crate) fn block(&self) -> usize {
-        self.block
-    }
-
-    /// Evaluate one block of users (`users.len() ≤ block`): scatter the
-    /// lanes' WTP rows into the tile, then walk the menu at its compiled
-    /// prices. Per-lane payments land in `self.payments[..users.len()]`;
-    /// with `collect`, per-lane held offers are readable via
-    /// [`TileScratch::take_offers`].
-    pub(crate) fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool) {
-        self.scatter_block(store, users);
-        self.walk_block(store, &store.shape.prices, users.len(), collect, true);
     }
 
     /// Scatter each lane's WTP row through the item→offer postings into
@@ -224,7 +224,7 @@ impl TileScratch {
     /// queries — same code path, so perturbed results are bit-identical
     /// to a recompile at the perturbed price). Fills `payments[..b]` and,
     /// with `collect`, the per-(node, lane) adoption flags behind
-    /// [`TileScratch::take_offers`].
+    /// [`BlockEval::take_offers`].
     ///
     /// Every offer (pure) / tree (mixed) is walked only for the compacted
     /// list of lanes interested in it — per-block interest is sparse, and
@@ -548,6 +548,19 @@ impl TileScratch {
             }
         }
     }
+}
+
+impl BlockEval for TileScratch {
+    /// Scatter the lanes' WTP rows into the tile, then walk the menu at
+    /// its compiled prices, consuming the tile.
+    fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool) {
+        self.scatter_block(store, users);
+        self.walk_block(store, &store.shape.prices, users.len(), collect, true);
+    }
+
+    fn payments(&self) -> &[f64] {
+        &self.payments
+    }
 
     /// Reconstruct one lane's held-offer list (menu order) from the last
     /// collect walk's adoption bitmap. Adopting an offer node drops
@@ -560,7 +573,7 @@ impl TileScratch {
     /// subtree intervals are pairwise disjoint and ids are tree-segment
     /// ordered, so one global reverse yields the row-walk's menu-order
     /// list.
-    pub(crate) fn take_offers(&mut self, store: &MenuStore, lane: usize) -> Vec<u32> {
+    fn take_offers(&mut self, store: &MenuStore, lane: usize) -> Vec<u32> {
         let shape = &store.shape;
         let wpl = self.wpl;
         self.readout.copy_from_slice(&self.flag_words[lane * wpl..(lane + 1) * wpl]);

@@ -50,6 +50,7 @@ pub mod index;
 pub mod kernel;
 pub mod proto;
 pub mod query;
+mod reference;
 pub mod swap;
 
 pub use daemon::{Daemon, DaemonConfig, LatencyHistogram};

@@ -72,7 +72,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
 /// Which consumers a query addresses: an explicit id batch, or every
 /// consumer of the currently-served market (`All` keeps million-user
 /// whole-market queries off the wire — and lets the daemon use the
-/// allocation-free `*_all` paths).
+/// `*_all` paths, which materialize no id batch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UserSel {
     /// Every consumer of the currently-served index.

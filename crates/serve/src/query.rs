@@ -35,12 +35,21 @@
 //! chunk order** on the calling thread — so `expected_revenue` is
 //! bit-identical at any thread count, equal to the sequential chunked
 //! fold of the per-user payments.
+//!
+//! ## One driver (`DESIGN.md` §9.3)
+//!
+//! Every batch method is validate → drive → ordered fold or flatten. The
+//! private driver takes a user source (an id batch, or the whole market
+//! with block ids generated on the fly), fans the fixed chunks out once
+//! with one block evaluator per worker, and hands each block to the
+//! method's sink; the sink decides what a block contributes (payments,
+//! assignments, a revenue fold, a marginal double walk).
 
 use crate::index::{MenuIndex, MenuStore};
-use crate::kernel::{KernelKind, TileScratch};
-use revmax_core::config::Strategy;
+use crate::kernel::{BlockEval, KernelKind, TileScratch};
+use crate::reference::RowScratch;
 use revmax_core::market::Market;
-use revmax_par::{effective_chunk_size, par_chunks_map_reduce, par_index_map};
+use revmax_par::effective_chunk_size;
 
 /// A query rejected before evaluation. The serving daemon turns these
 /// into protocol error responses; nothing in the query path panics on
@@ -115,34 +124,14 @@ pub struct Assignment {
     pub offers: Vec<u32>,
 }
 
-/// One consumer's holdings while walking a mixed offer tree — the
-/// single-user mirror of [`revmax_core::mixed::UserState`].
-#[derive(Debug, Clone, Copy)]
-struct Hold {
-    /// Raw Σ of item WTPs over held items.
-    sum: f64,
-    /// Amount paid.
-    paid: f64,
-    /// Number of held items.
-    count: u32,
-}
-
-/// Reusable per-worker buffers: the per-node bundle-sum accumulator, the
-/// touched-node reset list, and the tree-walk state stack.
-struct ServeScratch {
-    acc: Vec<f64>,
-    touched: Vec<u32>,
-    stack: Vec<(Option<Hold>, Vec<u32>)>,
-}
-
-impl ServeScratch {
-    fn new(store: &MenuStore) -> Self {
-        ServeScratch {
-            acc: vec![0.0; store.shape.prices.len()],
-            touched: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
+/// The consumers a query evaluates.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// An explicit, already validated id batch.
+    Ids(&'a [u32]),
+    /// Every consumer `0..n`: block ids are generated on the fly into a
+    /// per-worker buffer, so no id batch is ever materialized.
+    All(usize),
 }
 
 impl MenuIndex {
@@ -170,46 +159,7 @@ impl MenuIndex {
     /// [`QueryError`] — a malformed batch never panics the serving path.
     pub fn try_assign(&self, users: &[u32]) -> Result<Vec<Assignment>, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        if users.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chunk = effective_chunk_size(users.len(), 0);
-        let n_chunks = users.len().div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<Assignment>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(users.len());
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    users[lo..hi]
-                        .iter()
-                        .map(|&u| {
-                            let (payment, offers) = eval_user(store, &mut scratch, u, true);
-                            Assignment { user: u, payment, offers }
-                        })
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in users[lo..hi].chunks(tile.block()) {
-                        tile.eval_block(store, blk, true);
-                        for (lane, &u) in blk.iter().enumerate() {
-                            out.push(Assignment {
-                                user: u,
-                                payment: tile.payments[lane],
-                                offers: tile.take_offers(store, lane),
-                            });
-                        }
-                    }
-                    out
-                }
-            }
-        });
-        Ok(parts.into_iter().flatten().collect())
+        Ok(self.assignments(Source::Ids(users)))
     }
 
     /// [`MenuIndex::try_assign`], panicking on an invalid batch. Prefer
@@ -225,37 +175,15 @@ impl MenuIndex {
     /// revenue path relies on that identity (`DESIGN.md` §11).
     pub fn try_payments(&self, users: &[u32]) -> Result<Vec<f64>, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        if users.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chunk = effective_chunk_size(users.len(), 0);
-        let n_chunks = users.len().div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<f64>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(users.len());
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    users[lo..hi]
-                        .iter()
-                        .map(|&u| eval_user(store, &mut scratch, u, false).0)
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in users[lo..hi].chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        out.extend_from_slice(&tile.payments[..blk.len()]);
-                    }
-                    out
-                }
-            }
-        });
-        Ok(parts.into_iter().flatten().collect())
+        let parts = self.drive(
+            Source::Ids(users),
+            self.evaluator(),
+            |store, eval, blk, out: &mut Vec<f64>| {
+                eval.eval_block(store, blk, false);
+                out.extend_from_slice(&eval.payments()[..blk.len()]);
+            },
+        );
+        Ok(parts.concat())
     }
 
     /// Batched expected revenue of the menu over the queried users: the
@@ -265,40 +193,7 @@ impl MenuIndex {
     /// out-of-range ids as a typed [`QueryError`] instead of panicking.
     pub fn try_expected_revenue(&self, users: &[u32]) -> Result<f64, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        let kernel = self.kernel;
-        let block = self.block;
-        Ok(par_chunks_map_reduce(
-            self.threads,
-            users,
-            0,
-            |chunk| match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    let mut total = 0.0;
-                    for &u in chunk {
-                        total += eval_user(store, &mut scratch, u, false).0;
-                    }
-                    total
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut total = 0.0;
-                    for blk in chunk.chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        // Same ordered left-to-right fold as the row-walk:
-                        // blocks split the chunk front to back, lanes are
-                        // in user order.
-                        for &p in &tile.payments[..blk.len()] {
-                            total += p;
-                        }
-                    }
-                    total
-                }
-            },
-            0.0f64,
-            |a, s| a + s,
-        ))
+        Ok(self.revenue(Source::Ids(users)))
     }
 
     /// [`MenuIndex::try_expected_revenue`], panicking on an invalid
@@ -308,95 +203,19 @@ impl MenuIndex {
     }
 
     /// [`MenuIndex::expected_revenue`] over every consumer of the
-    /// compiled market, without materializing the id batch: chunk
-    /// boundaries are computed directly over `0..n_users`, reproducing
-    /// `expected_revenue(&all_users())` bit for bit (same
-    /// [`effective_chunk_size`] boundaries, same ordered fold) with zero
-    /// per-call allocation — the daemon's hottest whole-market path.
+    /// compiled market — the daemon's hottest whole-market path. No id
+    /// batch is materialized (block ids are generated per worker), and the
+    /// chunk boundaries and fold are those of `expected_revenue` over the
+    /// `0..n_users` batch, so the result matches it bit for bit.
     pub fn expected_revenue_all(&self) -> f64 {
-        let store = &*self.store;
-        let n = store.n_users;
-        if n == 0 {
-            return 0.0;
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let partials = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    let mut total = 0.0;
-                    for u in lo..hi {
-                        total += eval_user(store, &mut scratch, u as u32, false).0;
-                    }
-                    total
-                }
-                KernelKind::Tiled => {
-                    let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-                    let mut tile = TileScratch::new(store, block);
-                    let mut total = 0.0;
-                    for blk in ids.chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        for &p in &tile.payments[..blk.len()] {
-                            total += p;
-                        }
-                    }
-                    total
-                }
-            }
-        });
-        partials.into_iter().fold(0.0f64, |a, s| a + s)
+        self.revenue(Source::All(self.store.n_users))
     }
 
     /// [`MenuIndex::assign`] over every consumer of the compiled market,
     /// without materializing the id batch (same boundary/fold identity as
     /// [`MenuIndex::expected_revenue_all`]).
     pub fn assign_all(&self) -> Vec<Assignment> {
-        let store = &*self.store;
-        let n = store.n_users;
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<Assignment>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    (lo..hi)
-                        .map(|u| {
-                            let (payment, offers) = eval_user(store, &mut scratch, u as u32, true);
-                            Assignment { user: u as u32, payment, offers }
-                        })
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in ids.chunks(tile.block()) {
-                        tile.eval_block(store, blk, true);
-                        for (lane, &u) in blk.iter().enumerate() {
-                            out.push(Assignment {
-                                user: u,
-                                payment: tile.payments[lane],
-                                offers: tile.take_offers(store, lane),
-                            });
-                        }
-                    }
-                    out
-                }
-            }
-        });
-        parts.into_iter().flatten().collect()
+        self.assignments(Source::All(self.store.n_users))
     }
 
     /// Marginal revenue of moving offer node `offer`'s price by `dprice`,
@@ -415,21 +234,7 @@ impl MenuIndex {
         users: &[u32],
     ) -> Result<MarginalRevenue, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        let perturbed = self.perturbed_prices(offer, dprice)?;
-        let block = self.block;
-        let (base, perturbed) = par_chunks_map_reduce(
-            self.threads,
-            users,
-            0,
-            |chunk| {
-                let mut tile = TileScratch::new(store, block);
-                marginal_chunk(store, &mut tile, &perturbed, chunk)
-            },
-            (0.0f64, 0.0f64),
-            |a, s| (a.0 + s.0, a.1 + s.1),
-        );
-        Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
+        self.marginal(offer, dprice, Source::Ids(users))
     }
 
     /// [`MenuIndex::try_marginal_revenue`] over every consumer of the
@@ -441,25 +246,114 @@ impl MenuIndex {
         offer: u32,
         dprice: f64,
     ) -> Result<MarginalRevenue, QueryError> {
-        let store = &*self.store;
-        let perturbed = self.perturbed_prices(offer, dprice)?;
-        let n = store.n_users;
-        if n == 0 {
-            return Ok(MarginalRevenue { base: 0.0, perturbed: 0.0, delta: 0.0 });
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let block = self.block;
-        let partials = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-            let mut tile = TileScratch::new(store, block);
-            marginal_chunk(store, &mut tile, &perturbed, &ids)
+        self.marginal(offer, dprice, Source::All(self.store.n_users))
+    }
+
+    /// Assignments of a validated source, in source order.
+    fn assignments(&self, users: Source<'_>) -> Vec<Assignment> {
+        let parts = self.drive(users, self.evaluator(), |store, eval, blk, out: &mut Vec<_>| {
+            eval.eval_block(store, blk, true);
+            for (lane, &user) in blk.iter().enumerate() {
+                let offers = eval.take_offers(store, lane);
+                out.push(Assignment { user, payment: eval.payments()[lane], offers });
+            }
         });
+        parts.into_iter().flatten().collect()
+    }
+
+    /// Expected revenue of a validated source: per chunk, the payments
+    /// summed left to right from `+0.0` (blocks split a chunk front to
+    /// back, lanes are in user order), then the chunk partials folded in
+    /// chunk order — the sequential chunked fold, at any thread count.
+    fn revenue(&self, users: Source<'_>) -> f64 {
+        let parts = self.drive(users, self.evaluator(), |store, eval, blk, total: &mut f64| {
+            eval.eval_block(store, blk, false);
+            *total = eval.payments()[..blk.len()].iter().fold(*total, |a, &p| a + p);
+        });
+        parts.into_iter().fold(0.0f64, |a, s| a + s)
+    }
+
+    /// Marginal revenue over a validated source. The sink always uses the
+    /// tile evaluator: per block it scatters once, walks the compiled
+    /// prices keeping the tile, then walks the perturbed table consuming
+    /// it. Both totals fold exactly as [`MenuIndex::revenue`] does.
+    fn marginal(
+        &self,
+        offer: u32,
+        dprice: f64,
+        users: Source<'_>,
+    ) -> Result<MarginalRevenue, QueryError> {
+        let perturbed = self.perturbed_prices(offer, dprice)?;
+        let parts = self.drive(
+            users,
+            TileScratch::new,
+            |store, tile, blk, (base, pert): &mut (f64, f64)| {
+                let b = blk.len();
+                tile.scatter_block(store, blk);
+                tile.walk_block(store, &store.shape.prices, b, false, false);
+                *base = tile.payments()[..b].iter().fold(*base, |a, &p| a + p);
+                tile.walk_block(store, &perturbed, b, false, true);
+                *pert = tile.payments()[..b].iter().fold(*pert, |a, &p| a + p);
+            },
+        );
         let (base, perturbed) =
-            partials.into_iter().fold((0.0f64, 0.0f64), |a, s| (a.0 + s.0, a.1 + s.1));
+            parts.into_iter().fold((0.0f64, 0.0f64), |a, s| (a.0 + s.0, a.1 + s.1));
         Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
+    }
+
+    /// The production evaluator for this index's kernel knob — the one
+    /// place the query path dispatches on it.
+    fn evaluator(&self) -> impl Fn(&MenuStore, usize) -> Box<dyn BlockEval> + Sync {
+        let kernel = self.kernel;
+        move |store: &MenuStore, width| -> Box<dyn BlockEval> {
+            match kernel {
+                KernelKind::Rows => Box::new(RowScratch::new(store, width)),
+                KernelKind::Tiled => Box::new(TileScratch::new(store, width)),
+            }
+        }
+    }
+
+    /// The query loop every batch method runs. Cuts the source at the
+    /// fixed §6 chunk boundaries (`effective_chunk_size(len, 0)`) and fans
+    /// the chunks out once; each worker builds one evaluator,
+    /// `make(store, width)`, with the block width capped at the chunk
+    /// length (a 16-id point query builds a 1-lane tile, not a 512-lane
+    /// one), and hands every block of each chunk, front to back, to
+    /// `sink` along with that chunk's partial. Partials return in chunk
+    /// order. Reusing one evaluator across chunks is bit-safe: block width
+    /// never changes a lane's bits, and every evaluation overwrites the
+    /// lanes it reports (the tile consumes itself back to all-zero).
+    fn drive<E, P: Default + Send>(
+        &self,
+        users: Source<'_>,
+        make: impl Fn(&MenuStore, usize) -> E + Sync,
+        sink: impl Fn(&MenuStore, &mut E, &[u32], &mut P) + Sync,
+    ) -> Vec<P> {
+        let store = &*self.store;
+        let len = match users {
+            Source::Ids(ids) => ids.len(),
+            Source::All(n) => n,
+        };
+        let chunk = effective_chunk_size(len, 0);
+        let width = self.block().min(chunk);
+        let init = || (make(store, width), Vec::new());
+        revmax_par::par_index_map_with(self.threads, len.div_ceil(chunk), init, |(eval, buf), k| {
+            let (lo, hi) = (k * chunk, (k * chunk + chunk).min(len));
+            let mut part = P::default();
+            for start in (lo..hi).step_by(width) {
+                let end = (start + width).min(hi);
+                let blk = match users {
+                    Source::Ids(ids) => &ids[start..end],
+                    Source::All(_) => {
+                        buf.clear();
+                        buf.extend(start as u32..end as u32);
+                        &buf[..]
+                    }
+                };
+                sink(store, eval, blk, &mut part);
+            }
+            part
+        })
     }
 
     /// The perturbed price table of a marginal-revenue query, or the
@@ -480,32 +374,6 @@ impl MenuIndex {
     }
 }
 
-/// One §6 chunk of a marginal-revenue query: per block, scatter once and
-/// walk twice. Both totals fold left to right in user order — the base
-/// fold is operation-for-operation the [`MenuIndex::try_expected_revenue`]
-/// fold, the perturbed fold the same thing at the perturbed price table.
-fn marginal_chunk(
-    store: &MenuStore,
-    tile: &mut TileScratch,
-    perturbed: &[f64],
-    users: &[u32],
-) -> (f64, f64) {
-    let mut base_total = 0.0f64;
-    let mut pert_total = 0.0f64;
-    for blk in users.chunks(tile.block()) {
-        tile.scatter_block(store, blk);
-        tile.walk_block(store, &store.shape.prices, blk.len(), false, false);
-        for &p in &tile.payments[..blk.len()] {
-            base_total += p;
-        }
-        tile.walk_block(store, perturbed, blk.len(), false, true);
-        for &p in &tile.payments[..blk.len()] {
-            pert_total += p;
-        }
-    }
-    (base_total, pert_total)
-}
-
 /// The exact reduction [`MenuIndex::expected_revenue`] applies to the
 /// per-user payments of a batch: fixed [`effective_chunk_size`] blocks,
 /// each summed left to right from `+0.0`, block partials folded left to
@@ -518,167 +386,7 @@ pub fn chunked_payment_fold(payments: &[f64]) -> f64 {
         return 0.0;
     }
     let chunk = effective_chunk_size(payments.len(), 0);
-    payments
-        .chunks(chunk)
-        .map(|c| {
-            let mut total = 0.0f64;
-            for &p in c {
-                total += p;
-            }
-            total
-        })
-        .fold(0.0f64, |a, s| a + s)
-}
-
-/// Evaluate one consumer against the menu. Returns their expected payment
-/// and (when `collect` is set) the threshold-held offer node ids. The
-/// arithmetic mirrors the solver evaluation operation for operation — see
-/// the module docs for why that yields bit-identical results.
-fn eval_user(
-    store: &MenuStore,
-    scratch: &mut ServeScratch,
-    user: u32,
-    collect: bool,
-) -> (f64, Vec<u32>) {
-    // Public entry points validate the batch up front (`validate_users`),
-    // so the hot loop carries no per-user bounds branch in release builds.
-    debug_assert!(
-        (user as usize) < store.n_users,
-        "user {user} out of range for a {}-consumer market",
-        store.n_users
-    );
-    // Scatter the user's WTP row through the item→offer postings: each
-    // touched node's bundle sum accumulates in ascending item order,
-    // matching the solver's column scatter exactly.
-    let row = store.wtp.row(user);
-    for (i, w) in row.iter() {
-        let (lo, hi) =
-            (store.shape.post_indptr[i as usize], store.shape.post_indptr[i as usize + 1]);
-        for &n in &store.shape.post_nodes[lo..hi] {
-            let slot = &mut scratch.acc[n as usize];
-            if *slot == 0.0 {
-                scratch.touched.push(n);
-            }
-            *slot += w;
-        }
-    }
-
-    let adoption = &store.adoption;
-    let params = &store.params;
-    let node_size =
-        |n: u32| store.shape.node_indptr[n as usize + 1] - store.shape.node_indptr[n as usize];
-    let mut payment = 0.0f64;
-    let mut offers: Vec<u32> = Vec::new();
-    match store.shape.strategy {
-        Strategy::Pure => {
-            // Independent take-it-or-leave-it offers. The zero-sum skip
-            // is bit-safe because the solver never sees zero-sum users
-            // either: `bundle_user_sums` excludes them from an offer's
-            // consumer list outright (crucial under a soft sigmoid, where
-            // an *included* zero-WTP consumer would contribute a positive
-            // probability, not 0.0), and a single-user view of an
-            // uninterested consumer yields `price * 0.0 = +0.0`, which
-            // `x + 0.0 = x` makes equivalent to skipping.
-            for &root in &store.shape.roots {
-                let s = scratch.acc[root as usize];
-                if s == 0.0 {
-                    continue;
-                }
-                let price = store.shape.prices[root as usize];
-                let w = params.set_wtp(s, node_size(root));
-                payment += price * adoption.probability(w, price);
-                if collect && adoption.margin(w, price) >= 0.0 {
-                    offers.push(root);
-                }
-            }
-        }
-        Strategy::Mixed => {
-            // Bottom-up incremental-upgrade walk of each interested tree.
-            // Post-order layout: one forward scan per subtree range, the
-            // stack holding each node's (holdings, held-offer) state.
-            for &root in &store.shape.roots {
-                if scratch.acc[root as usize] == 0.0 {
-                    continue; // no WTP on any item of this tree
-                }
-                debug_assert!(scratch.stack.is_empty());
-                for n in store.shape.subtree_start[root as usize]..=root {
-                    let k = store.shape.n_children[n as usize] as usize;
-                    let price = store.shape.prices[n as usize];
-                    let size = node_size(n);
-                    let state = if k == 0 {
-                        let s = scratch.acc[n as usize];
-                        if s == 0.0 {
-                            (None, Vec::new())
-                        } else {
-                            let w = params.set_wtp(s, size);
-                            if adoption.margin(w, price) >= 0.0 {
-                                let held = Hold { sum: s, paid: price, count: size as u32 };
-                                (Some(held), if collect { vec![n] } else { Vec::new() })
-                            } else {
-                                (None, Vec::new())
-                            }
-                        }
-                    } else {
-                        // Combine the children's holdings in child order —
-                        // the solver's left-to-right merge_states fold.
-                        let base = scratch.stack.len() - k;
-                        let mut combined = Hold { sum: 0.0, paid: 0.0, count: 0 };
-                        let mut any = false;
-                        let mut held_offers: Vec<u32> = Vec::new();
-                        for (h, v) in scratch.stack.drain(base..) {
-                            if let Some(h) = h {
-                                combined.sum += h.sum;
-                                combined.paid += h.paid;
-                                combined.count += h.count;
-                                any = true;
-                                if collect {
-                                    held_offers.extend(v);
-                                }
-                            }
-                        }
-                        let s_b = scratch.acc[n as usize];
-                        if s_b == 0.0 {
-                            (None, Vec::new())
-                        } else {
-                            let (s_held, q, c_held) = if any {
-                                (combined.sum, combined.paid, combined.count as usize)
-                            } else {
-                                (0.0, 0.0, 0)
-                            };
-                            let addon_count = size.saturating_sub(c_held);
-                            let addon_wtp =
-                                params.set_wtp((s_b - s_held).max(0.0), addon_count.max(1));
-                            let margin =
-                                adoption.alpha * addon_wtp - (price - q) + adoption.epsilon;
-                            if margin >= 0.0 {
-                                let held = Hold { sum: s_b, paid: price, count: size as u32 };
-                                (Some(held), if collect { vec![n] } else { Vec::new() })
-                            } else if any {
-                                (Some(combined), held_offers)
-                            } else {
-                                (None, Vec::new())
-                            }
-                        }
-                    };
-                    scratch.stack.push(state);
-                }
-                let (state, held_offers) = scratch.stack.pop().expect("root state");
-                if let Some(h) = state {
-                    payment += h.paid;
-                    if collect {
-                        offers.extend(held_offers);
-                    }
-                }
-            }
-        }
-    }
-
-    // Reset the accumulator for the next user.
-    for &n in &scratch.touched {
-        scratch.acc[n as usize] = 0.0;
-    }
-    scratch.touched.clear();
-    (payment, offers)
+    payments.chunks(chunk).map(|c| c.iter().fold(0.0f64, |a, &p| a + p)).fold(0.0f64, |a, s| a + s)
 }
 
 /// Solver-side single-consumer reference evaluation: the menu's expected
@@ -700,7 +408,7 @@ pub fn solver_user_revenue(
 mod tests {
     use super::*;
     use revmax_core::bundle::Bundle;
-    use revmax_core::config::{BundleConfig, OfferNode};
+    use revmax_core::config::{BundleConfig, OfferNode, Strategy};
     use revmax_core::params::Params;
     use revmax_core::wtp::WtpMatrix;
 
@@ -911,6 +619,10 @@ mod tests {
                 idx.expected_revenue(&users).to_bits()
             );
             assert_eq!(idx.assign_all(), idx.assign(&users));
+            assert_eq!(
+                idx.try_marginal_revenue_all(0, 0.5).unwrap(),
+                idx.try_marginal_revenue(0, 0.5, &users).unwrap()
+            );
         }
         // Degenerate: a zero-consumer market serves zero revenue.
         let empty = Market::new(
@@ -920,6 +632,9 @@ mod tests {
         let idx = MenuIndex::compile(&empty, &components());
         assert_eq!(idx.expected_revenue_all(), 0.0);
         assert!(idx.assign_all().is_empty());
+        assert!(idx.try_payments(&idx.all_users()).unwrap().is_empty());
+        let zero = MarginalRevenue { base: 0.0, perturbed: 0.0, delta: 0.0 };
+        assert_eq!(idx.try_marginal_revenue_all(0, 0.5).unwrap(), zero);
     }
 
     #[test]

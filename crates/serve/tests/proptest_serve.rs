@@ -136,7 +136,10 @@ proptest! {
     /// The tile kernel is bit-identical to the row-walk — payments AND
     /// held-offer lists — for every registry configurator (all seven
     /// methods, pure and mixed), at degenerate (1), ragged (3), default
-    /// (64), and whole-batch (n) block sizes, at 1/2/8 threads.
+    /// (64), and whole-batch (n) block sizes, at 1/2/8 threads. Every
+    /// query sink is compared, not just `assign`: `try_payments` and
+    /// `expected_revenue` bits across kernels, and on both kernels the
+    /// whole-market `_all` paths against their id-batch forms.
     /// `arb_dense` routinely produces all-zero consumer rows, so the
     /// empty/uninterested-lane paths are exercised throughout.
     #[test]
@@ -151,7 +154,11 @@ proptest! {
             let outcome = configurator.run(&market);
             let index = MenuIndex::compile(&market, &outcome.config);
             let users = index.all_users();
-            let rows = index.clone().with_kernel(KernelKind::Rows).assign(&users);
+            let rows_index = index.clone().with_kernel(KernelKind::Rows);
+            let rows = rows_index.assign(&users);
+            let rows_payments: Vec<u64> =
+                rows_index.try_payments(&users).unwrap().iter().map(|p| p.to_bits()).collect();
+            let rows_total = rows_index.expected_revenue(&users);
             for block in [1usize, 3, 64, n] {
                 let tiled_index =
                     index.clone().with_kernel(KernelKind::Tiled).with_block(block);
@@ -178,6 +185,32 @@ proptest! {
                 for threads in [2usize, 8] {
                     let t = tiled_index.clone().with_threads(threads);
                     prop_assert_eq!(t.expected_revenue(&users).to_bits(), total.to_bits());
+                }
+                // The payment and revenue sinks agree across kernels too.
+                let tiled_payments: Vec<u64> =
+                    tiled_index.try_payments(&users).unwrap().iter().map(|p| p.to_bits()).collect();
+                prop_assert_eq!(
+                    &tiled_payments, &rows_payments,
+                    "{} block {}: payments diverge", method, block
+                );
+                prop_assert_eq!(
+                    total.to_bits(), rows_total.to_bits(),
+                    "{} block {}: tiled revenue {} vs rows {}", method, block, total, rows_total
+                );
+                // On both kernels, the whole-market paths reproduce the
+                // id-batch forms.
+                for (kernel, k_index) in
+                    [("tiled", &tiled_index), ("rows", &rows_index.clone().with_block(block))]
+                {
+                    prop_assert_eq!(
+                        k_index.expected_revenue_all().to_bits(),
+                        k_index.expected_revenue(&users).to_bits(),
+                        "{} {} block {}: expected_revenue_all diverges", method, kernel, block
+                    );
+                    prop_assert_eq!(
+                        k_index.assign_all(), k_index.assign(&users),
+                        "{} {} block {}: assign_all diverges", method, kernel, block
+                    );
                 }
             }
         }
