@@ -2,7 +2,7 @@
 //!
 //! Recognized flags, shared across all binaries:
 //!
-//! * `--scale small|medium|paper` — dataset size (per-binary default);
+//! * `--scale tiny|small|medium|paper` — dataset size (per-binary default);
 //! * `--seed <u64>` — generator seed (default 2015, the venue year);
 //! * `--runs <usize>` — repetitions for stochastic experiments (default 10);
 //! * `--full` — run the expensive variants (e.g. N = 25 in Tables 4–5);
@@ -25,23 +25,9 @@ pub struct BenchArgs {
     pub out_dir: std::path::PathBuf,
 }
 
-/// Dataset scale presets (see `revmax_dataset::AmazonBooksConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    Small,
-    Medium,
-    Paper,
-}
-
-impl Scale {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Paper => "paper",
-        }
-    }
-}
+/// Dataset scale presets — the sweep engine's, so a binary's `--scale`
+/// and a sweep's `scales=` name the same generator configurations.
+pub use revmax_engine::ScaleSpec as Scale;
 
 impl BenchArgs {
     /// Parse `std::env::args`, with a per-binary default scale.
@@ -59,7 +45,7 @@ impl BenchArgs {
                 "--full" => full = true,
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --scale small|medium|paper  --seed <u64>  --runs <n>  --full  --threads <n>  --out <dir>"
+                        "flags: --scale tiny|small|medium|paper  --seed <u64>  --runs <n>  --full  --threads <n>  --out <dir>"
                     );
                     std::process::exit(0);
                 }
@@ -72,13 +58,9 @@ impl BenchArgs {
                 other => panic!("unrecognized argument '{other}'"),
             }
         }
-        let scale = match flags.get("scale").map(String::as_str) {
-            None => default_scale,
-            Some("small") => Scale::Small,
-            Some("medium") => Scale::Medium,
-            Some("paper") => Scale::Paper,
-            Some(other) => panic!("unknown scale '{other}' (small|medium|paper)"),
-        };
+        let scale = flags
+            .get("scale")
+            .map_or(default_scale, |s| Scale::parse(s).unwrap_or_else(|e| panic!("{e}")));
         let threads = flags.get("threads").map_or(Threads::Auto, |s| {
             let n: usize = s.parse().expect("--threads must be a positive integer");
             assert!(n >= 1, "--threads must be >= 1");

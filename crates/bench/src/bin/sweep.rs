@@ -7,41 +7,35 @@
 //!
 //! ```sh
 //! sweep methods=all scales=small cohorts=3 thetas=0,0.05 seeds=2015,2015 repeat=5
-//! sweep methods=components dists=rating,pareto tails=4,2,1.5 objectives=mean,cvar:0.9 gate=tail
-//! sweep --spec sweeps/fleet.spec cache=off
+//! sweep --spec specs/fig2.spec scales=small
+//! sweep --spec specs/tail.spec repeat=5 budget_ms=40 json=tail_ci.json
 //! ```
 //!
 //! Prints the per-cell table with cache hit/miss counters and the job-DAG
 //! summary. When `json=<path>` is given — or the `BENCH_JSON` environment
 //! variable is set, matching the vendored criterion's export — the
 //! whole-market solve timings are written there in the `BENCH_JSON`
-//! interchange format (`sweep_<scale>/theta<θ>[/<dist>][/<objective>]/<method>`
-//! ids, merged with any entries already in the file), ready for
-//! `perf_check` to compare against a committed baseline.
+//! interchange format (`sweep_<scale>/<recipe id>/<method>` ids, merged
+//! with any entries already in the file), ready for `perf_check` to
+//! compare against a committed baseline.
 //!
-//! `gate=tail` runs the heavy-tail acceptance check after the sweep: for
-//! every (scale, seed, θ, objective, dist-kind) group the Kupfer
-//! bundle-vs-separate ratio must be non-decreasing as the tail gets
-//! heavier (Pareto: α descending; lognormal: σ ascending) — the van
-//! Eck–Kleer–van Leeuwaarden (2025) prediction that bundling's edge grows
-//! with tail weight, under the mean and robust objectives alike. A
-//! violation exits 1.
+//! Then every `gate=` of the spec is checked (`revmax_engine::gate`): a
+//! violated gate prints the gate, the axis values and the two cells, and
+//! exits 1. Bad arguments exit 2.
 
-use revmax_engine::{report, run_sweep, Cohort, DistKind, SweepReport, SweepSpec, WtpDist};
+use revmax_engine::{gate, report, run_sweep, SweepSpec};
 
 fn main() {
     let mut spec = SweepSpec::default();
     let mut json_path = std::env::var("BENCH_JSON").ok().filter(|p| !p.is_empty());
-    let mut gate: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: sweep [--spec FILE] [key=value ...]\n\
-                     keys: methods scales thetas seeds dists tails objectives cohorts repeat \
-                     budget_ms cache threads json gate\n\
-                     (see crates/engine/src/spec.rs for the full syntax)"
+                     (see crates/engine/src/spec.rs for the keys, crates/engine/src/gate.rs \
+                     for gate=; json=PATH exports timings)"
                 );
                 return;
             }
@@ -57,11 +51,6 @@ fn main() {
                     .unwrap_or_else(|| fail(&format!("expected key=value, got '{other}'")));
                 match key {
                     "json" => json_path = Some(value.to_string()),
-                    "gate" => match value {
-                        "tail" => gate = Some(value.to_string()),
-                        "none" => gate = None,
-                        other => fail(&format!("unknown gate '{other}' (expected tail|none)")),
-                    },
                     _ => spec.apply(key, value).unwrap_or_else(|e| fail(&e)),
                 }
             }
@@ -78,92 +67,13 @@ fn main() {
         println!("wrote {} timing entries to {path}", entries.len());
     }
 
-    if gate.as_deref() == Some("tail") {
-        match tail_gate(&report) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("sweep: tail gate FAILED\n{e}");
-                std::process::exit(1);
-            }
+    match gate::check_all(&spec.gates, &report) {
+        Ok(summary) => print!("{summary}"),
+        Err(e) => {
+            eprintln!("sweep: {e}");
+            std::process::exit(1);
         }
     }
-}
-
-/// One point on a tail curve: the tail knob and its market's Kupfer ratio.
-struct TailPoint {
-    knob: f64,
-    kupfer: f64,
-}
-
-/// Check that within every (scale, seed, θ, objective, dist-kind) group of
-/// whole-market cells, the Kupfer bundle-vs-separate ratio is
-/// non-decreasing as the tail gets heavier. Returns the rendered curves on
-/// success, the violating curve on failure; groups need ≥ 2 tail points to
-/// be checked, and at least one checkable group must exist.
-fn tail_gate(report: &SweepReport) -> Result<String, String> {
-    // (group label, kind, points); kupfer is per-market, so dedupe the
-    // method axis by keying on the market fingerprint.
-    let mut groups: Vec<(String, DistKind, Vec<TailPoint>)> = Vec::new();
-    let mut seen_markets: Vec<u64> = Vec::new();
-    for c in &report.cells {
-        if c.cohort != Cohort::Whole || seen_markets.contains(&c.fingerprint) {
-            continue;
-        }
-        seen_markets.push(c.fingerprint);
-        let (kind, knob) = match c.dist {
-            WtpDist::Rating => continue,
-            WtpDist::Pareto { alpha } => (DistKind::Pareto, alpha),
-            WtpDist::LogNormal { sigma } => (DistKind::LogNormal, sigma),
-        };
-        let label = format!(
-            "{} seed={} theta={} obj={} {}",
-            c.scale.name(),
-            c.seed,
-            c.theta,
-            c.objective.id_fragment(),
-            if kind == DistKind::Pareto { "pareto" } else { "lognormal" },
-        );
-        match groups.iter_mut().find(|(l, _, _)| *l == label) {
-            Some((_, _, pts)) => pts.push(TailPoint { knob, kupfer: c.kupfer }),
-            None => groups.push((label, kind, vec![TailPoint { knob, kupfer: c.kupfer }])),
-        }
-    }
-    let mut out = String::new();
-    let mut checked = 0usize;
-    for (label, kind, mut pts) in groups {
-        if pts.len() < 2 {
-            continue;
-        }
-        checked += 1;
-        // Lightest tail first: Pareto α descending, lognormal σ ascending.
-        match kind {
-            DistKind::Pareto => pts.sort_by(|a, b| b.knob.total_cmp(&a.knob)),
-            _ => pts.sort_by(|a, b| a.knob.total_cmp(&b.knob)),
-        }
-        let curve: Vec<String> =
-            pts.iter().map(|p| format!("{}:{:.4}", p.knob, p.kupfer)).collect();
-        for w in pts.windows(2) {
-            if w[1].kupfer < w[0].kupfer * (1.0 - 1e-9) {
-                return Err(format!(
-                    "{label}: Kupfer ratio fell from {:.6} (knob {}) to {:.6} (knob {}) as the \
-                     tail got heavier; curve: {}",
-                    w[0].kupfer,
-                    w[0].knob,
-                    w[1].kupfer,
-                    w[1].knob,
-                    curve.join(" -> "),
-                ));
-            }
-        }
-        out.push_str(&format!("tail gate OK: {label}: {}\n", curve.join(" -> ")));
-    }
-    if checked == 0 {
-        return Err(
-            "no checkable tail curves — gate=tail needs a heavy-tailed dist axis with >= 2 tails"
-                .into(),
-        );
-    }
-    Ok(out)
 }
 
 fn fail(msg: &str) -> ! {

@@ -4,43 +4,21 @@
 //! must be a hard error that **names the offending key** (a silently
 //! ignored `targetusers=8` would benchmark the wrong shape and gate CI on
 //! it). [`unknown_key_msg`] builds that error, with a did-you-mean
-//! suggestion when a known key is within small edit distance.
-
-/// Edit (Levenshtein) distance between two ASCII-ish keys.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
+//! suggestion when a known key is within small edit distance — the same
+//! message the sweep spec gives ([`revmax_engine::spec::unknown_key`]).
 
 /// Error text for an unrecognized `key=value` key: always names the key,
 /// lists the accepted keys, and suggests the closest known key when one is
 /// within an edit distance of 2 (catches dropped underscores and
 /// single-letter typos without suggesting nonsense for garbage input).
 pub fn unknown_key_msg(key: &str, known: &[&str]) -> String {
-    let suggestion = known
-        .iter()
-        .map(|k| (edit_distance(key, k), *k))
-        .min()
-        .filter(|&(d, _)| d <= 2)
-        .map(|(_, k)| format!(" (did you mean '{k}'?)"))
-        .unwrap_or_default();
-    format!("unknown key '{key}'{suggestion}; known keys: {}", known.join(", "))
+    revmax_engine::spec::unknown_key("key", key, known)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revmax_engine::spec::edit_distance;
 
     #[test]
     fn message_names_the_key_and_lists_known_keys() {

@@ -2,20 +2,11 @@
 
 use crate::args::Scale;
 use revmax_core::prelude::*;
-use revmax_dataset::{AmazonBooksConfig, RatingsData};
-
-/// The generator configuration for a scale preset.
-pub fn config_for(scale: Scale) -> AmazonBooksConfig {
-    match scale {
-        Scale::Small => AmazonBooksConfig::small(),
-        Scale::Medium => AmazonBooksConfig::medium(),
-        Scale::Paper => AmazonBooksConfig::paper(),
-    }
-}
+use revmax_dataset::RatingsData;
 
 /// Generate the ratings dataset for a scale/seed.
 pub fn dataset(scale: Scale, seed: u64) -> RatingsData {
-    config_for(scale).generate(seed)
+    scale.config().generate(seed)
 }
 
 /// Build the WTP matrix from ratings data under `params` (λ applied per

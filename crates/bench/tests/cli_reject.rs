@@ -1,6 +1,7 @@
 //! Behavioral check of the bench binaries' `key=value` front doors: an
 //! unknown key must be a hard error (exit 2) that names the key — never a
-//! silently ignored flag benchmarking the wrong shape.
+//! silently ignored flag benchmarking the wrong shape — and a violated
+//! sweep gate exits 1 naming the gate.
 
 use std::process::Command;
 
@@ -40,6 +41,16 @@ fn sweep_rejects_bad_objective_values_and_gates() {
     let (code, stderr) = run(env!("CARGO_BIN_EXE_sweep"), &["gate=bogus"]);
     assert_eq!(code, 2, "stderr: {stderr}");
     assert!(stderr.contains("unknown gate 'bogus'"), "stderr: {stderr}");
+}
+
+#[test]
+fn sweep_exits_1_on_a_false_gate_naming_it() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/table2.spec");
+    let gate = "gate=le:coverage:methods:components:components_listed_prices";
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_sweep"), &["--spec", spec, gate]);
+    assert_eq!(code, 1, "stderr: {stderr}");
+    assert!(stderr.contains(&format!("gate '{}' FAILED", &gate[5..])), "stderr: {stderr}");
+    assert!(stderr.contains("at methods=Components [Components small"), "stderr: {stderr}");
 }
 
 #[test]

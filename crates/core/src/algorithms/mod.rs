@@ -13,7 +13,6 @@ pub use matching::{MatchingConfigurator, MatchingOptions, MixedMatching, PureMat
 
 use crate::config::Outcome;
 use crate::market::Market;
-use crate::objective::Objective;
 
 /// A bundle-configuration algorithm: consumes a market, produces a priced
 /// configuration with metrics and a per-iteration trace.
@@ -31,12 +30,6 @@ pub struct RegistryOptions {
     pub greedy: GreedyOptions,
     pub freq: FreqOptions,
     pub matching: MatchingOptions,
-    /// Pricing objective override. `None` (the default) runs every
-    /// configurator on the market exactly as given — bit-identical to the
-    /// pre-objective registry. `Some(o)` re-targets each solve at
-    /// objective `o` via [`Market::with_objective`], whatever the market
-    /// itself carries.
-    pub objective: Option<Objective>,
 }
 
 /// The seven comparative methods of Section 6.2 in the paper's order, each
@@ -47,10 +40,12 @@ pub fn registry() -> Vec<(&'static str, Box<dyn Configurator>)> {
     registry_with(RegistryOptions::default())
 }
 
-/// [`registry`] with explicit engine options (ablations, sweeps).
+/// [`registry`] with explicit engine options (ablations, sweeps). The
+/// pricing objective is not an option here: it rides the market's
+/// [`crate::params::Params`].
 pub fn registry_with(opts: RegistryOptions) -> Vec<(&'static str, Box<dyn Configurator>)> {
-    let RegistryOptions { greedy, freq, matching, objective } = opts;
-    let base: Vec<(&'static str, Box<dyn Configurator>)> = vec![
+    let RegistryOptions { greedy, freq, matching } = opts;
+    vec![
         ("Components", Box::new(Components::optimal()) as Box<dyn Configurator>),
         ("Pure Matching", Box::new(PureMatching { opts: matching })),
         ("Pure Greedy", Box::new(PureGreedy { opts: greedy })),
@@ -58,40 +53,18 @@ pub fn registry_with(opts: RegistryOptions) -> Vec<(&'static str, Box<dyn Config
         ("Mixed Greedy", Box::new(MixedGreedy { opts: greedy })),
         ("Pure FreqItemset", Box::new(PureFreqItemset { opts: freq })),
         ("Mixed FreqItemset", Box::new(MixedFreqItemset { opts: freq })),
-    ];
-    match objective {
-        // No override: hand back the configurators untouched, so default
-        // registries stay literally the pre-objective construction.
-        None => base,
-        Some(objective) => base
-            .into_iter()
-            .map(|(n, inner)| {
-                (n, Box::new(ObjectiveOverride { inner, objective }) as Box<dyn Configurator>)
-            })
-            .collect(),
-    }
+    ]
 }
 
-/// Adapter applying [`RegistryOptions::objective`]: runs the wrapped
-/// configurator on [`Market::with_objective`] of whatever market it is
-/// given.
-struct ObjectiveOverride {
-    inner: Box<dyn Configurator>,
-    objective: Objective,
-}
-
-impl Configurator for ObjectiveOverride {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run(&self, market: &Market) -> Outcome {
-        self.inner.run(&market.with_objective(self.objective))
-    }
-}
-
-/// Look one configurator up by its registry name (default options).
+/// Look one configurator up by name (default options): a [`registry`]
+/// method, or the listed-price `Components` baseline of Table 2, which
+/// stays out of the registry so "all seven methods" keeps meaning the
+/// paper's seven.
 pub fn by_name(name: &str) -> Option<Box<dyn Configurator>> {
+    let listed = Components::listed();
+    if name == listed.name() {
+        return Some(Box::new(listed));
+    }
     registry().into_iter().find(|(n, _)| *n == name).map(|(_, c)| c)
 }
 
@@ -166,6 +139,9 @@ mod registry_tests {
         let c = by_name("Mixed Matching").expect("known name");
         assert_eq!(c.name(), "Mixed Matching");
         assert!(by_name("No Such Method").is_none());
+        let listed = by_name("Components (listed prices)").expect("listed baseline");
+        assert_eq!(listed.name(), "Components (listed prices)");
+        assert!(registry().iter().all(|(n, _)| *n != listed.name()));
     }
 
     #[test]
@@ -182,36 +158,6 @@ mod registry_tests {
             .run(&m);
         let direct = PureFreqItemset { opts: FreqOptions { minsup: 0.25 } }.run(&m);
         assert_eq!(via_registry.revenue.to_bits(), direct.revenue.to_bits());
-    }
-
-    #[test]
-    fn objective_knob_keeps_names_and_order() {
-        let opts = RegistryOptions {
-            objective: Some(crate::objective::Objective::Cvar(0.9)),
-            ..Default::default()
-        };
-        let names: Vec<&str> = registry_with(opts).iter().map(|(n, _)| *n).collect();
-        let default_names: Vec<&str> = registry().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, default_names);
-        for (key, c) in registry_with(opts) {
-            assert_eq!(key, c.name());
-        }
-    }
-
-    #[test]
-    fn objective_knob_equals_retargeted_market() {
-        // Running the wrapped registry on `m` must equal running the
-        // default registry on `m.with_objective(o)` bit for bit.
-        let m = test_support::complementary();
-        let o = crate::objective::Objective::Cvar(0.6);
-        let retargeted = m.with_objective(o);
-        let wrapped = registry_with(RegistryOptions { objective: Some(o), ..Default::default() });
-        for ((name, via_knob), (_, direct)) in wrapped.into_iter().zip(registry()) {
-            let a = via_knob.run(&m);
-            let b = direct.run(&retargeted);
-            assert_eq!(a.revenue.to_bits(), b.revenue.to_bits(), "{name}");
-            assert_eq!(a.config, b.config, "{name}");
-        }
     }
 }
 

@@ -52,20 +52,6 @@ impl Market {
         Market { wtp, params: self.params, pricing: self.pricing }
     }
 
-    /// The same market re-targeted at a different pricing objective —
-    /// shares the WTP arena; only the params/pricing knobs change (and
-    /// with them the fingerprint, so objective-distinct solves never
-    /// share a cache entry). How [`crate::algorithms::RegistryOptions`]'s
-    /// objective knob is applied.
-    pub fn with_objective(&self, objective: crate::objective::Objective) -> Market {
-        objective.validate();
-        let mut params = self.params;
-        params.objective = objective;
-        let mut pricing = self.pricing;
-        pricing.objective = objective;
-        Market { wtp: self.wtp.clone(), params, pricing }
-    }
-
     pub fn wtp(&self) -> &WtpMatrix {
         &self.wtp
     }

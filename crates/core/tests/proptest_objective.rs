@@ -1,9 +1,9 @@
 //! Property suite for the unified `Objective` API (DESIGN.md §13):
 //!
 //! * `Objective::Mean` is **bit-identical** to the pre-objective solver —
-//!   the default registry, the objective-knobbed registry, and
-//!   `Market::with_objective(Mean)` all agree bit for bit across all seven
-//!   configurators and thread counts 1/2/8;
+//!   a market built from `Params` that never name an objective and one
+//!   built with `Params::with_objective(Mean)` agree bit for bit across
+//!   all seven configurators and thread counts 1/2/8;
 //! * `Cvar(1.0)` degenerates to the mean bit for bit on finite markets
 //!   (the `(buyers − 0)·max/1.0` identities, pinned end to end);
 //! * robust (CVaR/quantile) solves are thread-count invariant — the §6
@@ -12,7 +12,7 @@
 //!   CVaR solve can never hit a cached mean solve.
 
 use proptest::prelude::*;
-use revmax_core::algorithms::{registry, registry_with, RegistryOptions};
+use revmax_core::algorithms::registry;
 use revmax_core::market::Market;
 use revmax_core::objective::Objective;
 use revmax_core::params::Params;
@@ -56,14 +56,15 @@ proptest! {
     #[test]
     fn mean_objective_is_bit_identical_to_the_legacy_path((rows, theta) in arb_market()) {
         for threads in [1usize, 2, 8] {
-            let legacy = market(&rows, theta, threads, Objective::Mean);
-            let knobbed = registry_with(RegistryOptions {
-                objective: Some(Objective::Mean),
-                ..Default::default()
-            });
-            for ((name, plain), (_, via_knob)) in registry().into_iter().zip(knobbed) {
-                let a = plain.run(&legacy);
-                let b = via_knob.run(&legacy);
+            let legacy = Market::new(
+                WtpMatrix::from_rows(rows.clone()),
+                Params::default().with_theta(theta).with_threads(Threads::Fixed(threads)),
+            );
+            let mean = market(&rows, theta, threads, Objective::Mean);
+            prop_assert_eq!(legacy.fingerprint(), mean.fingerprint());
+            for (name, c) in registry() {
+                let a = c.run(&legacy);
+                let b = c.run(&mean);
                 prop_assert_eq!(
                     a.revenue.to_bits(), b.revenue.to_bits(),
                     "{} at {} threads", name, threads

@@ -4,22 +4,21 @@
 //! dependency edges pointing upstream:
 //!
 //! ```text
-//! Dataset(scale, seed) ── Market(θ) ── Partition(k) ── Solve(cohort, method)
+//! Dataset(scale, seed) ── Market(recipe) ── Partition(k) ── Solve(cohort, method)
 //! ```
 //!
 //! Expansion **deduplicates shared prefixes**: a repeated seed value maps
 //! to the one `Dataset` node it already created, and a repeated
-//! `(scale, seed, θ, dist, objective)` tuple maps to the one `Market`
-//! node — so duplicate axis values cost nothing upstream of the solve
-//! stage (the solve cells themselves are collapsed later by the
-//! fingerprint-keyed solve cache, which also catches duplicates the grid
-//! structure cannot see). Jobs are appended in one deterministic grid
-//! order (scale → seed → θ → dist → objective → cohort → method), and
-//! results are assembled in cell order regardless of the
-//! execution interleaving — the `DESIGN.md` §6 contract at fleet scale.
+//! `(scale, seed, recipe)` tuple maps to the one `Market` node — so
+//! duplicate axis values cost nothing upstream of the solve stage (the
+//! solve cells themselves are collapsed later by the fingerprint-keyed
+//! solve cache, which also catches duplicates the grid structure cannot
+//! see). Jobs are appended in one deterministic grid order (scale → seed
+//! → recipe, in [`SweepSpec::recipes`] order → cohort → method), and
+//! results are assembled in cell order regardless of the execution
+//! interleaving — the `DESIGN.md` §6 contract at fleet scale.
 
-use crate::spec::{ScaleSpec, SweepSpec, WtpDist};
-use revmax_core::prelude::Objective;
+use crate::spec::{Recipe, ScaleSpec, SweepSpec};
 
 /// Index into [`JobDag::jobs`].
 pub type JobId = usize;
@@ -67,9 +66,8 @@ pub fn cell_axis(cohorts: usize, methods: &[String]) -> Vec<(Cohort, String)> {
 pub enum JobKind {
     /// Generate the synthetic ratings dataset for `(scale, seed)`.
     Dataset { scale: ScaleSpec, seed: u64 },
-    /// Build a market (WTP matrix + θ/objective-bearing params) from a
-    /// dataset, under one WTP distribution.
-    Market { dataset: usize, theta: f64, dist: WtpDist, objective: Objective },
+    /// Build a market from a dataset under one recipe.
+    Market { dataset: usize, recipe: Recipe },
     /// Partition a market into activity cohorts (present iff `cohorts ≥ 1`).
     Partition { market: usize, cohorts: usize },
     /// Run one configurator on one cohort of one market.
@@ -92,11 +90,7 @@ pub struct CellMeta {
     pub market: usize,
     pub scale: ScaleSpec,
     pub seed: u64,
-    pub theta: f64,
-    /// The cell's WTP distribution (rating map or heavy-tailed redraw).
-    pub dist: WtpDist,
-    /// The cell's pricing objective.
-    pub objective: Objective,
+    pub recipe: Recipe,
     pub cohort: Cohort,
     pub method: String,
 }
@@ -125,7 +119,8 @@ pub struct DagSummary {
 
 impl JobDag {
     /// Expand a spec into the job DAG (see the module docs for ordering
-    /// and deduplication guarantees).
+    /// and deduplication guarantees). Panics on a spec whose axes do not
+    /// parse — run [`SweepSpec::validate`] first.
     pub fn expand(spec: &SweepSpec) -> JobDag {
         let mut dag = JobDag {
             jobs: Vec::new(),
@@ -137,10 +132,9 @@ impl JobDag {
         // (key, stage index) lists; linear scans keep the lookup
         // deterministic with no hashing of f64 keys.
         let mut dataset_keys: Vec<(ScaleSpec, u64)> = Vec::new();
-        // (dataset idx, θ bits, dist, objective)
-        let mut market_keys: Vec<(usize, u64, WtpDist, Objective)> = Vec::new();
+        let mut market_keys: Vec<(usize, String)> = Vec::new(); // (dataset idx, recipe id)
         let mut partition_of: Vec<JobId> = Vec::new(); // per market stage index
-        let dists = spec.wtp_dists();
+        let recipes = spec.recipes().expect("spec validated before expansion");
 
         for &scale in &spec.scales {
             for &seed in &spec.seeds {
@@ -153,62 +147,44 @@ impl JobDag {
                         dag.datasets.len() - 1
                     }
                 };
-                for &theta in &spec.thetas {
-                    for &dist in &dists {
-                        for &objective in &spec.objectives {
-                            let mkey = (ds_idx, theta.to_bits(), dist, objective);
-                            let mk_idx = match market_keys.iter().position(|&k| k == mkey) {
-                                Some(i) => i,
-                                None => {
-                                    let dep = dag.datasets[ds_idx];
-                                    let job = dag.push(
-                                        JobKind::Market { dataset: ds_idx, theta, dist, objective },
-                                        vec![dep],
-                                    );
-                                    market_keys.push(mkey);
-                                    dag.markets.push(job);
-                                    let mk = dag.markets.len() - 1;
-                                    if spec.cohorts >= 1 {
-                                        let pj = dag.push(
-                                            JobKind::Partition {
-                                                market: mk,
-                                                cohorts: spec.cohorts,
-                                            },
-                                            vec![job],
-                                        );
-                                        dag.partitions.push(pj);
-                                        partition_of.push(pj);
-                                    }
-                                    mk
-                                }
-                            };
-                            let upstream = if spec.cohorts >= 1 {
-                                partition_of[mk_idx]
-                            } else {
-                                dag.markets[mk_idx]
-                            };
-                            for (cohort, method) in cell_axis(spec.cohorts, &spec.methods) {
-                                let job = dag.push(
-                                    JobKind::Solve {
-                                        market: mk_idx,
-                                        cohort,
-                                        method: method.clone(),
-                                    },
-                                    vec![upstream],
+                for &recipe in &recipes {
+                    let mkey = (ds_idx, recipe.id());
+                    let mk_idx = match market_keys.iter().position(|k| *k == mkey) {
+                        Some(i) => i,
+                        None => {
+                            let dep = dag.datasets[ds_idx];
+                            let job =
+                                dag.push(JobKind::Market { dataset: ds_idx, recipe }, vec![dep]);
+                            market_keys.push(mkey);
+                            dag.markets.push(job);
+                            let mk = dag.markets.len() - 1;
+                            if spec.cohorts >= 1 {
+                                let pj = dag.push(
+                                    JobKind::Partition { market: mk, cohorts: spec.cohorts },
+                                    vec![job],
                                 );
-                                dag.cells.push(CellMeta {
-                                    job,
-                                    market: mk_idx,
-                                    scale,
-                                    seed,
-                                    theta,
-                                    dist,
-                                    objective,
-                                    cohort,
-                                    method,
-                                });
+                                dag.partitions.push(pj);
+                                partition_of.push(pj);
                             }
+                            mk
                         }
+                    };
+                    let upstream =
+                        if spec.cohorts >= 1 { partition_of[mk_idx] } else { dag.markets[mk_idx] };
+                    for (cohort, method) in cell_axis(spec.cohorts, &spec.methods) {
+                        let job = dag.push(
+                            JobKind::Solve { market: mk_idx, cohort, method: method.clone() },
+                            vec![upstream],
+                        );
+                        dag.cells.push(CellMeta {
+                            job,
+                            market: mk_idx,
+                            scale,
+                            seed,
+                            recipe,
+                            cohort,
+                            method,
+                        });
                     }
                 }
             }
@@ -237,20 +213,19 @@ impl JobDag {
 mod tests {
     use super::*;
 
-    fn spec(seeds: Vec<u64>, thetas: Vec<f64>, cohorts: usize) -> SweepSpec {
-        SweepSpec {
-            methods: vec!["Components".into(), "Pure Matching".into()],
-            scales: vec![ScaleSpec::Tiny],
-            thetas,
-            seeds,
-            cohorts,
-            ..SweepSpec::default()
-        }
+    fn spec(seeds: &str, thetas: &str, cohorts: usize) -> SweepSpec {
+        let mut spec = SweepSpec::default();
+        spec.apply("methods", "components,pure_matching").unwrap();
+        spec.apply("scales", "tiny").unwrap();
+        spec.apply("seeds", seeds).unwrap();
+        spec.apply("thetas", thetas).unwrap();
+        spec.cohorts = cohorts;
+        spec
     }
 
     #[test]
     fn grid_expands_in_deterministic_order() {
-        let dag = JobDag::expand(&spec(vec![1, 2], vec![0.0, 0.05], 0));
+        let dag = JobDag::expand(&spec("1,2", "0,0.05", 0));
         let s = dag.summary();
         assert_eq!(s.datasets, 2);
         assert_eq!(s.markets, 4);
@@ -260,13 +235,13 @@ mod tests {
         assert_eq!(dag.cells[0].seed, 1);
         assert_eq!(dag.cells[0].method, "Components");
         assert_eq!(dag.cells[1].method, "Pure Matching");
-        assert_eq!(dag.cells[2].theta, 0.05);
+        assert_eq!(dag.cells[2].recipe.params.theta, 0.05);
         assert!(dag.cells.iter().all(|c| c.cohort == Cohort::Whole));
     }
 
     #[test]
     fn duplicate_axis_values_share_upstream_jobs() {
-        let dag = JobDag::expand(&spec(vec![7, 7], vec![0.0], 0));
+        let dag = JobDag::expand(&spec("7,7", "0", 0));
         let s = dag.summary();
         assert_eq!(s.datasets, 1, "repeated seed must reuse the dataset job");
         assert_eq!(s.markets, 1, "repeated (scale, seed, θ) must reuse the market job");
@@ -276,7 +251,7 @@ mod tests {
 
     #[test]
     fn cohort_axis_adds_partition_jobs_and_cells() {
-        let dag = JobDag::expand(&spec(vec![1], vec![0.0], 3));
+        let dag = JobDag::expand(&spec("1", "0", 3));
         let s = dag.summary();
         assert_eq!(s.partitions, 1);
         assert_eq!(s.solves, 2 * (1 + 3)); // methods × (whole + 3 cohorts)
@@ -299,7 +274,7 @@ mod tests {
         assert_eq!(axis[0], (Cohort::Whole, "Components".to_string()));
         assert_eq!(axis[1], (Cohort::Whole, "Pure Matching".to_string()));
         assert_eq!(axis[2].0, Cohort::Seg(0));
-        let dag = JobDag::expand(&spec(vec![1], vec![0.0], 2));
+        let dag = JobDag::expand(&spec("1", "0", 2));
         let from_dag: Vec<(Cohort, String)> =
             dag.cells.iter().map(|c| (c.cohort, c.method.clone())).collect();
         assert_eq!(from_dag, axis);
@@ -307,23 +282,24 @@ mod tests {
 
     #[test]
     fn dist_and_objective_axes_key_the_market_stage() {
-        use crate::spec::DistKind;
-        let mut sp = spec(vec![1], vec![0.0], 0);
-        sp.dists = vec![DistKind::Rating, DistKind::Pareto];
-        sp.tails = vec![2.0];
-        sp.objectives = vec![Objective::Mean, Objective::Cvar(0.9)];
+        use crate::spec::WtpDist;
+        use revmax_core::prelude::Objective;
+        let mut sp = spec("1", "0", 0);
+        sp.apply("dists", "rating,pareto").unwrap();
+        sp.apply("tails", "2").unwrap();
+        sp.apply("objectives", "mean,cvar:0.9").unwrap();
         let dag = JobDag::expand(&sp);
         let s = dag.summary();
         assert_eq!(s.datasets, 1, "one dataset feeds every dist/objective market");
         assert_eq!(s.markets, 4, "2 dists x 2 objectives");
         assert_eq!(s.solves, 2 * 4);
         // Grid order: dist outer, objective inner.
-        assert_eq!(dag.cells[0].dist, WtpDist::Rating);
-        assert_eq!(dag.cells[0].objective, Objective::Mean);
-        assert_eq!(dag.cells[2].objective, Objective::Cvar(0.9));
-        assert_eq!(dag.cells[4].dist, WtpDist::Pareto { alpha: 2.0 });
+        assert_eq!(dag.cells[0].recipe.dist, WtpDist::Rating);
+        assert_eq!(dag.cells[0].recipe.params.objective, Objective::Mean);
+        assert_eq!(dag.cells[2].recipe.params.objective, Objective::Cvar(0.9));
+        assert_eq!(dag.cells[4].recipe.dist, WtpDist::Pareto { alpha: 2.0 });
         // Repeating an axis value reuses the market job.
-        sp.objectives = vec![Objective::Mean, Objective::Mean];
+        sp.apply("objectives", "mean,mean").unwrap();
         assert_eq!(JobDag::expand(&sp).summary().markets, 2);
     }
 

@@ -3,8 +3,8 @@
 //! PR 3's zero-copy [`revmax_core::market::MarketView`] partitioning and
 //! [`revmax_core::algorithms::registry`] give per-cohort solves; this
 //! crate orchestrates them at fleet scale (`DESIGN.md` §8). A
-//! [`SweepSpec`] — a grid over configurators, market partitions, θ
-//! values, scales, and seeds — expands into a job
+//! [`SweepSpec`] — a grid over configurators, market partitions, scales,
+//! seeds, and the market axes of [`spec::AXES`] — expands into a job
 //! DAG ([`dag::JobDag`]: dataset → market → partition → solve), and the
 //! jobs execute on [`revmax_par`] under the existing determinism
 //! contract: **results are assembled in job-index order and are
@@ -32,6 +32,7 @@
 
 pub mod cache;
 pub mod dag;
+pub mod gate;
 pub mod live;
 pub mod report;
 pub mod spec;
@@ -40,11 +41,12 @@ pub use cache::{CacheStats, OutcomeCache, SolveCache};
 pub use dag::{Cohort, DagSummary, JobDag};
 pub use live::{LiveCell, LiveEngine, LiveReport};
 pub use report::{BenchEntry, CellResult, SolveTiming, SweepReport};
-pub use spec::{DistKind, ScaleSpec, SweepSpec, WtpDist};
+pub use spec::{Recipe, ScaleSpec, SweepSpec, WtpDist};
 
 use revmax_core::algorithms;
 use revmax_core::market::{Market, MarketView};
-use revmax_core::prelude::{Objective, Params, Threads, WtpMatrix};
+use revmax_core::prelude::WtpMatrix;
+use revmax_core::pricing::PriceMode;
 use revmax_par::par_index_map;
 use std::time::{Duration, Instant};
 
@@ -69,43 +71,37 @@ pub fn activity_labels(market: &Market, k: usize) -> Vec<u32> {
     labels
 }
 
-/// Build the engine's canonical market over a ratings dataset: paper
-/// defaults with the given θ, inner solves pinned to 1 thread
-/// (`DESIGN.md` §8's no-nested-fan-out rule), rating-mapped WTPs, mean
-/// objective. Delegates to [`market_from_cell`] — the **single**
-/// construction recipe shared by the sweep executor's Market stage,
-/// [`rebuild_cell_market`], and the serving benches/tests; the §8.2
+/// Build the engine's canonical market over a ratings dataset: the
+/// default [`Recipe`] (paper defaults, inner solves pinned to 1 thread —
+/// `DESIGN.md` §8's no-nested-fan-out rule — rating-mapped WTPs, exact
+/// pricing) with the given θ. Delegates to [`market_from_recipe`] — the
+/// **single** construction recipe shared by the sweep executor's Market
+/// stage, [`rebuild_cell_market`], and the serving benches/tests; the §8.2
 /// fingerprint check in `rebuild_cell_market` relies on every producer
 /// and consumer of a cell market using exactly this.
 pub fn market_from_data(data: &revmax_dataset::RatingsData, theta: f64) -> Market {
-    market_from_cell(data, 0, theta, WtpDist::Rating, Objective::Mean)
+    let mut recipe = Recipe::default();
+    recipe.params.theta = theta;
+    market_from_recipe(data, 0, &recipe)
 }
 
 /// Build one sweep cell's market: `data`'s rating structure with WTPs
-/// from `dist` (the λ-linear rating map, or a seeded heavy-tailed redraw —
-/// `seed` is the cell's dataset seed, so the magnitudes are as
-/// reproducible as the dataset itself and ignored for [`WtpDist::Rating`]),
-/// θ and the pricing `objective` in the params, inner solves pinned to 1
-/// thread. For `(Rating, Mean)` this is bit-identical to what
-/// [`market_from_data`] always built.
-pub fn market_from_cell(
+/// from the recipe's dist (the λ-linear rating map, or a seeded
+/// heavy-tailed redraw — `seed` is the cell's dataset seed, so the
+/// magnitudes are as reproducible as the dataset itself and ignored for
+/// [`WtpDist::Rating`]), the recipe's params, and its price-search mode.
+pub fn market_from_recipe(
     data: &revmax_dataset::RatingsData,
     seed: u64,
-    theta: f64,
-    dist: WtpDist,
-    objective: Objective,
+    recipe: &Recipe,
 ) -> Market {
-    let params = Params::default()
-        .with_theta(theta)
-        .with_threads(Threads::Fixed(1))
-        .with_objective(objective);
-    let wtp = match dist.tail_dist() {
+    let wtp = match recipe.dist.tail_dist() {
         None => WtpMatrix::from_ratings(
             data.n_users(),
             data.n_items(),
             data.triples(),
             data.prices(),
-            params.lambda,
+            recipe.params.lambda,
         ),
         Some(td) => WtpMatrix::from_triples(
             data.n_users(),
@@ -114,11 +110,15 @@ pub fn market_from_cell(
             Some(data.prices().to_vec()),
         ),
     };
-    Market::new(wtp, params)
+    let market = Market::new(wtp, recipe.params);
+    match recipe.pricing {
+        PriceMode::Exact => market,
+        PriceMode::Grid => market.with_grid_pricing(),
+    }
 }
 
 /// Rebuild the exact (sub-)market a sweep cell was solved on: regenerate
-/// the cell's dataset from its `(scale, seed)`, apply its θ, and — for a
+/// the cell's dataset from its `(scale, seed)`, apply its recipe, and — for a
 /// cohort cell — re-partition with [`activity_labels`] under the spec's
 /// `cohorts` knob. The rebuilt market's content fingerprint is verified
 /// against the one recorded in the cell, so a drifted spec (or a report
@@ -127,7 +127,7 @@ pub fn market_from_cell(
 /// "sweep cell → `MenuIndex` in one call" wiring (`DESIGN.md` §9).
 pub fn rebuild_cell_market(spec: &SweepSpec, cell: &CellResult) -> Result<Market, String> {
     let data = cell.scale.config().generate(cell.seed);
-    let market = market_from_cell(&data, cell.seed, cell.theta, cell.dist, cell.objective);
+    let market = market_from_recipe(&data, cell.seed, &cell.recipe);
     let market = match cell.cohort {
         Cohort::Whole => market,
         Cohort::Seg(k) => {
@@ -194,23 +194,18 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, String> {
         scale.config().generate(seed)
     });
 
-    // Stage 2 — markets: WTP matrix + θ/objective-bearing params per
-    // distinct (dataset, θ, dist, objective). Inner solves are pinned to 1
-    // thread: the engine owns the fan-out (DESIGN.md §8's
-    // no-nested-fan-out rule).
-    let market_params: Vec<(usize, f64, WtpDist, Objective)> = dag
+    // Stage 2 — markets: one per distinct (dataset, recipe).
+    let market_params: Vec<(usize, Recipe)> = dag
         .markets
         .iter()
         .map(|&j| match dag.jobs[j].kind {
-            dag::JobKind::Market { dataset, theta, dist, objective } => {
-                (dataset, theta, dist, objective)
-            }
+            dag::JobKind::Market { dataset, recipe } => (dataset, recipe),
             _ => unreachable!("market stage holds market jobs"),
         })
         .collect();
     let markets: Vec<Market> = par_index_map(threads, market_params.len(), |k| {
-        let (ds, theta, dist, objective) = market_params[k];
-        market_from_cell(&datasets[ds], dataset_params[ds].1, theta, dist, objective)
+        let (ds, recipe) = &market_params[k];
+        market_from_recipe(&datasets[*ds], dataset_params[*ds].1, recipe)
     });
 
     if spec.cohorts >= 1 {
@@ -332,10 +327,8 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, String> {
             CellResult {
                 method: cell.method.clone(),
                 scale: cell.scale,
-                theta: cell.theta,
                 seed: cell.seed,
-                dist: cell.dist,
-                objective: cell.objective,
+                recipe: cell.recipe,
                 cohort: cell.cohort,
                 n_users,
                 n_items,
@@ -366,6 +359,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revmax_core::prelude::{Objective, Params, SizeCap};
 
     fn tiny_spec() -> SweepSpec {
         let mut spec = SweepSpec::default();
@@ -527,10 +521,15 @@ mod tests {
         // solve — the objective (and the dataset distribution knobs) are
         // part of the market fingerprint, hence of the solve-cache key.
         let data = ScaleSpec::Tiny.config().generate(5);
-        let mean = market_from_cell(&data, 5, 0.0, WtpDist::Rating, Objective::Mean);
-        let cvar = market_from_cell(&data, 5, 0.0, WtpDist::Rating, Objective::Cvar(0.9));
-        let pareto =
-            market_from_cell(&data, 5, 0.0, WtpDist::Pareto { alpha: 2.0 }, Objective::Mean);
+        let mean = market_from_recipe(&data, 5, &Recipe::default());
+        let mut recipe = Recipe::default();
+        recipe.params.objective = Objective::Cvar(0.9);
+        let cvar = market_from_recipe(&data, 5, &recipe);
+        let pareto = market_from_recipe(
+            &data,
+            5,
+            &Recipe { dist: WtpDist::Pareto { alpha: 2.0 }, ..Recipe::default() },
+        );
         assert_ne!(mean.fingerprint(), cvar.fingerprint());
         assert_ne!(mean.fingerprint(), pareto.fingerprint());
         assert_ne!(cvar.fingerprint(), pareto.fingerprint());
@@ -553,7 +552,7 @@ mod tests {
         assert_eq!(report.cache.misses, 4);
         assert_eq!(report.dag.markets, 2);
         // The objective rides the report rows and the bench ids.
-        assert!(report.cells.iter().any(|c| c.objective == Objective::Cvar(0.5)));
+        assert!(report.cells.iter().any(|c| c.recipe.params.objective == Objective::Cvar(0.5)));
         let entries = report.bench_entries();
         assert!(entries.iter().any(|e| e.id == "sweep_tiny/theta0/components"));
         assert!(entries.iter().any(|e| e.id == "sweep_tiny/theta0/cvar0.5/components"));
@@ -569,13 +568,37 @@ mod tests {
         assert_eq!(report.cells.len(), 2 * 3 * 3); // methods x dists x (whole+2)
         assert!(report.cells.iter().all(|c| c.revenue.is_finite() && c.revenue > 0.0));
         // Heavy-tail cells rebuild to the same fingerprint (seeded redraw).
-        for cell in report.cells.iter().filter(|c| c.dist != WtpDist::Rating) {
+        for cell in report.cells.iter().filter(|c| c.recipe.dist != WtpDist::Rating) {
             let market = rebuild_cell_market(&spec, cell).unwrap();
             assert_eq!(market.fingerprint(), cell.fingerprint);
         }
         let entries = report.bench_entries();
         assert!(entries.iter().any(|e| e.id == "sweep_tiny/theta0/pareto2/components"));
         assert!(entries.iter().any(|e| e.id == "sweep_tiny/theta0/lognormal2/components"));
+    }
+
+    #[test]
+    fn caps_axis_bounds_every_bundle_of_every_method_and_cohort() {
+        let mut spec = tiny_spec();
+        spec.apply("methods", "all").unwrap();
+        spec.apply("caps", "1,2,3,unlimited").unwrap();
+        spec.apply("cohorts", "2").unwrap();
+        let report = run_sweep(&spec).unwrap();
+        assert_eq!(report.cells.len(), 4 * 3 * 7);
+        for c in &report.cells {
+            let cap = c.recipe.params.size_cap;
+            assert!(
+                cap.limit().is_none_or(|k| c.config.max_bundle_size() <= k),
+                "{} on {} violated size cap {cap:?}",
+                c.method,
+                c.cohort
+            );
+        }
+        assert!(report
+            .cells
+            .iter()
+            .any(|c| c.recipe.params.size_cap == SizeCap::Unlimited
+                && c.config.max_bundle_size() > 3));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 
 use crate::cache::CacheStats;
 use crate::dag::{Cohort, DagSummary};
-use crate::spec::{ScaleSpec, WtpDist};
+use crate::spec::{Recipe, ScaleSpec};
 use revmax_core::config::{BundleConfig, OfferNode, Outcome};
-use revmax_core::prelude::Objective;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -43,12 +42,10 @@ impl SolveTiming {
 pub struct CellResult {
     pub method: String,
     pub scale: ScaleSpec,
-    pub theta: f64,
     pub seed: u64,
-    /// The cell's WTP distribution (rating map or heavy-tailed redraw).
-    pub dist: WtpDist,
-    /// The pricing objective the cell was solved under.
-    pub objective: Objective,
+    /// The market recipe (params, WTP distribution, price mode) the cell
+    /// was solved under.
+    pub recipe: Recipe,
     pub cohort: Cohort,
     pub n_users: usize,
     pub n_items: usize,
@@ -138,13 +135,11 @@ impl SweepReport {
         for c in &self.cells {
             writeln!(
                 s,
-                "{}|{}|theta:{:016x}|seed:{}|{}|{}|{}|{}x{}|fp:{:016x}|bvs:{:016x}|{}",
+                "{}|{}|seed:{}|{}|{}|{}x{}|fp:{:016x}|bvs:{:016x}|{}",
                 c.method,
                 c.scale.name(),
-                c.theta.to_bits(),
                 c.seed,
-                c.dist.id_fragment(),
-                c.objective.id_fragment(),
+                c.recipe.id(),
                 c.cohort,
                 c.n_users,
                 c.n_items,
@@ -160,21 +155,20 @@ impl SweepReport {
     /// Column-aligned human table plus cache/DAG footer.
     pub fn render_table(&self) -> String {
         let header = [
-            "method", "scale", "theta", "seed", "dist", "obj", "cohort", "users", "revenue",
-            "gain", "b/s", "time", "",
+            "method", "scale", "seed", "market", "cohort", "users", "revenue", "cov", "gain",
+            "b/s", "time", "",
         ];
         let mut rows: Vec<Vec<String>> = vec![header.iter().map(|s| s.to_string()).collect()];
         for c in &self.cells {
             rows.push(vec![
                 c.method.clone(),
                 c.scale.name().into(),
-                format!("{}", c.theta),
                 format!("{}", c.seed),
-                c.dist.id_fragment(),
-                c.objective.id_fragment(),
+                c.recipe.id(),
                 c.cohort.to_string(),
                 format!("{}", c.n_users),
                 format!("{:.2}", c.revenue),
+                format!("{:.2}%", c.coverage * 100.0),
                 format!("{:+.2}%", c.gain * 100.0),
                 format!("{:.3}", c.kupfer),
                 match &c.timing {
@@ -221,11 +215,11 @@ impl SweepReport {
     }
 
     /// Timing export in the `BENCH_JSON` entry shape. One entry per
-    /// distinct `sweep_<scale>/theta<θ>/<method>` id — with `/<dist>` and
-    /// `/<objective>` segments inserted before the method **only for
-    /// non-default cells** (heavy-tailed dists, non-mean objectives), so
-    /// the rating/mean ids stay byte-identical to what `perf_check`'s
-    /// committed baselines map (`BENCH_pr3.json`'s
+    /// distinct `sweep_<scale>/<recipe id>/<method>` id — the recipe id
+    /// ([`Recipe::id`]) carries `theta<θ>` plus a segment for each
+    /// **non-default** market axis (heavy-tailed dists, non-mean
+    /// objectives, …), so default ids stay byte-identical to what
+    /// `perf_check`'s committed baselines map (`BENCH_pr3.json`'s
     /// `endtoend_small/<method>`). Entries aggregate over the
     /// **whole-market, uncached** cells of their id (cohort solves are a
     /// different workload and cached cells have no timing of their own).
@@ -236,14 +230,12 @@ impl SweepReport {
             if c.cohort != Cohort::Whole {
                 continue;
             }
-            let mut id = format!("sweep_{}/theta{}", c.scale.name(), c.theta);
-            if c.dist != WtpDist::Rating {
-                write!(id, "/{}", c.dist.id_fragment()).unwrap();
-            }
-            if c.objective != Objective::Mean {
-                write!(id, "/{}", c.objective.id_fragment()).unwrap();
-            }
-            write!(id, "/{}", c.method.to_lowercase().replace(' ', "_")).unwrap();
+            let id = format!(
+                "sweep_{}/{}/{}",
+                c.scale.name(),
+                c.recipe.id(),
+                c.method.to_lowercase().replace(' ', "_")
+            );
             match entries.iter_mut().find(|e| e.id == id) {
                 Some(e) => {
                     // Weighted mean over all repetitions of all cells.

@@ -31,11 +31,13 @@ fn arb_spec() -> impl Strategy<Value = SweepSpec> {
             let mut spec = SweepSpec {
                 methods,
                 seeds,
-                thetas: theta_raw.into_iter().map(|t| t as f64 * 0.05).collect(),
                 cohorts,
                 threads: Threads::Fixed(2),
                 ..SweepSpec::default()
             };
+            let thetas: Vec<String> =
+                theta_raw.into_iter().map(|t| (t as f64 * 0.05).to_string()).collect();
+            spec.apply("thetas", &thetas.join(",")).unwrap();
             spec.apply("scales", "tiny").unwrap();
             spec
         })
