@@ -34,10 +34,7 @@ fn main() {
             secs(out.trace.total_time()),
             pct2(out.gain),
         ]);
-        // Downsample long traces to ~25 printed points; CSV keeps all.
-        let pts = out.trace.points();
-        let stride = (pts.len() / 25).max(1);
-        for (k, p) in pts.iter().enumerate() {
+        for p in out.trace.points() {
             let g = revmax_core::metrics::revenue_gain(p.revenue, components);
             series.row(vec![
                 out.algorithm.into(),
@@ -45,7 +42,6 @@ fn main() {
                 format!("{:.3}", p.elapsed.as_secs_f64()),
                 pct2(g),
             ]);
-            let _ = (k, stride);
         }
         eprintln!("{} done ({} iterations)", out.algorithm, out.trace.iterations());
     }

@@ -3,8 +3,7 @@
 use crate::algorithms::Configurator;
 use crate::bundle::Bundle;
 use crate::config::{BundleConfig, OfferNode, Outcome, Strategy};
-use crate::market::{Market, Scratch};
-use crate::pricing::PricedOutcome;
+use crate::market::Market;
 use crate::trace::IterationTrace;
 
 /// How component prices are set.
@@ -43,96 +42,6 @@ impl Default for Components {
     }
 }
 
-/// Per-item pricing memo of one [`Components`] run — what
-/// [`Components::run_incremental`] patches after churn instead of
-/// re-pricing every item.
-#[derive(Debug, Clone)]
-pub struct ComponentsMemo {
-    /// Priced outcome of each item, in item order.
-    priced: Vec<PricedOutcome>,
-    /// Consumer count the memo was priced against (a grown market
-    /// invalidates every item: under sigmoid adoption even a ratings-free
-    /// consumer shifts expected buyers).
-    n_users: usize,
-}
-
-impl Components {
-    fn price_item(&self, market: &Market, item: u32, scratch: &mut Scratch) -> PricedOutcome {
-        match self.pricing {
-            ComponentPricing::Optimal => market.price_pure(&[item], scratch),
-            ComponentPricing::Listed => market
-                .price_listed(item)
-                .expect("listed pricing requires a matrix built from ratings data"),
-        }
-    }
-
-    /// [`Configurator::run`] plus the per-item memo for later incremental
-    /// re-runs.
-    pub fn run_with_memo(&self, market: &Market) -> (Outcome, ComponentsMemo) {
-        let mut scratch = market.scratch();
-        let priced: Vec<PricedOutcome> = (0..market.n_items() as u32)
-            .map(|item| self.price_item(market, item, &mut scratch))
-            .collect();
-        self.assemble_memo(market, priced)
-    }
-
-    /// Incremental re-run after churn (`DESIGN.md` §10): re-price only
-    /// items whose column changed (`touched_items`, ascending — see
-    /// [`crate::marketlog::MarketLog::touched_items`]) or that are new
-    /// since the memo; every other item reuses its memoized outcome. The
-    /// assembly loop accumulates in item order, so the result is
-    /// **bit-identical** to [`Components::run_with_memo`] on the same
-    /// market.
-    pub fn run_incremental(
-        &self,
-        market: &Market,
-        prev: &ComponentsMemo,
-        touched_items: &[u32],
-    ) -> (Outcome, ComponentsMemo) {
-        debug_assert!(touched_items.windows(2).all(|w| w[0] < w[1]), "touched items unsorted");
-        if market.n_users() != prev.n_users {
-            return self.run_with_memo(market);
-        }
-        let mut scratch = market.scratch();
-        let priced: Vec<PricedOutcome> = (0..market.n_items() as u32)
-            .map(|item| {
-                if (item as usize) >= prev.priced.len()
-                    || touched_items.binary_search(&item).is_ok()
-                {
-                    self.price_item(market, item, &mut scratch)
-                } else {
-                    prev.priced[item as usize]
-                }
-            })
-            .collect();
-        self.assemble_memo(market, priced)
-    }
-
-    fn assemble_memo(
-        &self,
-        market: &Market,
-        priced: Vec<PricedOutcome>,
-    ) -> (Outcome, ComponentsMemo) {
-        let mut roots = Vec::with_capacity(priced.len());
-        let mut revenue = 0.0;
-        for (item, p) in priced.iter().enumerate() {
-            revenue += p.revenue;
-            // Items nobody wants still need a price on the menu; use the
-            // listed price or zero.
-            let price = if p.price > 0.0 {
-                p.price
-            } else {
-                market.wtp().listed_price(item as u32).unwrap_or(0.0)
-            };
-            roots.push(OfferNode::leaf(Bundle::single(item as u32), price));
-        }
-        let config = BundleConfig { strategy: Strategy::Pure, roots };
-        let outcome =
-            Outcome::assemble(self.name(), config, revenue, revenue, market, IterationTrace::new());
-        (outcome, ComponentsMemo { priced, n_users: market.n_users() })
-    }
-}
-
 impl Configurator for Components {
     fn name(&self) -> &'static str {
         match self.pricing {
@@ -142,7 +51,28 @@ impl Configurator for Components {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        self.run_with_memo(market).0
+        let mut scratch = market.scratch();
+        let mut roots = Vec::with_capacity(market.n_items());
+        let mut revenue = 0.0;
+        for item in 0..market.n_items() as u32 {
+            let p = match self.pricing {
+                ComponentPricing::Optimal => market.price_pure(&[item], &mut scratch),
+                ComponentPricing::Listed => market
+                    .price_listed(item)
+                    .expect("listed pricing requires a matrix built from ratings data"),
+            };
+            revenue += p.revenue;
+            // Items nobody wants still need a price on the menu; use the
+            // listed price or zero.
+            let price = if p.price > 0.0 {
+                p.price
+            } else {
+                market.wtp().listed_price(item).unwrap_or(0.0)
+            };
+            roots.push(OfferNode::leaf(Bundle::single(item), price));
+        }
+        let config = BundleConfig { strategy: Strategy::Pure, roots };
+        Outcome::assemble(self.name(), config, revenue, revenue, market, IterationTrace::new())
     }
 }
 
@@ -189,34 +119,5 @@ mod tests {
         let m = table1();
         let out = Components::optimal().run(&m);
         assert!((out.config.expected_revenue(&m) - out.revenue).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incremental_rerun_is_bit_identical_to_cold() {
-        use crate::marketlog::{Event, MarketLog};
-        let m = table1();
-        let (cold0, memo) = Components::optimal().run_with_memo(&m);
-        assert_eq!(cold0.revenue.to_bits(), Components::optimal().run(&m).revenue.to_bits());
-
-        // Touch item 0 and add a fresh item; item 1 must reuse its memo.
-        let mut log = MarketLog::new(m);
-        log.apply(Event::UpsertWtp { user: 2, item: 0, wtp: 6.5 }).unwrap();
-        log.add_item(None).unwrap();
-        log.apply(Event::UpsertWtp { user: 0, item: 2, wtp: 3.0 }).unwrap();
-        let churned = log.snapshot();
-
-        let (inc, memo2) =
-            Components::optimal().run_incremental(&churned, &memo, &log.touched_items());
-        let (cold, _) = Components::optimal().run_with_memo(&churned);
-        assert_eq!(inc.revenue.to_bits(), cold.revenue.to_bits());
-        assert_eq!(inc.config, cold.config);
-        assert_eq!(memo2.n_users, 3);
-
-        // User growth falls back to a full re-price, still bit-identical.
-        log.apply(Event::AddUser).unwrap();
-        let grown = log.snapshot();
-        let (inc, _) = Components::optimal().run_incremental(&grown, &memo, &log.touched_items());
-        let (cold, _) = Components::optimal().run_with_memo(&grown);
-        assert_eq!(inc.revenue.to_bits(), cold.revenue.to_bits());
     }
 }

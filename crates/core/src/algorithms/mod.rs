@@ -23,36 +23,21 @@ pub trait Configurator {
     fn run(&self, market: &Market) -> Outcome;
 }
 
-/// Per-family options for [`registry_with`]: one knob set per engine,
-/// defaulted to the paper's settings.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RegistryOptions {
-    pub greedy: GreedyOptions,
-    pub freq: FreqOptions,
-    pub matching: MatchingOptions,
-}
-
 /// The seven comparative methods of Section 6.2 in the paper's order, each
-/// paired with its canonical name. **The** single place the configurator
-/// list is defined — the experiment harness, the determinism suite, and
-/// the examples all draw from here.
+/// paired with its canonical name and built with the paper's default
+/// options. **The** single place the configurator list is defined — the
+/// experiment harness, the determinism suite, and the examples all draw
+/// from here. The pricing objective is not an option here: it rides the
+/// market's [`crate::params::Params`].
 pub fn registry() -> Vec<(&'static str, Box<dyn Configurator>)> {
-    registry_with(RegistryOptions::default())
-}
-
-/// [`registry`] with explicit engine options (ablations, sweeps). The
-/// pricing objective is not an option here: it rides the market's
-/// [`crate::params::Params`].
-pub fn registry_with(opts: RegistryOptions) -> Vec<(&'static str, Box<dyn Configurator>)> {
-    let RegistryOptions { greedy, freq, matching } = opts;
     vec![
         ("Components", Box::new(Components::optimal()) as Box<dyn Configurator>),
-        ("Pure Matching", Box::new(PureMatching { opts: matching })),
-        ("Pure Greedy", Box::new(PureGreedy { opts: greedy })),
-        ("Mixed Matching", Box::new(MixedMatching { opts: matching })),
-        ("Mixed Greedy", Box::new(MixedGreedy { opts: greedy })),
-        ("Pure FreqItemset", Box::new(PureFreqItemset { opts: freq })),
-        ("Mixed FreqItemset", Box::new(MixedFreqItemset { opts: freq })),
+        ("Pure Matching", Box::new(PureMatching::default())),
+        ("Pure Greedy", Box::new(PureGreedy::default())),
+        ("Mixed Matching", Box::new(MixedMatching::default())),
+        ("Mixed Greedy", Box::new(MixedGreedy::default())),
+        ("Pure FreqItemset", Box::new(PureFreqItemset::default())),
+        ("Mixed FreqItemset", Box::new(MixedFreqItemset::default())),
     ]
 }
 
@@ -142,22 +127,6 @@ mod registry_tests {
         let listed = by_name("Components (listed prices)").expect("listed baseline");
         assert_eq!(listed.name(), "Components (listed prices)");
         assert!(registry().iter().all(|(n, _)| *n != listed.name()));
-    }
-
-    #[test]
-    fn registry_with_honours_options() {
-        let opts = RegistryOptions { freq: FreqOptions { minsup: 0.25 }, ..Default::default() };
-        let m = test_support::table1();
-        // Same market, same options → same outcome through the registry as
-        // through a hand-built configurator.
-        let via_registry = registry_with(opts)
-            .into_iter()
-            .find(|(n, _)| *n == "Pure FreqItemset")
-            .unwrap()
-            .1
-            .run(&m);
-        let direct = PureFreqItemset { opts: FreqOptions { minsup: 0.25 } }.run(&m);
-        assert_eq!(via_registry.revenue.to_bits(), direct.revenue.to_bits());
     }
 }
 

@@ -173,8 +173,7 @@ impl BundleConfig {
             .fold(0.0, |a, r| a + r)
     }
 
-    /// Expected revenue of one root subtree — the unit the incremental
-    /// re-scorer ([`BundleConfig::rescore_touched`]) recomputes.
+    /// Expected revenue of one root subtree.
     ///
     /// Explicit `fold(0.0, ..)` rather than `Iterator::sum`: std's f64
     /// sum starts from -0.0, so an *empty* sum (an offer nobody is
@@ -232,57 +231,6 @@ impl BundleConfig {
                 objective.score_payments(&paid, m)
             }
         }
-    }
-
-    /// Per-root revenue decomposition of [`BundleConfig::expected_revenue`]
-    /// — the memo [`BundleConfig::rescore_touched`] patches after churn.
-    pub fn revenue_breakdown(&self, market: &Market) -> RevenueBreakdown {
-        let mut scratch = market.scratch();
-        let per_root: Vec<f64> =
-            self.roots.iter().map(|r| self.root_revenue(market, r, &mut scratch)).collect();
-        let total = per_root.iter().fold(0.0, |a, &r| a + r);
-        RevenueBreakdown { per_root, total, n_users: market.n_users() }
-    }
-
-    /// Incremental re-scoring after churn (`DESIGN.md` §10): recompute
-    /// only roots whose bundle contains a touched item (subsumption means
-    /// the root's item set covers its whole subtree); untouched roots keep
-    /// their memoized revenue. The total is re-folded in root order from
-    /// 0.0, so the result is **bit-identical** to a fresh
-    /// [`BundleConfig::revenue_breakdown`] on the same market.
-    ///
-    /// `touched_items` must be sorted ascending
-    /// ([`crate::marketlog::MarketLog::touched_items`] is). A change in
-    /// user count recomputes every root: under sigmoid adoption even a
-    /// ratings-free consumer shifts each offer's expected buyers.
-    pub fn rescore_touched(
-        &self,
-        market: &Market,
-        prev: &RevenueBreakdown,
-        touched_items: &[u32],
-    ) -> RevenueBreakdown {
-        assert_eq!(prev.per_root.len(), self.roots.len(), "memo shape mismatch");
-        debug_assert!(touched_items.windows(2).all(|w| w[0] < w[1]), "touched items unsorted");
-        if market.n_users() != prev.n_users {
-            return self.revenue_breakdown(market);
-        }
-        let mut scratch = market.scratch();
-        let per_root: Vec<f64> = self
-            .roots
-            .iter()
-            .zip(&prev.per_root)
-            .map(|(r, &memo)| {
-                let touched =
-                    r.bundle.items().iter().any(|i| touched_items.binary_search(i).is_ok());
-                if touched {
-                    self.root_revenue(market, r, &mut scratch)
-                } else {
-                    memo
-                }
-            })
-            .collect();
-        let total = per_root.iter().fold(0.0, |a, &r| a + r);
-        RevenueBreakdown { per_root, total, n_users: market.n_users() }
     }
 
     /// Expected revenue under an explicit consumer-choice policy (step
@@ -381,21 +329,6 @@ impl std::fmt::Display for BundleConfig {
         }
         Ok(())
     }
-}
-
-/// Per-root revenue memo of one configuration evaluation
-/// ([`BundleConfig::revenue_breakdown`]): what the incremental re-scorer
-/// keeps between churn batches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RevenueBreakdown {
-    /// Expected revenue of each root subtree, in root order.
-    pub per_root: Vec<f64>,
-    /// Σ `per_root`, folded from 0.0 in root order — bit-identical to
-    /// [`BundleConfig::expected_revenue`] on the same market.
-    pub total: f64,
-    /// Consumer count the memo was computed against (a grown market
-    /// invalidates every root; see [`BundleConfig::rescore_touched`]).
-    pub n_users: usize,
 }
 
 /// The result of running a configuration algorithm on a market.
@@ -550,30 +483,6 @@ mod tests {
             let r = c.expected_revenue(&m);
             assert_eq!(r.to_bits(), 0.0f64.to_bits(), "{strategy:?} yielded {r:?} (-0.0 wart)");
         }
-    }
-
-    #[test]
-    fn rescore_touched_is_bit_identical_to_full_breakdown() {
-        use crate::marketlog::{Event, MarketLog};
-        let m = market();
-        let c = pure_components();
-        let memo = c.revenue_breakdown(&m);
-        assert_eq!(memo.total.to_bits(), c.expected_revenue(&m).to_bits());
-        // Churn item 0 only: root {1} keeps its memo verbatim, and the
-        // patched breakdown still matches a fresh one bit for bit.
-        let mut log = MarketLog::new(m);
-        log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: 9.0 }).unwrap();
-        let churned = log.snapshot();
-        let inc = c.rescore_touched(&churned, &memo, &log.touched_items());
-        let full = c.revenue_breakdown(&churned);
-        assert_eq!(inc, full);
-        assert_eq!(inc.per_root[1].to_bits(), memo.per_root[1].to_bits());
-
-        // Growing the user base recomputes every root.
-        log.apply(Event::AddUser).unwrap();
-        let grown = log.snapshot();
-        let inc = c.rescore_touched(&grown, &memo, &log.touched_items());
-        assert_eq!(inc, c.revenue_breakdown(&grown));
     }
 
     #[test]

@@ -86,9 +86,9 @@ pub mod wtp;
 pub mod prelude {
     pub use crate::adoption::AdoptionModel;
     pub use crate::algorithms::{
-        registry, registry_with, Components, Configurator, FreqItemsetConfigurator,
-        GreedyConfigurator, MatchingConfigurator, MixedFreqItemset, MixedGreedy, MixedMatching,
-        PureFreqItemset, PureGreedy, PureMatching, RegistryOptions,
+        registry, Components, Configurator, FreqItemsetConfigurator, GreedyConfigurator,
+        MatchingConfigurator, MixedFreqItemset, MixedGreedy, MixedMatching, PureFreqItemset,
+        PureGreedy, PureMatching,
     };
     pub use crate::bundle::Bundle;
     pub use crate::config::{BundleConfig, Outcome, Strategy};

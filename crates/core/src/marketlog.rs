@@ -352,8 +352,7 @@ impl MarketLog {
     }
 
     /// Users whose post-churn row differs from the base arena (plus every
-    /// grown id), ascending — the invalidation set engine-side incremental
-    /// re-solves key on.
+    /// grown id), ascending.
     pub fn touched_users(&self) -> Vec<u32> {
         let mut set: BTreeSet<u32> = self.overrides.keys().map(|&(u, _)| u).collect();
         set.extend(self.base.n_users() as u32..self.n_users as u32);
@@ -361,8 +360,7 @@ impl MarketLog {
     }
 
     /// Items whose post-churn column differs from the base arena (plus
-    /// every grown id), ascending — the set configurator passes re-score
-    /// against.
+    /// every grown id), ascending.
     pub fn touched_items(&self) -> Vec<u32> {
         let mut set: BTreeSet<u32> = self.overrides.keys().map(|&(_, i)| i).collect();
         set.extend(self.base.n_items() as u32..self.n_items as u32);

@@ -8,9 +8,10 @@
 //! lower **quantile** or **CVaR** of revenue instead. [`Objective`] makes
 //! that choice a first-class parameter threaded through pricing
 //! ([`crate::pricing::optimize_with`]), config evaluation
-//! ([`crate::config::BundleConfig::revenue`]), the configurator registry
-//! ([`crate::algorithms::RegistryOptions`]), and — via
-//! [`crate::params::Params::fingerprint`] — every solve-cache key.
+//! ([`crate::config::BundleConfig::revenue`]), and — as a field of
+//! [`crate::params::Params`], hence of
+//! [`crate::params::Params::fingerprint`] — every configurator's market
+//! and every solve-cache key.
 //!
 //! # Scoring model
 //!

@@ -1,17 +1,21 @@
-//! The fingerprint-keyed solve cache.
+//! The fingerprint-keyed cell cache.
 //!
 //! A solve cell's cache key combines the market's content fingerprint
 //! ([`revmax_core::market::Market::fingerprint`] — WTP content including
 //! any view restriction, resolved solve-relevant params, price mode) with
 //! the configurator's registry name. Two cells with equal keys are
 //! guaranteed bit-identical solves, so the engine runs the first and
-//! reuses its outcome for the rest.
+//! reuses its outcome for the rest. The Kupfer diagnostic is a pure
+//! function of the sub-market, so it is keyed by the fingerprint alone.
 //!
-//! Determinism of the **counters** (not just the results): the cache is
-//! probed in cell order *before* any solve runs, so which cell is the
-//! miss and which cells are hits is a pure function of the spec — never
-//! of thread scheduling. The executor then solves only the misses, in
-//! parallel, and fans the outcomes back out.
+//! One `CellCache` serves both entry points: a sweep probes a fresh one
+//! and drops it, a [`crate::LiveEngine`] keeps one across churn batches.
+//! Either way it is filled by the engine's single cell stage
+//! (`DESIGN.md` §8.3), which probes every cell in cell order *before* any
+//! solve runs — so which cell is the miss and which cells are hits is a
+//! pure function of the input, never of thread scheduling — and which
+//! afterwards keeps only the entries the call's own cells used, so a
+//! retained cache is bounded by one resolve's cell count.
 
 use revmax_core::config::Outcome;
 use revmax_core::fingerprint::{combine, fingerprint_str};
@@ -23,7 +27,7 @@ pub fn solve_key(market_fingerprint: u64, method: &str) -> u64 {
     combine(market_fingerprint, fingerprint_str(method))
 }
 
-/// Hit/miss counters, surfaced in the sweep report.
+/// Hit/miss counters, surfaced in the sweep and live reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     pub hits: usize,
@@ -42,124 +46,66 @@ impl CacheStats {
     }
 }
 
-/// Result of probing the cache for one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// First sighting of this key; the caller owns solving it. The key is
-    /// now bound to the unique-solve slot the caller supplied.
-    Miss,
-    /// Key already owned by this unique-solve slot.
-    Hit(usize),
-}
-
-/// Deterministic dedup map from solve keys to unique-solve slots.
+/// Solved outcomes by [`solve_key`] and Kupfer diagnostics by sub-market
+/// fingerprint, plus cumulative hit/miss counters.
 #[derive(Debug)]
-pub struct SolveCache {
-    enabled: bool,
-    map: HashMap<u64, usize>,
+pub(crate) struct CellCache {
+    /// `false` = every probe misses and nothing is stored (each cell
+    /// solves independently — the cold-sweep reference, `cache=off`).
+    pub enabled: bool,
+    pub outcomes: HashMap<u64, Arc<Outcome>>,
+    pub kupfer: HashMap<u64, f64>,
     pub stats: CacheStats,
 }
 
-impl SolveCache {
-    /// A cache; `enabled = false` degrades to counting every probe a miss
-    /// (each cell solves independently — the cold-sweep reference).
+impl CellCache {
     pub fn new(enabled: bool) -> Self {
-        SolveCache { enabled, map: HashMap::new(), stats: CacheStats::default() }
-    }
-
-    /// Probe `key`; on a miss, bind it to `next_unique` (the slot the
-    /// caller will place the solve result in).
-    pub fn probe(&mut self, key: u64, next_unique: usize) -> Probe {
-        if self.enabled {
-            if let Some(&slot) = self.map.get(&key) {
-                self.stats.hits += 1;
-                return Probe::Hit(slot);
-            }
-            self.map.insert(key, next_unique);
+        CellCache {
+            enabled,
+            outcomes: HashMap::new(),
+            kupfer: HashMap::new(),
+            stats: CacheStats::default(),
         }
-        self.stats.misses += 1;
-        Probe::Miss
-    }
-}
-
-/// A **retained** solve-outcome cache keyed by [`solve_key`] — the live
-/// engine's memory across churn batches. [`SolveCache`] dedups within one
-/// sweep and is dropped with it; this cache keeps the solved outcomes, so
-/// after a delta batch only the cells whose (sub-)market content
-/// fingerprint actually changed miss and re-solve. That is the
-/// cache-invalidation invariant of `DESIGN.md` §10: content fingerprints
-/// of untouched cohorts are unchanged by construction, so their cells hit.
-#[derive(Debug, Default)]
-pub struct OutcomeCache {
-    map: HashMap<u64, Arc<Outcome>>,
-    pub stats: CacheStats,
-}
-
-impl OutcomeCache {
-    pub fn new() -> Self {
-        OutcomeCache::default()
-    }
-
-    /// Look up a solved outcome; counts a hit or miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<Outcome>> {
-        match self.map.get(&key) {
-            Some(o) => {
-                self.stats.hits += 1;
-                Some(Arc::clone(o))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store the outcome a miss solved.
-    pub fn insert(&mut self, key: u64, outcome: Arc<Outcome>) {
-        self.map.insert(key, outcome);
-    }
-
-    /// Stored outcomes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drop every entry whose key is not in `keep` (the keys of the
-    /// latest resolve) — bounds memory across long churn histories where
-    /// stale fingerprints can never hit again.
-    pub fn retain_keys(&mut self, keep: &[u64]) {
-        let keep_set: std::collections::HashSet<u64> = keep.iter().copied().collect();
-        // audit: allow(unordered-iter) pure membership predicate — visit order is unobservable
-        self.map.retain(|k, _| keep_set.contains(k));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{market_from_data, solve_cells, ScaleSpec};
+
+    /// One tiny market solved as the cells [Components, Pure Greedy,
+    /// Components, Components] through the engine's cell stage.
+    fn probe_repeats(enabled: bool) -> (CellCache, Vec<bool>) {
+        let market = market_from_data(&ScaleSpec::Tiny.config().generate(7), 0.0);
+        let cells = [
+            (&market, "Components"),
+            (&market, "Pure Greedy"),
+            (&market, "Components"),
+            (&market, "Components"),
+        ];
+        let mut cache = CellCache::new(enabled);
+        let solved = solve_cells(&mut cache, &cells, 2, 1, 0);
+        (cache, solved.iter().map(|s| s.timing.is_none()).collect())
+    }
 
     #[test]
     fn repeated_keys_hit() {
-        let mut c = SolveCache::new(true);
-        assert_eq!(c.probe(42, 0), Probe::Miss);
-        assert_eq!(c.probe(42, 1), Probe::Hit(0));
-        assert_eq!(c.probe(43, 1), Probe::Miss);
-        assert_eq!(c.probe(42, 2), Probe::Hit(0));
-        assert_eq!(c.stats, CacheStats { hits: 2, misses: 2 });
-        assert!((c.stats.hit_rate() - 0.5).abs() < 1e-12);
+        let (cache, cached) = probe_repeats(true);
+        assert_eq!(cached, [false, false, true, true]);
+        assert_eq!(cache.stats, CacheStats { hits: 2, misses: 2 });
+        assert!((cache.stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(cache.outcomes.len(), 2, "one retained outcome per distinct key");
+        assert_eq!(cache.kupfer.len(), 1, "one Kupfer value per sub-market");
     }
 
     #[test]
     fn disabled_cache_misses_everything() {
-        let mut c = SolveCache::new(false);
-        assert_eq!(c.probe(42, 0), Probe::Miss);
-        assert_eq!(c.probe(42, 1), Probe::Miss);
-        assert_eq!(c.stats, CacheStats { hits: 0, misses: 2 });
-        assert_eq!(c.stats.hit_rate(), 0.0);
+        let (cache, cached) = probe_repeats(false);
+        assert_eq!(cached, [false; 4]);
+        assert_eq!(cache.stats, CacheStats { hits: 0, misses: 4 });
+        assert_eq!(cache.stats.hit_rate(), 0.0);
+        assert!(cache.outcomes.is_empty(), "a disabled cache stores nothing");
     }
 
     #[test]

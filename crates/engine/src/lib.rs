@@ -14,9 +14,10 @@
 //! Repeated cells across sweep axes are solved once: every solve cell is
 //! keyed by a content fingerprint of its sub-market and configurator
 //! ([`cache::solve_key`] over [`revmax_core::market::Market::fingerprint`])
-//! and deduplicated through the [`cache::SolveCache`] *before* execution,
-//! so the hit/miss counters in the [`report::SweepReport`] are a pure
-//! function of the spec, never of scheduling.
+//! and probed against the cell cache *before* execution, so the hit/miss
+//! counters in the [`report::SweepReport`] are a pure function of the
+//! spec, never of scheduling. The same cell stage, over a retained cache,
+//! is the [`LiveEngine`]'s incremental re-solve.
 //!
 //! ```no_run
 //! use revmax_engine::{run_sweep, SweepSpec};
@@ -37,17 +38,21 @@ pub mod live;
 pub mod report;
 pub mod spec;
 
-pub use cache::{CacheStats, OutcomeCache, SolveCache};
+pub use cache::CacheStats;
 pub use dag::{Cohort, DagSummary, JobDag};
 pub use live::{LiveCell, LiveEngine, LiveReport};
 pub use report::{BenchEntry, CellResult, SolveTiming, SweepReport};
 pub use spec::{Recipe, ScaleSpec, SweepSpec, WtpDist};
 
+use cache::CellCache;
 use revmax_core::algorithms;
+use revmax_core::config::Outcome;
 use revmax_core::market::{Market, MarketView};
 use revmax_core::prelude::WtpMatrix;
 use revmax_core::pricing::PriceMode;
 use revmax_par::par_index_map;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Hard cap on timing repetitions per unique solve when
@@ -69,6 +74,16 @@ pub fn activity_labels(market: &Market, k: usize) -> Vec<u32> {
         labels[u as usize] = (rank * k / n) as u32;
     }
     labels
+}
+
+/// The activity-cohort views of `market` ([`activity_labels`] into
+/// `cohorts` groups; none when `cohorts == 0`).
+fn cohort_views(market: &Market, cohorts: usize) -> Result<Vec<MarketView>, String> {
+    match market.n_users() {
+        _ if cohorts == 0 => Ok(Vec::new()),
+        n if n < cohorts => Err(format!("cannot split {n} consumers into {cohorts} cohorts")),
+        _ => Ok(market.partition_by(&activity_labels(market, cohorts))),
+    }
 }
 
 /// Build the engine's canonical market over a ratings dataset: the
@@ -130,23 +145,11 @@ pub fn rebuild_cell_market(spec: &SweepSpec, cell: &CellResult) -> Result<Market
     let market = market_from_recipe(&data, cell.seed, &cell.recipe);
     let market = match cell.cohort {
         Cohort::Whole => market,
-        Cohort::Seg(k) => {
-            if spec.cohorts < 1 || market.n_users() < spec.cohorts {
-                return Err(format!(
-                    "cell is cohort c{k} but the spec partitions {} consumers into {} cohorts",
-                    market.n_users(),
-                    spec.cohorts
-                ));
-            }
-            let views = market.partition_by(&activity_labels(&market, spec.cohorts));
-            views
-                .get(k as usize)
-                .ok_or_else(|| {
-                    format!("cohort c{k} out of range for a {}-cohort spec", spec.cohorts)
-                })?
-                .market()
-                .clone()
-        }
+        Cohort::Seg(k) => cohort_views(&market, spec.cohorts)?
+            .get(k as usize)
+            .ok_or_else(|| format!("cohort c{k} out of range for a {}-cohort spec", spec.cohorts))?
+            .market()
+            .clone(),
     };
     if market.fingerprint() != cell.fingerprint {
         return Err(format!(
@@ -208,152 +211,185 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, String> {
         market_from_recipe(&datasets[*ds], dataset_params[*ds].1, recipe)
     });
 
-    if spec.cohorts >= 1 {
-        if let Some(m) = markets.iter().find(|m| m.n_users() < spec.cohorts) {
-            return Err(format!(
-                "cannot split {} consumers into {} cohorts (scale too small)",
-                m.n_users(),
-                spec.cohorts
-            ));
-        }
-    }
+    // Stage 3 — partitions: the activity-cohort views of every market.
+    let views = par_index_map(threads, markets.len(), |k| cohort_views(&markets[k], spec.cohorts))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Stage 3 — partitions + fingerprints + diagnostics: per market, the
-    // cohort views, the content fingerprint of every solvable sub-market,
-    // and the Kupfer bundle-vs-separate ratio (a per-sub-market structural
-    // diagnostic, independent of the method axis). Computing fingerprints
-    // here also materializes the views' lazy columns once, outside the
-    // timed solves.
-    struct Partitioned {
-        views: Vec<MarketView>,
-        whole_fp: u64,
-        view_fps: Vec<u64>,
-        whole_kupfer: f64,
-        view_kupfers: Vec<f64>,
-    }
-    let partitioned: Vec<Partitioned> = par_index_map(threads, markets.len(), |k| {
-        let market = &markets[k];
-        let views = if spec.cohorts >= 1 {
-            market.partition_by(&activity_labels(market, spec.cohorts))
-        } else {
-            Vec::new()
-        };
-        Partitioned {
-            whole_fp: market.fingerprint(),
-            view_fps: views.iter().map(|v| v.fingerprint()).collect(),
-            whole_kupfer: revmax_core::metrics::kupfer_ratio(market),
-            view_kupfers: views.iter().map(|v| revmax_core::metrics::kupfer_ratio(v)).collect(),
-            views,
-        }
-    });
+    // Stage 4 — the cell stage over a fresh cache.
+    let cell_markets: Vec<(&Market, &str)> = dag
+        .cells
+        .iter()
+        .map(|cell| {
+            let market: &Market = match cell.cohort {
+                Cohort::Whole => &markets[cell.market],
+                Cohort::Seg(k) => &views[cell.market][k as usize],
+            };
+            (market, cell.method.as_str())
+        })
+        .collect();
+    let mut cache = CellCache::new(spec.cache);
+    let solved = solve_cells(&mut cache, &cell_markets, threads, spec.repeat, spec.budget_ms);
 
-    // Stage 4 — deterministic cache pass over the cells, in cell order:
-    // assign each cell either a fresh unique-solve slot or the slot of an
-    // earlier cell with the same (sub-market, method) fingerprint key.
-    let mut solve_cache = SolveCache::new(spec.cache);
-    let mut assignment: Vec<(usize, bool)> = Vec::with_capacity(dag.cells.len()); // (slot, cached)
-    let mut uniques: Vec<usize> = Vec::new(); // slot → cell index
-    for (idx, cell) in dag.cells.iter().enumerate() {
-        let p = &partitioned[cell.market];
-        let fp = match cell.cohort {
-            Cohort::Whole => p.whole_fp,
-            Cohort::Seg(k) => p.view_fps[k as usize],
-        };
-        match solve_cache.probe(cache::solve_key(fp, &cell.method), uniques.len()) {
-            cache::Probe::Hit(slot) => assignment.push((slot, true)),
-            cache::Probe::Miss => {
-                assignment.push((uniques.len(), false));
-                uniques.push(idx);
+    // Stage 5 — assemble the report in cell order. The canonical
+    // serialization is computed once per unique outcome (a full
+    // bundle-tree walk); cells sharing that outcome clone the string.
+    let mut canons: HashMap<*const Outcome, String> = HashMap::new();
+    let cells: Vec<CellResult> = dag
+        .cells
+        .iter()
+        .zip(&cell_markets)
+        .zip(&solved)
+        .map(|((cell, &(market, _)), s)| CellResult {
+            method: cell.method.clone(),
+            scale: cell.scale,
+            seed: cell.seed,
+            recipe: cell.recipe,
+            cohort: cell.cohort,
+            n_users: market.n_users(),
+            n_items: market.n_items(),
+            fingerprint: s.fingerprint,
+            revenue: s.outcome.revenue,
+            components_revenue: s.outcome.components_revenue,
+            coverage: s.outcome.coverage,
+            gain: s.outcome.gain,
+            kupfer: s.kupfer,
+            n_bundles: s.outcome.config.n_bundles(),
+            config: s.outcome.config.clone(),
+            config_canon: canons
+                .entry(Arc::as_ptr(&s.outcome))
+                .or_insert_with(|| report::canon_outcome(&s.outcome))
+                .clone(),
+            cached: s.timing.is_none(),
+            timing: s.timing,
+        })
+        .collect();
+
+    Ok(SweepReport { cells, cache: cache.stats, dag: dag.summary(), threads, wall: t0.elapsed() })
+}
+
+/// One cell's result from [`solve_cells`].
+struct SolvedCell {
+    /// Content fingerprint of the cell's (sub-)market.
+    fingerprint: u64,
+    /// Kupfer diagnostic of the cell's (sub-)market.
+    kupfer: f64,
+    /// The solved outcome, shared with the cache and with every cell of
+    /// the same solve key.
+    outcome: Arc<Outcome>,
+    /// Present iff this cell ran its own solve (`None` = cache hit).
+    timing: Option<SolveTiming>,
+}
+
+/// The engine's one cell stage, shared by [`run_sweep`] (a fresh cache
+/// per sweep) and [`LiveEngine::resolve`] (a cache retained across churn
+/// batches): probe → solve → assemble over `(sub-market, method)` cells
+/// given in cell order.
+///
+/// 1. **Probe.** Every cell is looked up in cell order before any solve
+///    runs: a key already retained in `cache`, or already claimed by an
+///    earlier cell of this call, is a hit; the first sighting of any other
+///    key is a miss. The counters are thus a pure function of the input
+///    and the cache contents (`DESIGN.md` §8.3). A disabled cache misses
+///    every cell.
+/// 2. **Solve.** The misses run on [`par_index_map`] at `threads`, each at
+///    least `repeat` times and, with a `budget_ms` measurement budget,
+///    until the budget accumulates (every repetition yields the identical
+///    outcome — only the timing statistics improve). Kupfer diagnostics of
+///    sub-markets the cache has not seen are computed the same way.
+/// 3. **Assemble** the per-cell results in cell order, then keep in
+///    `cache` only the entries these cells used, which bounds a retained
+///    cache by one call's cell count.
+fn solve_cells(
+    cache: &mut CellCache,
+    cells: &[(&Market, &str)],
+    threads: usize,
+    repeat: usize,
+    budget_ms: u64,
+) -> Vec<SolvedCell> {
+    // Fingerprinting a view materializes its lazy columns — done here,
+    // in parallel and outside the timed solves.
+    let fps = par_index_map(threads, cells.len(), |i| cells[i].0.fingerprint());
+    let keys: Vec<u64> =
+        cells.iter().zip(&fps).map(|(&(_, method), &fp)| cache::solve_key(fp, method)).collect();
+
+    // 1. Probe. A slot is one distinct key of this call: its first cell
+    // plus the outcome the cache retains for it, if any. A cell is a hit
+    // unless it is the first cell of a slot with nothing retained.
+    let mut slot_of: HashMap<u64, usize> = HashMap::new();
+    let mut slots: Vec<(usize, Option<Arc<Outcome>>)> = Vec::new();
+    let mut cell_slots: Vec<(usize, bool)> = Vec::with_capacity(cells.len()); // (slot, cached)
+    for (i, key) in keys.iter().enumerate() {
+        let slot = match slot_of.get(key).filter(|_| cache.enabled) {
+            Some(&slot) => slot,
+            None => {
+                slot_of.insert(*key, slots.len());
+                slots.push((i, cache.outcomes.get(key).cloned()));
+                slots.len() - 1
             }
-        }
+        };
+        let cached = slots[slot].0 != i || slots[slot].1.is_some();
+        cache.stats.hits += usize::from(cached);
+        cache.stats.misses += usize::from(!cached);
+        cell_slots.push((slot, cached));
     }
 
-    // Stage 5 — the unique solves, in parallel, results in slot order.
-    struct Solved {
-        outcome: revmax_core::config::Outcome,
-        timing: SolveTiming,
-    }
-    let solved: Vec<Solved> = par_index_map(threads, uniques.len(), |slot| {
-        let cell = &dag.cells[uniques[slot]];
-        let p = &partitioned[cell.market];
-        let market: &Market = match cell.cohort {
-            Cohort::Whole => &markets[cell.market],
-            Cohort::Seg(k) => &p.views[k as usize],
-        };
-        let configurator = algorithms::by_name(&cell.method).expect("validated method name");
-        // At least `repeat` timed repetitions; with a measurement budget,
-        // short solves keep repeating until the budget accumulates (the
-        // outcome is bit-identical every repetition — only the wall-clock
-        // statistics improve).
-        let budget = Duration::from_millis(spec.budget_ms);
+    // 2. Solve the misses, and the Kupfer values of unseen sub-markets.
+    let misses: Vec<usize> = slots.iter().filter(|s| s.1.is_none()).map(|s| s.0).collect();
+    let budget = Duration::from_millis(budget_ms);
+    let mut solved = par_index_map(threads, misses.len(), |k| {
+        let (market, method) = cells[misses[k]];
+        let configurator = algorithms::by_name(method).expect("validated method name");
         let mut outcome = None;
-        let mut durations = Vec::with_capacity(spec.repeat);
+        let mut durations = Vec::with_capacity(repeat);
         let mut spent = Duration::ZERO;
-        while durations.len() < spec.repeat || (spent < budget && durations.len() < MAX_TIMED_REPS)
-        {
+        while durations.len() < repeat || (spent < budget && durations.len() < MAX_TIMED_REPS) {
             let t = Instant::now(); // audit: allow(wall-clock) repeat budget varies timing stats only; every repeat yields the identical outcome
             outcome = Some(configurator.run(market));
             let d = t.elapsed();
             spent += d;
             durations.push(d);
         }
-        Solved {
-            outcome: outcome.expect("repeat >= 1"),
-            timing: SolveTiming::from_durations(&durations),
-        }
-    });
-
-    // Stage 6 — assemble the report in cell order. The canonical
-    // serialization is computed once per unique solve (a full bundle-tree
-    // walk); cached cells clone the string.
-    let canons: Vec<String> = solved.iter().map(|s| report::canon_outcome(&s.outcome)).collect();
-    let cells: Vec<CellResult> = dag
-        .cells
-        .iter()
-        .zip(&assignment)
-        .map(|(cell, &(slot, cached))| {
-            let p = &partitioned[cell.market];
-            let (fp, kupfer, n_users, n_items) = match cell.cohort {
-                Cohort::Whole => {
-                    let m = &markets[cell.market];
-                    (p.whole_fp, p.whole_kupfer, m.n_users(), m.n_items())
-                }
-                Cohort::Seg(k) => {
-                    let v = &p.views[k as usize];
-                    (p.view_fps[k as usize], p.view_kupfers[k as usize], v.n_users(), v.n_items())
-                }
-            };
-            let s = &solved[slot];
-            CellResult {
-                method: cell.method.clone(),
-                scale: cell.scale,
-                seed: cell.seed,
-                recipe: cell.recipe,
-                cohort: cell.cohort,
-                n_users,
-                n_items,
-                fingerprint: fp,
-                revenue: s.outcome.revenue,
-                components_revenue: s.outcome.components_revenue,
-                coverage: s.outcome.coverage,
-                gain: s.outcome.gain,
-                kupfer,
-                n_bundles: s.outcome.config.n_bundles(),
-                config: s.outcome.config.clone(),
-                config_canon: canons[slot].clone(),
-                cached,
-                timing: if cached { None } else { Some(s.timing) },
-            }
+        (Arc::new(outcome.expect("repeat >= 1")), Some(SolveTiming::from_durations(&durations)))
+    })
+    .into_iter();
+    let slots: Vec<(Arc<Outcome>, Option<SolveTiming>)> = slots
+        .into_iter()
+        .map(|(_, retained)| match retained {
+            Some(outcome) => (outcome, None),
+            None => solved.next().expect("one solve per miss"),
         })
         .collect();
 
-    Ok(SweepReport {
-        cells,
-        cache: solve_cache.stats,
-        dag: dag.summary(),
-        threads,
-        wall: t0.elapsed(),
-    })
+    let mut seen = HashSet::new();
+    let unseen: Vec<usize> =
+        (0..cells.len()) // first cell of each new sub-market
+            .filter(|&i| !cache.kupfer.contains_key(&fps[i]) && seen.insert(fps[i]))
+            .collect();
+    let values = par_index_map(threads, unseen.len(), |k| {
+        revmax_core::metrics::kupfer_ratio(cells[unseen[k]].0)
+    });
+    for (&i, v) in unseen.iter().zip(values) {
+        cache.kupfer.insert(fps[i], v);
+    }
+
+    // 3. Assemble in cell order, then bound the cache to what it used.
+    let out: Vec<SolvedCell> = cell_slots
+        .iter()
+        .zip(&fps)
+        .map(|(&(slot, cached), &fp)| SolvedCell {
+            fingerprint: fp,
+            kupfer: cache.kupfer[&fp],
+            outcome: Arc::clone(&slots[slot].0),
+            timing: if cached { None } else { slots[slot].1 },
+        })
+        .collect();
+    if cache.enabled {
+        cache.outcomes =
+            keys.iter().zip(&out).map(|(&key, s)| (key, Arc::clone(&s.outcome))).collect();
+    }
+    cache.kupfer = out.iter().map(|s| (s.fingerprint, s.kupfer)).collect();
+    out
 }
 
 #[cfg(test)]

@@ -1,24 +1,26 @@
 //! Live incremental re-solving over a churned market (`DESIGN.md` §10).
 //!
 //! The sweep engine answers "solve this grid once"; a live market asks
-//! "the market moved a little — what changed?". [`LiveEngine`] holds a
-//! retained [`OutcomeCache`] keyed exactly like the sweep's solve cache
-//! ([`crate::cache::solve_key`] over content fingerprints), and each
-//! [`LiveEngine::resolve`] walks the same deterministic cell axis as a
-//! sweep ([`crate::dag::cell_axis`]: whole market first, then activity
-//! cohorts, methods inner). Because a delta batch leaves the content
+//! "the market moved a little — what changed?". [`LiveEngine`] retains the
+//! sweep's own cell cache ([`crate::cache::solve_key`] over content
+//! fingerprints) across churn batches, and each [`LiveEngine::resolve`]
+//! runs the sweep's cell stage over the same deterministic cell axis
+//! ([`crate::dag::cell_axis`]: whole market first, then activity cohorts,
+//! methods inner) — single-threaded, one repetition, no timing budget.
+//! Because a delta batch leaves the content
 //! fingerprint of every untouched cohort unchanged *by construction*
 //! (cohort membership is a pure function of row activity, and untouched
 //! rows read the shared arena), only the cells a batch actually
 //! invalidates miss the cache and re-solve — and a miss solves the exact
 //! sub-market a cold engine would, so the resulting report is
 //! **bit-identical** to a from-scratch resolve ([`LiveReport::canonical`]
-//! pins this in the churn parity suites).
+//! pins this in the churn parity suites). After each resolve the cache
+//! keeps only what that resolve used, so it never outgrows one resolve's
+//! cell count.
 
-use crate::cache::{self, CacheStats, OutcomeCache};
+use crate::cache::{self, CacheStats, CellCache};
 use crate::dag::{cell_axis, Cohort};
-use crate::{activity_labels, spec};
-use revmax_core::algorithms;
+use crate::{cohort_views, solve_cells, spec};
 use revmax_core::config::Outcome;
 use revmax_core::market::Market;
 use revmax_core::prelude::Objective;
@@ -113,14 +115,9 @@ pub struct LiveEngine {
     methods: Vec<String>,
     /// Activity-cohort count (`0` = whole market only).
     cohorts: usize,
-    cache: OutcomeCache,
-    /// Kupfer diagnostics by sub-market content fingerprint — like the
-    /// solve cache, untouched cohorts reuse theirs across churn batches.
-    kupfer_memo: std::collections::HashMap<u64, f64>,
+    cache: CellCache,
     /// Solve keys of the previous resolve, in cell order.
     prev_keys: Vec<u64>,
-    /// Sub-market fingerprints of the previous resolve.
-    prev_fps: Vec<u64>,
 }
 
 impl LiveEngine {
@@ -132,14 +129,7 @@ impl LiveEngine {
         }
         let methods =
             methods.iter().map(|m| spec::resolve_method(m)).collect::<Result<Vec<_>, _>>()?;
-        Ok(LiveEngine {
-            methods,
-            cohorts,
-            cache: OutcomeCache::new(),
-            kupfer_memo: std::collections::HashMap::new(),
-            prev_keys: Vec::new(),
-            prev_fps: Vec::new(),
-        })
+        Ok(LiveEngine { methods, cohorts, cache: CellCache::new(true), prev_keys: Vec::new() })
     }
 
     /// Canonical (registry-spelled) method names this engine solves, in
@@ -158,18 +148,10 @@ impl LiveEngine {
         self.cache.stats
     }
 
-    /// Solved outcomes currently retained.
+    /// Solved outcomes currently retained — at most the cell count of the
+    /// latest resolve.
     pub fn cached_solves(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drop retained outcomes and diagnostics that the most recent resolve
-    /// did not use (stale fingerprints from superseded churn states).
-    pub fn prune(&mut self) {
-        self.cache.retain_keys(&self.prev_keys);
-        let keep_set: std::collections::HashSet<u64> = self.prev_fps.iter().copied().collect();
-        // audit: allow(unordered-iter) pure membership predicate — visit order is unobservable
-        self.kupfer_memo.retain(|fp, _| keep_set.contains(fp));
+        self.cache.outcomes.len()
     }
 
     /// Solve every cell of `market` (whole market plus activity cohorts,
@@ -177,65 +159,24 @@ impl LiveEngine {
     /// content fingerprint is unchanged. Deterministic: cells are probed
     /// and solved in [`cell_axis`] order.
     pub fn resolve(&mut self, market: &Market) -> Result<LiveReport, String> {
-        if self.cohorts >= 1 && market.n_users() < self.cohorts {
-            return Err(format!(
-                "cannot split {} consumers into {} cohorts",
-                market.n_users(),
-                self.cohorts
-            ));
-        }
-        let views = if self.cohorts >= 1 {
-            market.partition_by(&activity_labels(market, self.cohorts))
-        } else {
-            Vec::new()
-        };
-        let before = self.cache.stats;
-        let mut cells = Vec::new();
-        let mut keys = Vec::new();
-        let mut fps = Vec::new();
-        for (cohort, method) in cell_axis(self.cohorts, &self.methods) {
-            let m: &Market = match cohort {
-                Cohort::Whole => market,
-                Cohort::Seg(k) => &views[k as usize],
-            };
-            let fp = m.fingerprint();
-            // Per-sub-market diagnostic, memoized by content fingerprint
-            // (shared by the method axis, reused across churn batches).
-            let kupfer = match self.kupfer_memo.get(&fp) {
-                Some(&k) => k,
-                None => {
-                    let k = revmax_core::metrics::kupfer_ratio(m);
-                    self.kupfer_memo.insert(fp, k);
-                    k
-                }
-            };
-            let key = cache::solve_key(fp, &method);
-            let (outcome, cached) = match self.cache.get(key) {
-                Some(o) => (o, true),
-                None => {
-                    let configurator =
-                        algorithms::by_name(&method).expect("methods resolved at construction");
-                    let o = Arc::new(configurator.run(m));
-                    self.cache.insert(key, Arc::clone(&o));
-                    (o, false)
-                }
-            };
-            cells.push(LiveCell {
-                method,
-                cohort,
-                objective: m.params().objective,
-                n_users: m.n_users(),
-                n_items: m.n_items(),
-                fingerprint: fp,
-                revenue: outcome.revenue,
-                gain: outcome.gain,
-                kupfer,
-                cached,
-                outcome,
-            });
-            keys.push(key);
-            fps.push(fp);
-        }
+        let views = cohort_views(market, self.cohorts)?;
+        let axis = cell_axis(self.cohorts, &self.methods);
+        let cell_markets: Vec<(&Market, &str)> = axis
+            .iter()
+            .map(|(cohort, method)| {
+                let m: &Market = match cohort {
+                    Cohort::Whole => market,
+                    Cohort::Seg(k) => &views[*k as usize],
+                };
+                (m, method.as_str())
+            })
+            .collect();
+        let solved = solve_cells(&mut self.cache, &cell_markets, 1, 1, 0);
+        let keys: Vec<u64> = solved
+            .iter()
+            .zip(&axis)
+            .map(|(s, (_, m))| cache::solve_key(s.fingerprint, m))
+            .collect();
         let invalidated: Vec<usize> = keys
             .iter()
             .enumerate()
@@ -243,16 +184,27 @@ impl LiveEngine {
             .map(|(i, _)| i)
             .collect();
         self.prev_keys = keys;
-        self.prev_fps = fps;
-        let after = self.cache.stats;
-        Ok(LiveReport {
-            cells,
-            invalidated,
-            stats: CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            },
-        })
+        let cells: Vec<LiveCell> = axis
+            .iter()
+            .zip(&cell_markets)
+            .zip(solved)
+            .map(|((&(cohort, _), &(m, method)), s)| LiveCell {
+                method: method.to_string(),
+                cohort,
+                objective: m.params().objective,
+                n_users: m.n_users(),
+                n_items: m.n_items(),
+                fingerprint: s.fingerprint,
+                revenue: s.outcome.revenue,
+                gain: s.outcome.gain,
+                kupfer: s.kupfer,
+                cached: s.timing.is_none(),
+                outcome: s.outcome,
+            })
+            .collect();
+        let hits = cells.iter().filter(|c| c.cached).count();
+        let stats = CacheStats { hits, misses: cells.len() - hits };
+        Ok(LiveReport { cells, invalidated, stats })
     }
 }
 
@@ -320,17 +272,50 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_stale_outcomes() {
-        let market = tiny_market();
-        let mut eng = LiveEngine::new(&["components"], 0).unwrap();
-        eng.resolve(&market).unwrap();
-        let mut log = MarketLog::new(market);
-        let item = log.base().wtp().row(0).ids[0];
-        log.apply(Event::UpsertWtp { user: 0, item, wtp: 123.0 }).unwrap();
-        eng.resolve(&log.snapshot()).unwrap();
-        assert_eq!(eng.cached_solves(), 2);
-        eng.prune();
-        assert_eq!(eng.cached_solves(), 1);
+    fn retained_cache_stays_bounded_across_churn() {
+        let mut log = MarketLog::new(tiny_market());
+        let mut eng = LiveEngine::new(&["components", "pure_greedy"], 2).unwrap();
+        let mut report = eng.resolve(&log.snapshot()).unwrap();
+        for b in 0..20u32 {
+            // Each batch moves a different user's row, so superseded
+            // outcomes can never hit again.
+            let user = b % log.base().n_users() as u32;
+            let row = log.base().wtp().row(user);
+            let (item, wtp) = (row.ids[0], row.values[0] * (1.1 + f64::from(b)));
+            log.apply(Event::UpsertWtp { user, item, wtp }).unwrap();
+            report = eng.resolve(&log.snapshot()).unwrap();
+            assert!(report.stats.misses > 0, "batch {b} must invalidate cells");
+        }
+        assert!(
+            eng.cached_solves() <= report.cells.len(),
+            "{} retained outcomes for a {}-cell resolve",
+            eng.cached_solves(),
+            report.cells.len()
+        );
+    }
+
+    #[test]
+    fn cold_resolve_agrees_with_a_sweep_cell_by_cell() {
+        let methods = "components,pure_greedy,mixed_greedy";
+        let mut spec = crate::SweepSpec::default();
+        for (key, value) in
+            [("methods", methods), ("scales", "tiny"), ("thetas", "0.05"), ("cohorts", "3")]
+        {
+            spec.apply(key, value).unwrap();
+        }
+        let sweep = crate::run_sweep(&spec).unwrap();
+        let methods: Vec<&str> = methods.split(',').collect();
+        let live = LiveEngine::new(&methods, 3).unwrap().resolve(&tiny_market()).unwrap();
+        assert_eq!(live.cells.len(), sweep.cells.len());
+        assert_eq!(live.cells.len(), 3 * 4);
+        for (l, c) in live.cells.iter().zip(&sweep.cells) {
+            assert_eq!((l.cohort, l.method.as_str()), (c.cohort, c.method.as_str()));
+            assert_eq!(l.fingerprint, c.fingerprint, "{} {}", c.method, c.cohort);
+            assert_eq!(l.kupfer.to_bits(), c.kupfer.to_bits(), "{} {}", c.method, c.cohort);
+            assert_eq!(crate::report::canon_outcome(&l.outcome), c.config_canon);
+            assert_eq!(l.cached, c.cached);
+        }
+        assert_eq!(live.stats, sweep.cache);
     }
 
     #[test]
