@@ -22,7 +22,7 @@ fn main() {
     );
     for merge_to_single in [false, true] {
         let rule = if merge_to_single { "merge-to-single" } else { "no-gain (paper)" };
-        let opts = GreedyOptions { merge_to_single, ..Default::default() };
+        let opts = GreedyOptions { merge_to_single };
         for (name, out, dt) in [
             {
                 let t0 = Instant::now();

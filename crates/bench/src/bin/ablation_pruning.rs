@@ -26,11 +26,7 @@ fn main() {
         let market = data::market_from(&dataset, args.params().with_theta(theta));
         for (cr, nv) in [(true, true), (true, false), (false, true), (false, false)] {
             let algo = PureMatching {
-                opts: MatchingOptions {
-                    co_rater_pruning: cr,
-                    new_vertex_pruning: nv,
-                    ..Default::default()
-                },
+                opts: MatchingOptions { co_rater_pruning: cr, new_vertex_pruning: nv },
             };
             let t0 = Instant::now();
             let out = algo.run(&market);

@@ -58,7 +58,7 @@ fn main() {
     let pairs = [(0usize, 1usize), (0, 2), (1, 2)];
     let mut best: Option<(usize, usize, f64, f64)> = None; // (i, j, price, gain)
     for &(i, j) in &pairs {
-        let plan = mixed::price_merge(&market, &singles[i], &singles[j], &mut scratch);
+        let plan = mixed::price_merge(&market, &[&singles[i], &singles[j]], &mut scratch);
         let (price, gain) = plan.map_or((f64::NAN, 0.0), |p| (p.price, p.gain));
         if gain > best.map_or(0.0, |b| b.3) {
             best = Some((i, j, price, gain));
@@ -81,12 +81,12 @@ fn main() {
         let b_hi = parts.remove(hi);
         let b_lo = parts.remove(lo);
         let third = parts.pop().unwrap();
-        let pair_offer = mixed::commit_merge(&market, b_lo, b_hi, price, &mut scratch);
+        let pair_offer = mixed::commit_merge(&market, vec![b_lo, b_hi], price, &mut scratch);
         println!(
             "selected pair {} at {:.2} (additional revenue {:.2})",
             pair_offer.node.bundle, price, gain
         );
-        if let Some(plan3) = mixed::price_merge(&market, &pair_offer, &third, &mut scratch) {
+        if let Some(plan3) = mixed::price_merge(&market, &[&pair_offer, &third], &mut scratch) {
             t.row(vec![
                 format!("({}, {})", pair_offer.node.bundle, third.node.bundle),
                 format!("{:.2}", plan3.price),
@@ -94,7 +94,8 @@ fn main() {
                 format!("{:.2}", plan3.gain),
                 "yes".into(),
             ]);
-            let full = mixed::commit_merge(&market, pair_offer, third, plan3.price, &mut scratch);
+            let full =
+                mixed::commit_merge(&market, vec![pair_offer, third], plan3.price, &mut scratch);
             println!(
                 "3-bundle {} at {:.2}; tree revenue {:.2}",
                 full.node.bundle, plan3.price, full.revenue

@@ -11,164 +11,68 @@
 //! The paper's tuned minimum support is 0.1% ("We experimented with various
 //! minimum supports and found 0.1% to produce the highest revenue").
 
+use crate::algorithms::pool::{Net, Pool, PureOffer, SearchOffer};
 use crate::algorithms::Configurator;
 use crate::bundle::Bundle;
-use crate::config::{BundleConfig, OfferNode, Outcome, Strategy};
+use crate::config::Outcome;
 use crate::market::Market;
-use crate::mixed;
-use crate::trace::IterationTrace;
+use crate::mixed::TopOffer;
 use revmax_fim::{mine_maximal_with_threads, relative_minsup, TransactionDb};
-use std::time::Instant;
 
-/// Options for the FreqItemset baselines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FreqOptions {
-    /// Relative minimum support (fraction of consumers); paper default 0.1%.
-    pub minsup: f64,
+/// Relative minimum support (fraction of consumers): the paper's tuned 0.1%.
+const MINSUP: f64 = 0.001;
+
+/// Candidate bundles: the maximal frequent itemsets of two or more items
+/// within the size cap.
+fn candidates(market: &Market) -> Vec<Bundle> {
+    // Vertical construction straight from the CSR item columns: each
+    // item's rater bitmap IS its transaction bitmap (consumers are the
+    // transactions), so no per-user item lists are materialized.
+    let bitmaps: Vec<revmax_fim::Bitmap> =
+        (0..market.n_items() as u32).map(|i| market.item_raters(i)).collect();
+    let db = TransactionDb::from_item_bitmaps(market.n_users(), bitmaps);
+    let minsup = relative_minsup(MINSUP, market.n_users());
+    let size_cap = market.params().size_cap;
+    mine_maximal_with_threads(&db, minsup, market.threads())
+        .into_iter()
+        .filter(|s| s.items.len() >= 2 && size_cap.allows(s.items.len()))
+        .map(|s| Bundle::new(s.items))
+        .collect()
 }
 
-impl Default for FreqOptions {
-    fn default() -> Self {
-        FreqOptions { minsup: 0.001 }
+fn run<S: SearchOffer>(market: &Market, name: &'static str) -> Outcome {
+    let mut scratch = market.scratch();
+    let mut pool = Pool::<S>::new(market, &mut scratch);
+
+    // Score candidates by absolute gain over their components.
+    let mut scored: Vec<_> = candidates(market)
+        .into_iter()
+        .filter_map(|b| {
+            let parts: Vec<&S> =
+                b.items().iter().map(|&i| pool.offers[i as usize].as_ref().unwrap()).collect();
+            S::plan_merge(market, &parts, Net::PartSum, &mut scratch).map(|plan| (b, plan))
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.gain.total_cmp(&a.1.gain).then(a.0.cmp(&b.0)));
+
+    // Greedy non-overlapping selection.
+    for (bundle, plan) in scored {
+        let parts: Vec<usize> = bundle.items().iter().map(|&i| i as usize).collect();
+        if parts.iter().all(|&i| pool.offers[i].is_some()) {
+            pool.commit(&parts, plan, &mut scratch);
+            pool.record();
+        }
     }
-}
-
-/// The engine behind [`PureFreqItemset`] and [`MixedFreqItemset`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FreqItemsetConfigurator {
-    pub opts: FreqOptions,
-}
-
-impl FreqItemsetConfigurator {
-    fn candidates(&self, market: &Market) -> Vec<Bundle> {
-        // Vertical construction straight from the CSR item columns: each
-        // item's rater bitmap IS its transaction bitmap (consumers are the
-        // transactions), so no per-user item lists are materialized.
-        let bitmaps: Vec<revmax_fim::Bitmap> =
-            (0..market.n_items() as u32).map(|i| market.item_raters(i)).collect();
-        let db = TransactionDb::from_item_bitmaps(market.n_users(), bitmaps);
-        let minsup = relative_minsup(self.opts.minsup, market.n_users());
-        let size_cap = market.params().size_cap;
-        mine_maximal_with_threads(&db, minsup, market.threads())
-            .into_iter()
-            .filter(|s| s.items.len() >= 2 && size_cap.allows(s.items.len()))
-            .map(|s| Bundle::new(s.items))
-            .collect()
-    }
-
-    fn run_pure(&self, market: &Market) -> Outcome {
-        let start = Instant::now(); // audit: allow(wall-clock) trace timings are reported stats, never a result input
-        let mut scratch = market.scratch();
-        let mut trace = IterationTrace::new();
-        // Component prices/revenues.
-        let singles: Vec<crate::pricing::PricedOutcome> =
-            (0..market.n_items() as u32).map(|i| market.price_pure(&[i], &mut scratch)).collect();
-        let components_revenue = singles.iter().map(|p| p.revenue).fold(0.0, |a, x| a + x);
-
-        // Score candidates by absolute gain over their components.
-        let mut scored: Vec<(Bundle, f64, f64)> = self
-            .candidates(market)
-            .into_iter()
-            .filter_map(|b| {
-                let priced = market.price_pure(b.items(), &mut scratch);
-                let comp =
-                    b.items().iter().map(|&i| singles[i as usize].revenue).fold(0.0, |a, x| a + x);
-                let gain = priced.revenue - comp;
-                (gain > 0.0).then_some((b, priced.price, gain))
-            })
-            .collect();
-        scored.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-
-        // Greedy non-overlapping selection.
-        let mut used = vec![false; market.n_items()];
-        let mut roots: Vec<OfferNode> = Vec::new();
-        let mut revenue = components_revenue;
-        for (bundle, price, gain) in scored {
-            if bundle.items().iter().any(|&i| used[i as usize]) {
-                continue;
-            }
-            for &i in bundle.items() {
-                used[i as usize] = true;
-            }
-            revenue += gain;
-            roots.push(OfferNode::leaf(bundle, price));
-            trace.push(revenue, start.elapsed(), roots.len());
-        }
-        // Complete with singletons.
-        for i in 0..market.n_items() as u32 {
-            if !used[i as usize] {
-                roots.push(OfferNode::leaf(Bundle::single(i), singles[i as usize].price));
-            }
-        }
-        let config = BundleConfig { strategy: Strategy::Pure, roots };
-        debug_assert!({
-            config.validate(market.n_items());
-            true
-        });
-        Outcome::assemble("Pure FreqItemset", config, revenue, components_revenue, market, trace)
-    }
-
-    fn run_mixed(&self, market: &Market) -> Outcome {
-        let start = Instant::now(); // audit: allow(wall-clock) trace timings are reported stats, never a result input
-        let mut scratch = market.scratch();
-        let mut trace = IterationTrace::new();
-        // Components first (the incremental policy).
-        let mut components: Vec<Option<mixed::TopOffer>> = (0..market.n_items() as u32)
-            .map(|i| Some(mixed::init_component(market, i, &mut scratch)))
-            .collect();
-        let components_revenue =
-            components.iter().map(|c| c.as_ref().unwrap().revenue).fold(0.0, |a, x| a + x);
-
-        // Score candidates by incremental revenue of the bundle offer.
-        let mut scored: Vec<(Bundle, f64, f64)> = Vec::new();
-        for b in self.candidates(market) {
-            let parts: Vec<&mixed::TopOffer> =
-                b.items().iter().map(|&i| components[i as usize].as_ref().unwrap()).collect();
-            if let Some(plan) = mixed::price_merge_many(market, &parts, &mut scratch) {
-                scored.push((b, plan.price, plan.gain));
-            }
-        }
-        scored.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-
-        let mut used = vec![false; market.n_items()];
-        let mut roots: Vec<OfferNode> = Vec::new();
-        let mut revenue = components_revenue;
-        for (bundle, price, gain) in scored {
-            if bundle.items().iter().any(|&i| used[i as usize]) {
-                continue;
-            }
-            let parts: Vec<mixed::TopOffer> = bundle
-                .items()
-                .iter()
-                .map(|&i| {
-                    used[i as usize] = true;
-                    components[i as usize].take().unwrap()
-                })
-                .collect();
-            let merged = mixed::commit_merge_many(market, parts, price, &mut scratch);
-            revenue += gain;
-            roots.push(merged.node);
-            trace.push(revenue, start.elapsed(), roots.len());
-        }
-        for slot in components.iter_mut() {
-            if let Some(c) = slot.take() {
-                roots.push(c.node);
-            }
-        }
-        let config = BundleConfig { strategy: Strategy::Mixed, roots };
-        debug_assert!({
-            config.validate(market.n_items());
-            true
-        });
-        Outcome::assemble("Mixed FreqItemset", config, revenue, components_revenue, market, trace)
-    }
+    // The menu lists the selected bundles first, then the unselected items.
+    let unselected = pool.offers[..market.n_items()].iter().flatten().count();
+    let mut outcome = pool.finish(name);
+    outcome.config.roots.rotate_left(unselected);
+    outcome
 }
 
 /// `Pure FreqItemset` baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PureFreqItemset {
-    pub opts: FreqOptions,
-}
+pub struct PureFreqItemset;
 
 impl Configurator for PureFreqItemset {
     fn name(&self) -> &'static str {
@@ -176,15 +80,13 @@ impl Configurator for PureFreqItemset {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        FreqItemsetConfigurator { opts: self.opts }.run_pure(market)
+        run::<PureOffer>(market, self.name())
     }
 }
 
 /// `Mixed FreqItemset` baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MixedFreqItemset {
-    pub opts: FreqOptions,
-}
+pub struct MixedFreqItemset;
 
 impl Configurator for MixedFreqItemset {
     fn name(&self) -> &'static str {
@@ -192,7 +94,7 @@ impl Configurator for MixedFreqItemset {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        FreqItemsetConfigurator { opts: self.opts }.run_mixed(market)
+        run::<TopOffer>(market, self.name())
     }
 }
 
@@ -205,7 +107,7 @@ mod tests {
     #[test]
     fn pure_freqitemset_on_table1() {
         // All three consumers rate both items → {0,1} is maximal frequent.
-        let out = PureFreqItemset::default().run(&table1());
+        let out = PureFreqItemset.run(&table1());
         assert!((out.revenue - 30.4).abs() < 1e-9);
         assert_eq!(out.config.roots.len(), 1);
         out.config.validate(2);
@@ -214,7 +116,7 @@ mod tests {
     #[test]
     fn mixed_freqitemset_on_table1() {
         let m = table1();
-        let out = MixedFreqItemset::default().run(&m);
+        let out = MixedFreqItemset.run(&m);
         assert!((out.revenue - 32.0).abs() < 1e-9);
         assert!((out.config.expected_revenue(&m) - out.revenue).abs() < 1e-9);
         out.config.validate(2);
@@ -224,22 +126,17 @@ mod tests {
     fn never_below_components() {
         for m in [table1(), table1_theta_zero(), substitutes()] {
             let c = Components::optimal().run(&m);
-            assert!(PureFreqItemset::default().run(&m).revenue >= c.revenue - 1e-9);
-            assert!(MixedFreqItemset::default().run(&m).revenue >= c.revenue - 1e-9);
+            assert!(PureFreqItemset.run(&m).revenue >= c.revenue - 1e-9);
+            assert!(MixedFreqItemset.run(&m).revenue >= c.revenue - 1e-9);
         }
     }
 
     #[test]
-    fn high_minsup_degenerates_to_components() {
-        let m = table1_theta_zero();
-        let out = PureFreqItemset { opts: FreqOptions { minsup: 1.1_f64.min(1.0) } }.run(&m);
-        // minsup 100%: {0,1} is still frequent here (all users rated both),
-        // so use a market where they don't all co-rate.
-        let _ = out;
+    fn no_co_rated_pair_degenerates_to_components() {
         let w = crate::wtp::WtpMatrix::from_rows(vec![vec![10.0, 0.0], vec![0.0, 10.0]]);
-        let m2 = crate::market::Market::new(w, crate::params::Params::default());
-        let out2 = PureFreqItemset::default().run(&m2);
-        assert_eq!(out2.gain, 0.0);
-        assert_eq!(out2.config.roots.len(), 2);
+        let m = Market::new(w, crate::params::Params::default());
+        let out = PureFreqItemset.run(&m);
+        assert_eq!(out.gain, 0.0);
+        assert_eq!(out.config.roots.len(), 2);
     }
 }

@@ -14,31 +14,23 @@
 //! available via [`GreedyOptions::merge_to_single`] and exercised by the
 //! ablation bench.
 
-use crate::algorithms::pure_state::{MergeQuote, MixedOffer, PureOffer, SearchOffer};
+use crate::algorithms::pool::{Net, Pool, PureOffer, SearchOffer};
 use crate::algorithms::Configurator;
-use crate::config::{BundleConfig, Outcome};
+use crate::config::Outcome;
 use crate::market::{Market, Scratch};
-use crate::trace::IterationTrace;
+use crate::mixed::{MergePlan, TopOffer};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
-/// Options for [`GreedyConfigurator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options for [`PureGreedy`] and [`MixedGreedy`]. Candidate pairs are
+/// always restricted to bundles sharing at least one rater (lossless for
+/// θ ≤ 0; the same heuristic the matching engine uses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GreedyOptions {
-    /// Restrict candidate pairs to bundles sharing at least one rater
-    /// (lossless for θ ≤ 0; the same heuristic the matching engine uses).
-    pub co_rater_pruning: bool,
     /// Keep merging (accepting negative gains) until one bundle remains,
     /// then return the best configuration seen (§5.3.2's alternative
     /// stopping condition).
     pub merge_to_single: bool,
-}
-
-impl Default for GreedyOptions {
-    fn default() -> Self {
-        GreedyOptions { co_rater_pruning: true, merge_to_single: false }
-    }
 }
 
 /// Heap entry: a quoted merge between two specific offer versions.
@@ -72,193 +64,96 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The engine behind [`PureGreedy`] and [`MixedGreedy`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyConfigurator {
-    pub opts: GreedyOptions,
+/// Quote the merge of `i` and `j` into the heap, tagged with both
+/// offers' versions. Under merge-to-single a loss-making merge is quoted
+/// too, so the search can keep going.
+fn push_quote<S: SearchOffer>(
+    pool: &Pool<'_, S>,
+    versions: &[u64],
+    heap: &mut BinaryHeap<HeapEntry>,
+    (i, j): (usize, usize),
+    merge_to_single: bool,
+    scratch: &mut Scratch,
+) {
+    let Some(parts) = pool.admits(i, j, true) else { return };
+    let quote = match S::plan_merge(pool.market, &parts, Net::EachPart, scratch) {
+        Some(q) => q,
+        None if merge_to_single => S::force_merge(pool.market, &parts, scratch),
+        None => return,
+    };
+    heap.push(HeapEntry {
+        gain: quote.gain,
+        price: quote.price,
+        i,
+        j,
+        vi: versions[i],
+        vj: versions[j],
+    });
 }
 
-struct Pool<S> {
-    offers: Vec<Option<S>>,
-    versions: Vec<u64>,
-}
+fn run<S: SearchOffer>(opts: GreedyOptions, market: &Market, name: &'static str) -> Outcome {
+    let mut scratch = market.scratch();
+    let mut pool = Pool::<S>::new(market, &mut scratch);
+    let mut versions = vec![0u64; market.n_items()];
 
-impl<S: SearchOffer> Pool<S> {
-    fn alive(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.offers.len()).filter(|&i| self.offers[i].is_some())
-    }
-}
-
-impl GreedyConfigurator {
-    #[allow(clippy::too_many_arguments)]
-    fn quote_into_heap<S: SearchOffer>(
-        &self,
-        market: &Market,
-        pool: &Pool<S>,
-        scratch: &mut Scratch,
-        heap: &mut BinaryHeap<HeapEntry>,
-        i: usize,
-        j: usize,
-        allow_nonpositive: bool,
-    ) {
-        let (Some(a), Some(b)) = (&pool.offers[i], &pool.offers[j]) else { return };
-        if !market.params().size_cap.allows(a.bundle().len() + b.bundle().len()) {
-            return;
-        }
-        if self.opts.co_rater_pruning && !a.raters().intersects(b.raters()) {
-            return;
-        }
-        let quote = match S::plan_merge(market, a, b, scratch) {
-            Some(q) => q,
-            None if allow_nonpositive => {
-                // merge_to_single mode needs *some* quote even when the
-                // merge loses revenue: price the union outright.
-                let merged = a.bundle().union(b.bundle());
-                let priced = market.price_pure(merged.items(), scratch);
-                MergeQuote { price: priced.price, gain: priced.revenue - a.revenue() - b.revenue() }
-            }
-            None => return,
-        };
-        heap.push(HeapEntry {
-            gain: quote.gain,
-            price: quote.price,
-            i,
-            j,
-            vi: pool.versions[i],
-            vj: pool.versions[j],
-        });
+    // First round: all co-rated pairs.
+    let mut heap = BinaryHeap::new();
+    for pair in pool.first_round(true) {
+        push_quote(&pool, &versions, &mut heap, pair, opts.merge_to_single, &mut scratch);
     }
 
-    fn run_generic<S: SearchOffer>(&self, market: &Market, name: &'static str) -> Outcome {
-        let start = Instant::now(); // audit: allow(wall-clock) trace timings are reported stats, never a result input
-        let mut scratch = market.scratch();
-        let n = market.n_items();
-        let mut trace = IterationTrace::new();
-
-        let mut pool: Pool<S> = Pool {
-            offers: (0..n as u32).map(|i| Some(S::init(market, i, &mut scratch))).collect(),
-            versions: vec![0; n],
-        };
-        let mut revenue = pool
-            .alive()
-            .map(|i| pool.offers[i].as_ref().unwrap().revenue())
-            .fold(0.0, |a, x| a + x);
-        let components_revenue = revenue;
-        let allow_nonpositive = self.opts.merge_to_single;
-
-        // First round: all (pruned) pairs.
-        let mut heap = BinaryHeap::new();
-        if self.opts.co_rater_pruning {
-            for (a, b) in market.co_rated_pairs() {
-                self.quote_into_heap(
-                    market,
-                    &pool,
-                    &mut scratch,
-                    &mut heap,
-                    a as usize,
-                    b as usize,
-                    allow_nonpositive,
-                );
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    self.quote_into_heap(
-                        market,
-                        &pool,
-                        &mut scratch,
-                        &mut heap,
-                        i,
-                        j,
-                        allow_nonpositive,
-                    );
-                }
-            }
+    // Best configuration snapshot (merge_to_single mode only). After the
+    // first dip into loss territory, every new revenue peak is snapshotted
+    // (a valley can be followed by a higher peak, which a first-dip-only
+    // snapshot would miss).
+    let mut best_snapshot: Option<(f64, Vec<Option<S>>)> = None;
+    let mut dipped = false;
+    while let Some(entry) = heap.pop() {
+        // Lazy invalidation: both endpoints must be unchanged.
+        if pool.offers[entry.i].is_none()
+            || pool.offers[entry.j].is_none()
+            || versions[entry.i] != entry.vi
+            || versions[entry.j] != entry.vj
+        {
+            continue;
         }
-
-        // Best configuration snapshot (merge_to_single mode only). After
-        // the first dip into loss territory, every new revenue peak is
-        // snapshotted (a valley can be followed by a higher peak, which a
-        // first-dip-only snapshot would miss).
-        let mut best_snapshot: Option<(f64, Vec<Option<S>>)> = None;
-        let mut dipped = false;
-        let mut alive_count = n;
-        while let Some(entry) = heap.pop() {
-            // Lazy invalidation: both endpoints must be unchanged.
-            if pool.offers[entry.i].is_none()
-                || pool.offers[entry.j].is_none()
-                || pool.versions[entry.i] != entry.vi
-                || pool.versions[entry.j] != entry.vj
-            {
-                continue;
-            }
-            if entry.gain <= 0.0 && !allow_nonpositive {
-                break; // natural stopping condition
-            }
-            if entry.gain <= 0.0 && !dipped {
-                // Crossing into loss territory: remember the peak.
-                dipped = true;
-                best_snapshot = Some((revenue, clone_pool(&pool.offers)));
-            }
-            let a = pool.offers[entry.i].take().unwrap();
-            let b = pool.offers[entry.j].take().unwrap();
-            pool.versions[entry.i] += 1;
-            pool.versions[entry.j] += 1;
-            let merged = S::commit_merge(
-                market,
-                a,
-                b,
-                MergeQuote { price: entry.price, gain: entry.gain },
-                &mut scratch,
-            );
-            revenue += entry.gain;
-            pool.offers.push(Some(merged));
-            pool.versions.push(0);
-            let new_idx = pool.offers.len() - 1;
-            alive_count -= 1;
-            trace.push(revenue, start.elapsed(), alive_count);
-            if dipped && best_snapshot.as_ref().is_some_and(|(b, _)| revenue > *b) {
-                // New post-valley peak: update the rollback point.
-                best_snapshot = Some((revenue, clone_pool(&pool.offers)));
-            }
-            // Requote the new bundle against every other alive offer.
-            let others: Vec<usize> = pool.alive().filter(|&x| x != new_idx).collect();
-            for x in others {
-                self.quote_into_heap(
-                    market,
-                    &pool,
-                    &mut scratch,
-                    &mut heap,
-                    x.min(new_idx),
-                    x.max(new_idx),
-                    allow_nonpositive,
-                );
-            }
-            if alive_count == 1 {
-                break;
-            }
+        if entry.gain <= 0.0 && !opts.merge_to_single {
+            break; // natural stopping condition
         }
-
-        // merge_to_single: roll back to the best configuration seen.
-        if let Some((best_rev, snapshot)) = best_snapshot {
-            if best_rev > revenue {
-                pool.offers = snapshot;
-                revenue = best_rev;
-            }
+        if entry.gain <= 0.0 && !dipped {
+            // Crossing into loss territory: remember the peak.
+            dipped = true;
+            best_snapshot = Some((pool.revenue, pool.offers.clone()));
         }
-
-        let roots = pool.offers.into_iter().flatten().map(S::into_node).collect();
-        let config = BundleConfig { strategy: S::STRATEGY, roots };
-        debug_assert!({
-            config.validate(n);
-            true
-        });
-        Outcome::assemble(name, config, revenue, components_revenue, market, trace)
+        versions[entry.i] += 1;
+        versions[entry.j] += 1;
+        let plan = MergePlan { price: entry.price, gain: entry.gain };
+        let new_idx = pool.commit(&[entry.i, entry.j], plan, &mut scratch);
+        versions.push(0);
+        pool.record();
+        if dipped && best_snapshot.as_ref().is_some_and(|(b, _)| pool.revenue > *b) {
+            // New post-valley peak: update the rollback point.
+            best_snapshot = Some((pool.revenue, pool.offers.clone()));
+        }
+        // Requote the new bundle against every other alive offer.
+        let others: Vec<usize> = pool.alive().filter(|&x| x != new_idx).collect();
+        for x in others {
+            let pair = (x.min(new_idx), x.max(new_idx));
+            push_quote(&pool, &versions, &mut heap, pair, opts.merge_to_single, &mut scratch);
+        }
+        if pool.n_alive() == 1 {
+            break;
+        }
     }
-}
 
-fn clone_pool<S: SearchOffer>(offers: &[Option<S>]) -> Vec<Option<S>> {
-    offers.to_vec()
+    // merge_to_single: roll back to the best configuration seen.
+    if let Some((best_rev, snapshot)) = best_snapshot {
+        if best_rev > pool.revenue {
+            pool.offers = snapshot;
+            pool.revenue = best_rev;
+        }
+    }
+    pool.finish(name)
 }
 
 /// `Pure Greedy` (Algorithm 2 under pure bundling).
@@ -273,7 +168,7 @@ impl Configurator for PureGreedy {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        GreedyConfigurator { opts: self.opts }.run_generic::<PureOffer>(market, self.name())
+        run::<PureOffer>(self.opts, market, self.name())
     }
 }
 
@@ -289,7 +184,7 @@ impl Configurator for MixedGreedy {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        GreedyConfigurator { opts: self.opts }.run_generic::<MixedOffer>(market, self.name())
+        run::<TopOffer>(self.opts, market, self.name())
     }
 }
 
@@ -362,9 +257,7 @@ mod tests {
     fn merge_to_single_never_worse_than_default() {
         for m in [table1(), table1_theta_zero(), complementary(), substitutes()] {
             let plain = PureGreedy::default().run(&m);
-            let deep =
-                PureGreedy { opts: GreedyOptions { merge_to_single: true, ..Default::default() } }
-                    .run(&m);
+            let deep = PureGreedy { opts: GreedyOptions { merge_to_single: true } }.run(&m);
             assert!(
                 deep.revenue >= plain.revenue - 1e-9,
                 "merge_to_single lost revenue: {} vs {}",

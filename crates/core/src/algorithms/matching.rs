@@ -16,14 +16,13 @@
 //! * **new-vertex pruning** (later iterations): only edges touching a
 //!   vertex formed in the previous iteration are (re)considered.
 
-use crate::algorithms::pure_state::{MergeQuote, MixedOffer, PureOffer, SearchOffer};
+use crate::algorithms::pool::{Pool, PureOffer, SearchOffer};
 use crate::algorithms::Configurator;
-use crate::config::{BundleConfig, Outcome};
+use crate::config::Outcome;
 use crate::market::Market;
-use crate::trace::IterationTrace;
+use crate::mixed::{MergePlan, TopOffer};
 use revmax_matching::max_weight_matching_f64;
 use revmax_par::par_chunks_map_reduce;
-use std::time::Instant;
 
 /// Candidate pairs per scoring chunk. Each chunk allocates one fresh
 /// [`Scratch`](crate::market::Scratch), so chunks are sized to amortize
@@ -31,192 +30,131 @@ use std::time::Instant;
 /// — and thus the scored-edge order — deterministic (`DESIGN.md` §6).
 const SCORING_CHUNK: usize = 64;
 
-/// Pruning switches for [`MatchingConfigurator`].
+/// Hard cap on iterations (safety valve; the diminishing-returns argument
+/// of §5.3.1 bounds it in practice).
+const MAX_ITERATIONS: usize = 64;
+
+/// Pruning switches for [`PureMatching`] and [`MixedMatching`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchingOptions {
     /// First-iteration pruning: only co-rated item pairs.
     pub co_rater_pruning: bool,
     /// Later-iteration pruning: only edges involving a new vertex.
     pub new_vertex_pruning: bool,
-    /// Hard cap on iterations (safety valve; the diminishing-returns
-    /// argument of §5.3.1 bounds it in practice).
-    pub max_iterations: usize,
 }
 
 impl Default for MatchingOptions {
     fn default() -> Self {
-        MatchingOptions { co_rater_pruning: true, new_vertex_pruning: true, max_iterations: 64 }
+        MatchingOptions { co_rater_pruning: true, new_vertex_pruning: true }
     }
 }
 
-/// The engine behind [`PureMatching`] and [`MixedMatching`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchingConfigurator {
-    pub opts: MatchingOptions,
-}
+fn run<S: SearchOffer>(opts: MatchingOptions, market: &Market, name: &'static str) -> Outcome {
+    let mut scratch = market.scratch();
+    let mut pool = Pool::<S>::new(market, &mut scratch);
+    // Vertices formed in the previous iteration (all, initially).
+    let mut fresh: Vec<usize> = (0..market.n_items()).collect();
 
-impl MatchingConfigurator {
-    fn run_generic<S: SearchOffer>(&self, market: &Market, name: &'static str) -> Outcome {
-        let start = Instant::now(); // audit: allow(wall-clock) trace timings are reported stats, never a result input
-        let mut scratch = market.scratch();
-        let n = market.n_items();
-        let mut trace = IterationTrace::new();
-
-        // Offer pool; `None` = consumed by a merge.
-        let mut offers: Vec<Option<S>> =
-            (0..n as u32).map(|i| Some(S::init(market, i, &mut scratch))).collect();
-        let mut revenue =
-            offers.iter().map(|o| o.as_ref().unwrap().revenue()).fold(0.0, |a, x| a + x);
-        let components_revenue = revenue;
-
-        // Vertices formed in the previous iteration (all, initially).
-        let mut fresh: Vec<usize> = (0..n).collect();
-        let size_cap = market.params().size_cap;
-
-        for _iter in 0..self.opts.max_iterations {
-            // ---- candidate generation -------------------------------------------
-            let candidate_pairs: Vec<(usize, usize)> = if trace.iterations() == 0 {
-                if self.opts.co_rater_pruning {
-                    market
-                        .co_rated_pairs()
-                        .into_iter()
-                        .map(|(a, b)| (a as usize, b as usize))
-                        .collect()
-                } else {
-                    (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))).collect()
-                }
-            } else {
-                let alive: Vec<usize> =
-                    (0..offers.len()).filter(|&i| offers[i].is_some()).collect();
-                let mut pairs = Vec::new();
-                if self.opts.new_vertex_pruning {
-                    let fresh_set: std::collections::HashSet<usize> =
-                        fresh.iter().copied().collect();
-                    for &i in &fresh {
-                        for &j in &alive {
-                            if j != i && (!fresh_set.contains(&j) || j > i) {
-                                pairs.push((i.min(j), i.max(j)));
-                            }
-                        }
-                    }
-                } else {
-                    for (ai, &i) in alive.iter().enumerate() {
-                        for &j in &alive[ai + 1..] {
-                            pairs.push((i, j));
+    for round in 0..MAX_ITERATIONS {
+        // ---- candidate generation -----------------------------------------------
+        let candidate_pairs: Vec<(usize, usize)> = if round == 0 {
+            pool.first_round(opts.co_rater_pruning)
+        } else {
+            let alive: Vec<usize> = pool.alive().collect();
+            let mut pairs = Vec::new();
+            if opts.new_vertex_pruning {
+                let fresh_set: std::collections::HashSet<usize> = fresh.iter().copied().collect();
+                for &i in &fresh {
+                    for &j in &alive {
+                        if j != i && (!fresh_set.contains(&j) || j > i) {
+                            pairs.push((i.min(j), i.max(j)));
                         }
                     }
                 }
-                pairs
-            };
-
-            // ---- scoring ---------------------------------------------------------
-            // The gain matrix: every candidate pair is priced independently
-            // against the read-only offer pool. With threads > 1 the pairs
-            // fan out over fixed-size chunks (each with its own scratch),
-            // reduced in chunk order; at 1 thread the loop streams through
-            // the engine's scratch with no extra allocation. Either way the
-            // scored-edge sequence is identical.
-            let offers_ref = &offers;
-            let opts = self.opts;
-            let score_pair = |i: usize,
-                              j: usize,
-                              scratch: &mut crate::market::Scratch|
-             -> Option<(usize, usize, MergeQuote)> {
-                let (Some(a), Some(b)) = (&offers_ref[i], &offers_ref[j]) else {
-                    return None;
-                };
-                if !size_cap.allows(a.bundle().len() + b.bundle().len()) {
-                    return None;
-                }
-                // Co-rater check between composite bundles (cheap bitmap
-                // intersection) under the same pruning flag.
-                if opts.co_rater_pruning && !a.raters().intersects(b.raters()) {
-                    return None;
-                }
-                S::plan_merge(market, a, b, scratch).map(|q| (i, j, q))
-            };
-            let scored: Vec<(usize, usize, MergeQuote)> = if market.threads() <= 1 {
-                candidate_pairs
-                    .iter()
-                    .filter_map(|&(i, j)| score_pair(i, j, &mut scratch))
-                    .collect()
             } else {
-                par_chunks_map_reduce(
-                    market.threads(),
-                    &candidate_pairs,
-                    SCORING_CHUNK,
-                    |chunk| {
-                        let mut scratch = market.scratch();
-                        chunk
-                            .iter()
-                            .filter_map(|&(i, j)| score_pair(i, j, &mut scratch))
-                            .collect::<Vec<_>>()
-                    },
-                    Vec::new(),
-                    |mut acc: Vec<(usize, usize, MergeQuote)>, mut part| {
-                        acc.append(&mut part);
-                        acc
-                    },
-                )
-            };
-            let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(scored.len());
-            let mut quotes: std::collections::HashMap<(usize, usize), MergeQuote> =
-                std::collections::HashMap::new();
-            for (i, j, q) in scored {
-                edges.push((i, j, q.gain));
-                quotes.insert((i, j), q);
+                for (ai, &i) in alive.iter().enumerate() {
+                    for &j in &alive[ai + 1..] {
+                        pairs.push((i, j));
+                    }
+                }
             }
-            if edges.is_empty() {
-                break;
-            }
+            pairs
+        };
 
-            // ---- maximum-weight matching on the gain graph -----------------------
-            // Compact the vertex set to the endpoints of gainful edges; all
-            // other offers keep their self-loops (stay as they are).
-            let mut vmap: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            let mut vback: Vec<usize> = Vec::new();
-            let mut cedges = Vec::with_capacity(edges.len());
-            for &(i, j, w) in &edges {
-                let a = *vmap.entry(i).or_insert_with(|| {
-                    vback.push(i);
-                    vback.len() - 1
-                });
-                let b = *vmap.entry(j).or_insert_with(|| {
-                    vback.push(j);
-                    vback.len() - 1
-                });
-                cedges.push((a, b, w));
-            }
-            let (matching, gain_total) = max_weight_matching_f64(vback.len(), &cedges);
-            if gain_total <= 0.0 || matching.edges.is_empty() {
-                break;
-            }
-
-            // ---- commit the matched merges ---------------------------------------
-            fresh.clear();
-            for &(ca, cb) in &matching.edges {
-                let (i, j) = (vback[ca].min(vback[cb]), vback[ca].max(vback[cb]));
-                let quote = quotes[&(i, j)];
-                let a = offers[i].take().expect("matched offer alive");
-                let b = offers[j].take().expect("matched offer alive");
-                let merged = S::commit_merge(market, a, b, quote, &mut scratch);
-                revenue += quote.gain;
-                offers.push(Some(merged));
-                fresh.push(offers.len() - 1);
-            }
-            let n_bundles = offers.iter().filter(|o| o.is_some()).count();
-            trace.push(revenue, start.elapsed(), n_bundles);
+        // ---- scoring -------------------------------------------------------------
+        // The gain matrix: every candidate pair is priced independently
+        // against the read-only pool. With threads > 1 the pairs fan out
+        // over fixed-size chunks (each with its own scratch), reduced in
+        // chunk order; at 1 thread the loop streams through the engine's
+        // scratch with no extra allocation. Either way the scored-edge
+        // sequence is identical.
+        let pool_ref = &pool;
+        let score_pair = |i: usize, j: usize, scratch: &mut crate::market::Scratch| {
+            pool_ref.quote(i, j, opts.co_rater_pruning, scratch).map(|q| (i, j, q))
+        };
+        let scored: Vec<(usize, usize, MergePlan)> = if market.threads() <= 1 {
+            candidate_pairs.iter().filter_map(|&(i, j)| score_pair(i, j, &mut scratch)).collect()
+        } else {
+            par_chunks_map_reduce(
+                market.threads(),
+                &candidate_pairs,
+                SCORING_CHUNK,
+                |chunk| {
+                    let mut scratch = market.scratch();
+                    chunk
+                        .iter()
+                        .filter_map(|&(i, j)| score_pair(i, j, &mut scratch))
+                        .collect::<Vec<_>>()
+                },
+                Vec::new(),
+                |mut acc: Vec<(usize, usize, MergePlan)>, mut part| {
+                    acc.append(&mut part);
+                    acc
+                },
+            )
+        };
+        let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(scored.len());
+        let mut quotes: std::collections::HashMap<(usize, usize), MergePlan> =
+            std::collections::HashMap::new();
+        for (i, j, q) in scored {
+            edges.push((i, j, q.gain));
+            quotes.insert((i, j), q);
+        }
+        if edges.is_empty() {
+            break;
         }
 
-        let roots = offers.into_iter().flatten().map(S::into_node).collect();
-        let config = BundleConfig { strategy: S::STRATEGY, roots };
-        debug_assert!({
-            config.validate(n);
-            true
-        });
-        Outcome::assemble(name, config, revenue, components_revenue, market, trace)
+        // ---- maximum-weight matching on the gain graph ---------------------------
+        // Compact the vertex set to the endpoints of gainful edges; all
+        // other offers keep their self-loops (stay as they are).
+        let mut vmap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+        let mut vback: Vec<usize> = Vec::new();
+        let mut cedges = Vec::with_capacity(edges.len());
+        for &(i, j, w) in &edges {
+            let a = *vmap.entry(i).or_insert_with(|| {
+                vback.push(i);
+                vback.len() - 1
+            });
+            let b = *vmap.entry(j).or_insert_with(|| {
+                vback.push(j);
+                vback.len() - 1
+            });
+            cedges.push((a, b, w));
+        }
+        let (matching, gain_total) = max_weight_matching_f64(vback.len(), &cedges);
+        if gain_total <= 0.0 || matching.edges.is_empty() {
+            break;
+        }
+
+        // ---- commit the matched merges -------------------------------------------
+        fresh.clear();
+        for &(ca, cb) in &matching.edges {
+            let (i, j) = (vback[ca].min(vback[cb]), vback[ca].max(vback[cb]));
+            fresh.push(pool.commit(&[i, j], quotes[&(i, j)], &mut scratch));
+        }
+        pool.record();
     }
+    pool.finish(name)
 }
 
 /// `Pure Matching` (Algorithm 1 under pure bundling).
@@ -231,7 +169,7 @@ impl Configurator for PureMatching {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        MatchingConfigurator { opts: self.opts }.run_generic::<PureOffer>(market, self.name())
+        run::<PureOffer>(self.opts, market, self.name())
     }
 }
 
@@ -247,7 +185,7 @@ impl Configurator for MixedMatching {
     }
 
     fn run(&self, market: &Market) -> Outcome {
-        MatchingConfigurator { opts: self.opts }.run_generic::<MixedOffer>(market, self.name())
+        run::<TopOffer>(self.opts, market, self.name())
     }
 }
 
@@ -332,11 +270,7 @@ mod tests {
         let m = table1_theta_zero();
         let pruned = PureMatching::default().run(&m);
         let full = PureMatching {
-            opts: MatchingOptions {
-                co_rater_pruning: false,
-                new_vertex_pruning: false,
-                ..Default::default()
-            },
+            opts: MatchingOptions { co_rater_pruning: false, new_vertex_pruning: false },
         }
         .run(&m);
         assert!((pruned.revenue - full.revenue).abs() < 1e-9);

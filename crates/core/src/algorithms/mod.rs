@@ -4,12 +4,12 @@ mod components;
 mod freq_itemset;
 mod greedy;
 mod matching;
-mod pure_state;
+mod pool;
 
 pub use components::Components;
-pub use freq_itemset::{FreqItemsetConfigurator, FreqOptions, MixedFreqItemset, PureFreqItemset};
-pub use greedy::{GreedyConfigurator, GreedyOptions, MixedGreedy, PureGreedy};
-pub use matching::{MatchingConfigurator, MatchingOptions, MixedMatching, PureMatching};
+pub use freq_itemset::{MixedFreqItemset, PureFreqItemset};
+pub use greedy::{GreedyOptions, MixedGreedy, PureGreedy};
+pub use matching::{MatchingOptions, MixedMatching, PureMatching};
 
 use crate::config::Outcome;
 use crate::market::Market;
@@ -36,8 +36,8 @@ pub fn registry() -> Vec<(&'static str, Box<dyn Configurator>)> {
         ("Pure Greedy", Box::new(PureGreedy::default())),
         ("Mixed Matching", Box::new(MixedMatching::default())),
         ("Mixed Greedy", Box::new(MixedGreedy::default())),
-        ("Pure FreqItemset", Box::new(PureFreqItemset::default())),
-        ("Mixed FreqItemset", Box::new(MixedFreqItemset::default())),
+        ("Pure FreqItemset", Box::new(PureFreqItemset)),
+        ("Mixed FreqItemset", Box::new(MixedFreqItemset)),
     ]
 }
 

@@ -31,9 +31,9 @@
 //! | paper name | type |
 //! |------------|------|
 //! | Components | [`algorithms::Components`] |
-//! | Pure/Mixed Matching (Alg. 1) | [`algorithms::MatchingConfigurator`] |
-//! | Pure/Mixed Greedy (Alg. 2) | [`algorithms::GreedyConfigurator`] |
-//! | Pure/Mixed FreqItemset (§6.1.3 baseline) | [`algorithms::FreqItemsetConfigurator`] |
+//! | Pure/Mixed Matching (Alg. 1) | [`algorithms::PureMatching`], [`algorithms::MixedMatching`] |
+//! | Pure/Mixed Greedy (Alg. 2) | [`algorithms::PureGreedy`], [`algorithms::MixedGreedy`] |
+//! | Pure/Mixed FreqItemset (§6.1.3 baseline) | [`algorithms::PureFreqItemset`], [`algorithms::MixedFreqItemset`] |
 //! | Optimal / Greedy WSP (§5.2) | [`wsp`] |
 //!
 //! All seven comparative methods are listed — once — by
@@ -86,9 +86,8 @@ pub mod wtp;
 pub mod prelude {
     pub use crate::adoption::AdoptionModel;
     pub use crate::algorithms::{
-        registry, Components, Configurator, FreqItemsetConfigurator, GreedyConfigurator,
-        MatchingConfigurator, MixedFreqItemset, MixedGreedy, MixedMatching, PureFreqItemset,
-        PureGreedy, PureMatching,
+        registry, Components, Configurator, MixedFreqItemset, MixedGreedy, MixedMatching,
+        PureFreqItemset, PureGreedy, PureMatching,
     };
     pub use crate::bundle::Bundle;
     pub use crate::config::{BundleConfig, Outcome, Strategy};

@@ -30,6 +30,7 @@
 //! otherwise the bundle is not a viable alternative to its parts.
 
 use crate::adoption::AdoptionModel;
+use crate::bundle::Bundle;
 use crate::config::OfferNode;
 use crate::market::{Market, Scratch};
 use rand::Rng;
@@ -59,34 +60,22 @@ pub struct TopOffer {
     pub raters: revmax_fim::Bitmap,
 }
 
-/// A candidate merge evaluated by [`price_merge`].
+/// A priced merge quote (from [`price_merge`] and the configurators'
+/// search).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergePlan {
     /// Chosen bundle price.
     pub price: f64,
-    /// Expected incremental revenue over the two sub-offers.
+    /// Expected incremental revenue over the sub-offers.
     pub gain: f64,
 }
 
 /// Initialize a component offer: price the single item optimally and record
 /// which consumers buy it.
 pub fn init_component(market: &Market, item: u32, scratch: &mut Scratch) -> TopOffer {
-    let outcome = market.price_pure(&[item], scratch);
-    let adoption = market.pricing_ctx().adoption;
-    let mut states = Vec::new();
-    let mut revenue = 0.0;
-    for (u, w) in market.wtp().col(item).iter() {
-        if adoption.margin(w, outcome.price) >= 0.0 {
-            states.push(UserState { user: u, held_sum: w, paid: outcome.price, held_count: 1 });
-            revenue += outcome.price;
-        }
-    }
-    TopOffer {
-        node: OfferNode::leaf(crate::bundle::Bundle::single(item), outcome.price),
-        states,
-        revenue,
-        raters: market.item_raters(item),
-    }
+    let node = OfferNode::leaf(Bundle::single(item), market.price_pure(&[item], scratch).price);
+    let states = upgrade(market, &node, &[], scratch, &mut Decide::Threshold);
+    TopOffer { node, revenue: paid(&states), states, raters: market.item_raters(item) }
 }
 
 /// Merge two sorted state lists, summing holdings of shared users.
@@ -128,52 +117,69 @@ fn merge_states(a: &[UserState], b: &[UserState]) -> Vec<UserState> {
     out
 }
 
-/// Upgrade breakpoints for the merge of two offers: for every interested
-/// consumer, `(bp, q, margin-at(p) = bp − p + ε)`. Consumes the merged
-/// bundle's per-user sums plus the combined holdings.
-fn breakpoints(
-    market: &Market,
-    sums: &[(u32, f64)],
-    held: &[UserState],
-    merged_size: usize,
-) -> Vec<(f64, f64)> {
+/// The upgrade join: walks a bundle's per-user WTP sums (`sums`, sorted by
+/// user) against the consumers' holdings inside it (`held`, sorted by
+/// user) and yields, per interested consumer, her holdings (if any) and
+/// the WTP of the add-on `b ∖ H`.
+fn upgrade_join<'a>(
+    market: &'a Market,
+    sums: &'a [(u32, f64)],
+    held: &'a [UserState],
+    size: usize,
+) -> impl Iterator<Item = (u32, f64, Option<UserState>, f64)> + 'a {
     let params = market.params();
-    let alpha = market.pricing_ctx().adoption.alpha;
-    let mut out = Vec::with_capacity(sums.len());
     let mut h = 0usize;
-    for &(u, s_b) in sums {
+    sums.iter().map(move |&(u, s_b)| {
         while h < held.len() && held[h].user < u {
             h += 1;
         }
-        let (s_held, q, c_held) = if h < held.len() && held[h].user == u {
-            (held[h].held_sum, held[h].paid, held[h].held_count as usize)
-        } else {
-            (0.0, 0.0, 0)
-        };
-        let addon_count = merged_size.saturating_sub(c_held);
-        let addon_raw = (s_b - s_held).max(0.0);
-        let addon_wtp = params.set_wtp(addon_raw, addon_count.max(1));
-        out.push((q + alpha * addon_wtp, q));
+        let prior = (h < held.len() && held[h].user == u).then(|| held[h]);
+        let (s_held, c_held) = prior.map_or((0.0, 0), |s| (s.held_sum, s.held_count as usize));
+        let addon_wtp = params.set_wtp((s_b - s_held).max(0.0), size.saturating_sub(c_held).max(1));
+        (u, s_b, prior, addon_wtp)
+    })
+}
+
+/// The upgrade pass for one offer node: every consumer interested in it
+/// either upgrades to it at its price — decided on the margin
+/// `α·w(b∖H) − (p_b − q) + ε` — or keeps what she holds. With no
+/// holdings this is plain take-it-or-leave-it adoption on the bundle WTP.
+fn upgrade(
+    market: &Market,
+    node: &OfferNode,
+    held: &[UserState],
+    scratch: &mut Scratch,
+    decide: &mut Decide<'_>,
+) -> Vec<UserState> {
+    let adoption = market.pricing_ctx().adoption;
+    let size = node.bundle.len();
+    let sums = market.bundle_user_sums(node.bundle.items(), scratch);
+    let mut out = Vec::new();
+    for (user, held_sum, prior, addon_wtp) in upgrade_join(market, sums, held, size) {
+        let q = prior.map_or(0.0, |s| s.paid);
+        let margin = adoption.alpha * addon_wtp - (node.price - q) + adoption.epsilon;
+        if decide.adopt(&adoption, margin) {
+            out.push(UserState { user, held_sum, paid: node.price, held_count: size as u32 });
+        } else if let Some(s) = prior {
+            out.push(s);
+        }
     }
     out
 }
 
-/// Find the revenue-maximizing price for offering `a ∪ b` next to `a` and
-/// `b`. Returns `None` when no feasible price yields positive expected
-/// incremental revenue (the merge is then not worth making).
-pub fn price_merge(
-    market: &Market,
-    a: &TopOffer,
-    b: &TopOffer,
-    scratch: &mut Scratch,
-) -> Option<MergePlan> {
-    price_merge_many(market, &[a, b], scratch)
+/// Total paid over a state list. fold(0.0, ..), not sum(): std's f64 sum
+/// identity is -0.0, which an empty state list (an offer nobody takes)
+/// would surface as a negative-zero revenue.
+fn paid(states: &[UserState]) -> f64 {
+    states.iter().map(|s| s.paid).fold(0.0, |a, p| a + p)
 }
 
-/// N-ary version of [`price_merge`]: price the union of any number of
-/// disjoint sub-offers (used by the FreqItemset baseline, whose bundles sit
-/// directly above all their component items).
-pub fn price_merge_many(
+/// Find the revenue-maximizing price for offering the union of disjoint
+/// `parts` next to them (two offers in the matching and greedy searches;
+/// a FreqItemset bundle sits directly above all its component items).
+/// Returns `None` when no feasible price yields positive expected
+/// incremental revenue (the merge is then not worth making).
+pub fn price_merge(
     market: &Market,
     parts: &[&TopOffer],
     scratch: &mut Scratch,
@@ -190,9 +196,16 @@ pub fn price_merge_many(
         return None;
     }
     let held = combined_states(parts);
-    let bps = breakpoints(market, sums, &held, merged.len());
     let adoption = market.pricing_ctx().adoption;
     let epsilon = adoption.epsilon;
+    // Per interested consumer: the upgrade breakpoint `bp = q + α·w(b∖H)`
+    // (upgrade iff p ≤ bp + ε) and what she pays now, `q`.
+    let bps: Vec<(f64, f64)> = upgrade_join(market, sums, &held, merged.len())
+        .map(|(_, _, prior, addon_wtp)| {
+            let q = prior.map_or(0.0, |s| s.paid);
+            (q + adoption.alpha * addon_wtp, q)
+        })
+        .collect();
 
     let mut best: Option<MergePlan> = None;
     let mut consider = |price: f64| {
@@ -227,7 +240,7 @@ pub fn price_merge_many(
 }
 
 /// Union bundle of several sub-offers.
-fn union_of(parts: &[&TopOffer]) -> crate::bundle::Bundle {
+fn union_of(parts: &[&TopOffer]) -> Bundle {
     let mut it = parts.iter();
     let first = it.next().expect("at least one part").node.bundle.clone();
     it.fold(first, |acc, p| acc.union(&p.node.bundle))
@@ -242,67 +255,26 @@ fn combined_states(parts: &[&TopOffer]) -> Vec<UserState> {
     acc
 }
 
-/// Commit a merge at the planned price: build the joint offer node and roll
-/// the consumer holdings forward (upgraders now hold the full bundle).
+/// Commit a merge of disjoint `parts` at the planned price: build the
+/// joint offer node and roll the consumer holdings forward (upgraders now
+/// hold the full bundle).
 pub fn commit_merge(
-    market: &Market,
-    a: TopOffer,
-    b: TopOffer,
-    price: f64,
-    scratch: &mut Scratch,
-) -> TopOffer {
-    commit_merge_many(market, vec![a, b], price, scratch)
-}
-
-/// N-ary version of [`commit_merge`].
-pub fn commit_merge_many(
     market: &Market,
     parts: Vec<TopOffer>,
     price: f64,
     scratch: &mut Scratch,
 ) -> TopOffer {
     let part_refs: Vec<&TopOffer> = parts.iter().collect();
-    let merged = union_of(&part_refs);
+    let node = OfferNode::leaf(union_of(&part_refs), price);
     let held = combined_states(&part_refs);
-    let sums = market.bundle_user_sums(merged.items(), scratch);
-    let adoption = market.pricing_ctx().adoption;
-    let params = market.params();
-    let alpha = adoption.alpha;
-    let merged_size = merged.len();
-
-    let mut states = Vec::with_capacity(sums.len());
-    let mut revenue = 0.0;
-    let mut h = 0usize;
-    for &(u, s_b) in sums {
-        while h < held.len() && held[h].user < u {
-            h += 1;
-        }
-        let prior = (h < held.len() && held[h].user == u).then(|| held[h]);
-        let (s_held, q, c_held) =
-            prior.map_or((0.0, 0.0, 0usize), |s| (s.held_sum, s.paid, s.held_count as usize));
-        let addon_count = merged_size.saturating_sub(c_held);
-        let addon_wtp = params.set_wtp((s_b - s_held).max(0.0), addon_count.max(1));
-        let margin = alpha * addon_wtp - (price - q) + adoption.epsilon;
-        if margin >= 0.0 {
-            states.push(UserState {
-                user: u,
-                held_sum: s_b,
-                paid: price,
-                held_count: merged_size as u32,
-            });
-            revenue += price;
-        } else if let Some(s) = prior {
-            states.push(s);
-            revenue += s.paid;
-        }
-    }
+    let states = upgrade(market, &node, &held, scratch, &mut Decide::Threshold);
     let mut raters = revmax_fim::Bitmap::zeros(market.n_users());
     let mut children = Vec::with_capacity(parts.len());
     for p in parts {
         raters.or_assign(&p.raters);
         children.push(p.node);
     }
-    TopOffer { node: OfferNode { bundle: merged, price, children }, states, revenue, raters }
+    TopOffer { node: OfferNode { children, ..node }, revenue: paid(&states), states, raters }
 }
 
 /// Deterministic (threshold) bottom-up evaluation of a mixed offer tree:
@@ -312,11 +284,7 @@ pub fn evaluate_tree_deterministic(
     root: &OfferNode,
     scratch: &mut Scratch,
 ) -> f64 {
-    let states = eval_node(market, root, scratch, &mut Decide::Threshold);
-    // fold(0.0, ..), not sum(): std's f64 sum identity is -0.0, which an
-    // empty state list (a tree nobody is interested in) would surface as
-    // a negative-zero revenue (see BundleConfig::expected_revenue).
-    states.iter().map(|s| s.paid).fold(0.0, |a, p| a + p)
+    paid(&eval_node(market, root, scratch, &mut Decide::Threshold))
 }
 
 /// Deterministic bottom-up evaluation returning the **per-user** final
@@ -341,9 +309,7 @@ pub fn evaluate_tree_sampled<R: Rng>(
     scratch: &mut Scratch,
     rng: &mut R,
 ) -> f64 {
-    let mut decide = Decide::Sample(rng);
-    let states = eval_node(market, root, scratch, &mut decide);
-    states.iter().map(|s| s.paid).fold(0.0, |a, p| a + p)
+    paid(&eval_node(market, root, scratch, &mut Decide::Sample(rng)))
 }
 
 /// Decision mode for tree evaluation.
@@ -367,67 +333,18 @@ fn eval_node(
     scratch: &mut Scratch,
     decide: &mut Decide<'_>,
 ) -> Vec<UserState> {
-    let adoption = market.pricing_ctx().adoption;
-    let params = market.params();
-    if node.children.is_empty() {
-        // A leaf offer (single item, or a bundle sold with no sub-offers):
-        // plain take-it-or-leave-it adoption on the bundle WTP.
-        let size = node.bundle.len();
-        // The enumeration borrows the scratch-resident pairs directly —
-        // nothing below re-borrows `scratch`, so no clone is needed.
-        let sums = market.bundle_user_sums(node.bundle.items(), scratch);
-        let mut states = Vec::new();
-        for &(u, s) in sums {
-            let w = params.set_wtp(s, size);
-            if decide.adopt(&adoption, adoption.margin(w, node.price)) {
-                states.push(UserState {
-                    user: u,
-                    held_sum: s,
-                    paid: node.price,
-                    held_count: size as u32,
-                });
-            }
-        }
-        return states;
-    }
     // Children first (post-order), then the upgrade pass for this node.
     let mut held: Vec<UserState> = Vec::new();
     for c in &node.children {
         let cs = eval_node(market, c, scratch, decide);
         held = merge_states(&held, &cs);
     }
-    let sums = market.bundle_user_sums(node.bundle.items(), scratch);
-    let size = node.bundle.len();
-    let mut out = Vec::with_capacity(sums.len());
-    let mut h = 0usize;
-    for &(u, s_b) in sums {
-        while h < held.len() && held[h].user < u {
-            h += 1;
-        }
-        let prior = (h < held.len() && held[h].user == u).then(|| held[h]);
-        let (s_held, q, c_held) =
-            prior.map_or((0.0, 0.0, 0usize), |s| (s.held_sum, s.paid, s.held_count as usize));
-        let addon_count = size.saturating_sub(c_held);
-        let addon_wtp = params.set_wtp((s_b - s_held).max(0.0), addon_count.max(1));
-        let margin = adoption.alpha * addon_wtp - (node.price - q) + adoption.epsilon;
-        if decide.adopt(&adoption, margin) {
-            out.push(UserState {
-                user: u,
-                held_sum: s_b,
-                paid: node.price,
-                held_count: size as u32,
-            });
-        } else if let Some(s) = prior {
-            out.push(s);
-        }
-    }
-    out
+    upgrade(market, node, &held, scratch, decide)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::Bundle;
     use crate::params::Params;
     use crate::wtp::WtpMatrix;
 
@@ -465,10 +382,10 @@ mod tests {
         let mut s = m.scratch();
         let a = init_component(&m, 0, &mut s);
         let b = init_component(&m, 1, &mut s);
-        let plan = price_merge(&m, &a, &b, &mut s).expect("merge should gain");
+        let plan = price_merge(&m, &[&a, &b], &mut s).expect("merge should gain");
         assert!((plan.gain - 5.0).abs() < 1e-6, "gain {}", plan.gain);
         assert!((plan.price - 12.0).abs() < 1e-6, "price {}", plan.price);
-        let merged = commit_merge(&m, a, b, plan.price, &mut s);
+        let merged = commit_merge(&m, vec![a, b], plan.price, &mut s);
         assert!((merged.revenue - 32.0).abs() < 1e-6, "revenue {}", merged.revenue);
         // Deterministic evaluation of the final tree agrees with the
         // incrementally-accounted revenue.
@@ -523,7 +440,7 @@ mod tests {
         let mut s = m.scratch();
         let a = init_component(&m, 0, &mut s);
         let b = init_component(&m, 1, &mut s);
-        if let Some(plan) = price_merge(&m, &a, &b, &mut s) {
+        if let Some(plan) = price_merge(&m, &[&a, &b], &mut s) {
             assert!(plan.gain > 0.0);
             assert!(plan.price > a.node.price.max(b.node.price));
             assert!(plan.price < a.node.price + b.node.price);
@@ -558,8 +475,8 @@ mod tests {
         let mut s = m.scratch();
         let a = init_component(&m, 0, &mut s);
         let b = init_component(&m, 1, &mut s);
-        let plan = price_merge(&m, &a, &b, &mut s).unwrap();
-        let merged = commit_merge(&m, a, b, plan.price, &mut s);
+        let plan = price_merge(&m, &[&a, &b], &mut s).unwrap();
+        let merged = commit_merge(&m, vec![a, b], plan.price, &mut s);
         let det = evaluate_tree_deterministic(&m, &merged.node, &mut s);
         let mut rng = StdRng::seed_from_u64(3);
         let smp = evaluate_tree_sampled(&m, &merged.node, &mut s, &mut rng);

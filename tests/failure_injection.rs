@@ -11,8 +11,8 @@ fn all_configurators() -> Vec<Box<dyn Configurator>> {
         Box::new(PureGreedy::default()),
         Box::new(MixedMatching::default()),
         Box::new(MixedGreedy::default()),
-        Box::new(PureFreqItemset::default()),
-        Box::new(MixedFreqItemset::default()),
+        Box::new(PureFreqItemset),
+        Box::new(MixedFreqItemset),
     ]
 }
 

@@ -30,7 +30,9 @@ fn tiny_market(seed: u64, params: Params) -> Market {
 }
 
 /// The pinned markets: seeds {2015, 7, 42} × θ {0, +0.05}, plus one market
-/// each with a finite γ, a size cap of 2 and a CVaR objective.
+/// each with a finite γ, a size cap of 2 and a CVaR objective, and one at
+/// θ = +0.50, where Pure FreqItemset selects bundles (it selects none on
+/// the others).
 fn markets(threads: usize) -> Vec<(String, Market)> {
     let base = Params::default().with_threads(Threads::Fixed(threads));
     let mut out = Vec::new();
@@ -51,6 +53,7 @@ fn markets(threads: usize) -> Vec<(String, Market)> {
         "seed42/cvar0.9".into(),
         tiny_market(42, base.with_theta(0.05).with_objective(Objective::Cvar(0.9))),
     ));
+    out.push(("seed7/theta+0.50".into(), tiny_market(7, base.with_theta(0.5))));
     out
 }
 
@@ -68,7 +71,7 @@ fn methods() -> Vec<(String, Box<dyn Configurator>)> {
         "Pure Matching/no-new-vertex".into(),
         Box::new(PureMatching { opts: no_new_vertex }),
     ));
-    let to_single = GreedyOptions { merge_to_single: true, ..Default::default() };
+    let to_single = GreedyOptions { merge_to_single: true };
     out.push(("Pure Greedy/merge-to-single".into(), Box::new(PureGreedy { opts: to_single })));
     out.push(("Mixed Greedy/merge-to-single".into(), Box::new(MixedGreedy { opts: to_single })));
     out
@@ -113,84 +116,84 @@ const GOLDEN: &[(&str, u64)] = &[
     ("seed2015/theta+0.00|Mixed Matching", 0xc4ae0d75923916c4),
     ("seed2015/theta+0.00|Mixed Greedy", 0x97f80de103690237),
     ("seed2015/theta+0.00|Pure FreqItemset", 0xee98ece466e7de63),
-    ("seed2015/theta+0.00|Mixed FreqItemset", 0x08a86f678ed25a90),
+    ("seed2015/theta+0.00|Mixed FreqItemset", 0x1c3fbd91371dac45),
     ("seed2015/theta+0.00|Components (listed prices)", 0xfdc1cdd0dc88baa8),
     ("seed2015/theta+0.00|Pure Matching/no-co-rater", 0xe717c42db5e7b469),
     ("seed2015/theta+0.00|Pure Matching/no-new-vertex", 0xe717c42db5e7b469),
     ("seed2015/theta+0.00|Pure Greedy/merge-to-single", 0xca598889d74d527c),
-    ("seed2015/theta+0.00|Mixed Greedy/merge-to-single", 0x9571038f594cfec1),
+    ("seed2015/theta+0.00|Mixed Greedy/merge-to-single", 0x62582c69e7d451b6),
     ("seed2015/theta+0.05|Components", 0x4cdf8c715cc893df),
     ("seed2015/theta+0.05|Pure Matching", 0xc51582760343c2dd),
     ("seed2015/theta+0.05|Pure Greedy", 0x2a093e4286d6e7b1),
     ("seed2015/theta+0.05|Mixed Matching", 0x66741dbd769b2add),
     ("seed2015/theta+0.05|Mixed Greedy", 0x262518c6a6172761),
     ("seed2015/theta+0.05|Pure FreqItemset", 0xee98ece466e7de63),
-    ("seed2015/theta+0.05|Mixed FreqItemset", 0x6b1862dd91da4a5c),
+    ("seed2015/theta+0.05|Mixed FreqItemset", 0xca87d6a395e96e66),
     ("seed2015/theta+0.05|Components (listed prices)", 0xfdc1cdd0dc88baa8),
     ("seed2015/theta+0.05|Pure Matching/no-co-rater", 0x33f174832b07a811),
     ("seed2015/theta+0.05|Pure Matching/no-new-vertex", 0xc51582760343c2dd),
     ("seed2015/theta+0.05|Pure Greedy/merge-to-single", 0x2db3209a8928ddd8),
-    ("seed2015/theta+0.05|Mixed Greedy/merge-to-single", 0xe88171a5c023858f),
+    ("seed2015/theta+0.05|Mixed Greedy/merge-to-single", 0x8229425a173e6418),
     ("seed7/theta+0.00|Components", 0xfe68da3fd0b37c27),
     ("seed7/theta+0.00|Pure Matching", 0x96a209b5d4da35ef),
     ("seed7/theta+0.00|Pure Greedy", 0xfc7f3873a11880c8),
     ("seed7/theta+0.00|Mixed Matching", 0xa1972488a5c6ff3c),
     ("seed7/theta+0.00|Mixed Greedy", 0xbc6421e3f0f2b861),
     ("seed7/theta+0.00|Pure FreqItemset", 0x7b9b5be56b776e1a),
-    ("seed7/theta+0.00|Mixed FreqItemset", 0x5aa0f67049f10d5d),
+    ("seed7/theta+0.00|Mixed FreqItemset", 0xbedb07777d1f492a),
     ("seed7/theta+0.00|Components (listed prices)", 0xcee06174aaf4637c),
     ("seed7/theta+0.00|Pure Matching/no-co-rater", 0x96a209b5d4da35ef),
     ("seed7/theta+0.00|Pure Matching/no-new-vertex", 0x96a209b5d4da35ef),
     ("seed7/theta+0.00|Pure Greedy/merge-to-single", 0x50f7f50eb3027d4a),
-    ("seed7/theta+0.00|Mixed Greedy/merge-to-single", 0xb2712c2e43d3c60e),
+    ("seed7/theta+0.00|Mixed Greedy/merge-to-single", 0x6bf01a6d8f676fc8),
     ("seed7/theta+0.05|Components", 0xfe68da3fd0b37c27),
     ("seed7/theta+0.05|Pure Matching", 0x44a7071394310c53),
     ("seed7/theta+0.05|Pure Greedy", 0x094ffa9184373875),
     ("seed7/theta+0.05|Mixed Matching", 0xf50bdd26ecbc6fc3),
     ("seed7/theta+0.05|Mixed Greedy", 0x7b0d7825b0639409),
     ("seed7/theta+0.05|Pure FreqItemset", 0x7b9b5be56b776e1a),
-    ("seed7/theta+0.05|Mixed FreqItemset", 0xbbd14b5222538183),
+    ("seed7/theta+0.05|Mixed FreqItemset", 0xfa34f338b8e7ee4d),
     ("seed7/theta+0.05|Components (listed prices)", 0xcee06174aaf4637c),
     ("seed7/theta+0.05|Pure Matching/no-co-rater", 0xa758ee21558bbfdf),
     ("seed7/theta+0.05|Pure Matching/no-new-vertex", 0x44a7071394310c53),
     ("seed7/theta+0.05|Pure Greedy/merge-to-single", 0x1d4e6e060dbcc7d5),
-    ("seed7/theta+0.05|Mixed Greedy/merge-to-single", 0x22f842fa380fed91),
+    ("seed7/theta+0.05|Mixed Greedy/merge-to-single", 0x4805181ac6b8a933),
     ("seed42/theta+0.00|Components", 0x2fc4b8aaab87c64e),
     ("seed42/theta+0.00|Pure Matching", 0xebc6b879ae2706cd),
     ("seed42/theta+0.00|Pure Greedy", 0x101f3c4cc9dd3339),
     ("seed42/theta+0.00|Mixed Matching", 0x7a9202703d0eb274),
     ("seed42/theta+0.00|Mixed Greedy", 0x4366e0d5720db0a5),
     ("seed42/theta+0.00|Pure FreqItemset", 0xafc7b8be059fedec),
-    ("seed42/theta+0.00|Mixed FreqItemset", 0x9db68955b4a23fce),
+    ("seed42/theta+0.00|Mixed FreqItemset", 0xf2603bbf7d94690b),
     ("seed42/theta+0.00|Components (listed prices)", 0x3c4fbf8c91a9f27d),
     ("seed42/theta+0.00|Pure Matching/no-co-rater", 0xebc6b879ae2706cd),
     ("seed42/theta+0.00|Pure Matching/no-new-vertex", 0xebc6b879ae2706cd),
     ("seed42/theta+0.00|Pure Greedy/merge-to-single", 0x5321597dbba7bf58),
-    ("seed42/theta+0.00|Mixed Greedy/merge-to-single", 0x2fb9f360c295f763),
+    ("seed42/theta+0.00|Mixed Greedy/merge-to-single", 0x5333c1d70de28f88),
     ("seed42/theta+0.05|Components", 0x2fc4b8aaab87c64e),
     ("seed42/theta+0.05|Pure Matching", 0x22bf6e43883152a7),
     ("seed42/theta+0.05|Pure Greedy", 0x9d3d0536980879a7),
     ("seed42/theta+0.05|Mixed Matching", 0x7b15e93819bd002f),
     ("seed42/theta+0.05|Mixed Greedy", 0x48f34094ef9a4e8f),
     ("seed42/theta+0.05|Pure FreqItemset", 0xafc7b8be059fedec),
-    ("seed42/theta+0.05|Mixed FreqItemset", 0x43e39cd06ce3fb22),
+    ("seed42/theta+0.05|Mixed FreqItemset", 0xe9f1c4609d61bf73),
     ("seed42/theta+0.05|Components (listed prices)", 0x3c4fbf8c91a9f27d),
     ("seed42/theta+0.05|Pure Matching/no-co-rater", 0xa7269ab2cacbe358),
     ("seed42/theta+0.05|Pure Matching/no-new-vertex", 0x22bf6e43883152a7),
     ("seed42/theta+0.05|Pure Greedy/merge-to-single", 0x00fd004c1edfaad1),
-    ("seed42/theta+0.05|Mixed Greedy/merge-to-single", 0xd0d3e434b4febe3d),
+    ("seed42/theta+0.05|Mixed Greedy/merge-to-single", 0xc9ef01a2b3778bdc),
     ("seed2015/gamma2|Components", 0xdc69ec0f0cd9a909),
     ("seed2015/gamma2|Pure Matching", 0x3c848271403eb126),
     ("seed2015/gamma2|Pure Greedy", 0xe9bdcea2961765df),
     ("seed2015/gamma2|Mixed Matching", 0x6c9348d841266d2e),
     ("seed2015/gamma2|Mixed Greedy", 0xfdb498eae351b4b1),
     ("seed2015/gamma2|Pure FreqItemset", 0x38b33914a0947ada),
-    ("seed2015/gamma2|Mixed FreqItemset", 0xc056aa589e5bd616),
+    ("seed2015/gamma2|Mixed FreqItemset", 0xa0fadc49e8663838),
     ("seed2015/gamma2|Components (listed prices)", 0xc760d3e2ff0eceaa),
     ("seed2015/gamma2|Pure Matching/no-co-rater", 0x9c69f751f92eefc2),
     ("seed2015/gamma2|Pure Matching/no-new-vertex", 0x3c848271403eb126),
     ("seed2015/gamma2|Pure Greedy/merge-to-single", 0xbdff9145f7538767),
-    ("seed2015/gamma2|Mixed Greedy/merge-to-single", 0xa7dafb615134bcd0),
+    ("seed2015/gamma2|Mixed Greedy/merge-to-single", 0xfdb498eae351b4b1),
     ("seed7/cap2|Components", 0xfe68da3fd0b37c27),
     ("seed7/cap2|Pure Matching", 0x30b91afc6d73afd3),
     ("seed7/cap2|Pure Greedy", 0x445baa3170e1542d),
@@ -202,17 +205,61 @@ const GOLDEN: &[(&str, u64)] = &[
     ("seed7/cap2|Pure Matching/no-co-rater", 0xa758ee21558bbfdf),
     ("seed7/cap2|Pure Matching/no-new-vertex", 0x30b91afc6d73afd3),
     ("seed7/cap2|Pure Greedy/merge-to-single", 0x7f73fa0e19cadbcb),
-    ("seed7/cap2|Mixed Greedy/merge-to-single", 0xb94681b3b197fcca),
+    ("seed7/cap2|Mixed Greedy/merge-to-single", 0x799112fbd0a8a90d),
     ("seed42/cvar0.9|Components", 0x2fc4b8aaab87c64e),
     ("seed42/cvar0.9|Pure Matching", 0x22bf6e43883152a7),
     ("seed42/cvar0.9|Pure Greedy", 0x9d3d0536980879a7),
     ("seed42/cvar0.9|Mixed Matching", 0x7b15e93819bd002f),
     ("seed42/cvar0.9|Mixed Greedy", 0x48f34094ef9a4e8f),
     ("seed42/cvar0.9|Pure FreqItemset", 0xafc7b8be059fedec),
-    ("seed42/cvar0.9|Mixed FreqItemset", 0x43e39cd06ce3fb22),
+    ("seed42/cvar0.9|Mixed FreqItemset", 0xe9f1c4609d61bf73),
     ("seed42/cvar0.9|Components (listed prices)", 0x5a038ee014d11d20),
     ("seed42/cvar0.9|Pure Matching/no-co-rater", 0xa7269ab2cacbe358),
     ("seed42/cvar0.9|Pure Matching/no-new-vertex", 0x22bf6e43883152a7),
     ("seed42/cvar0.9|Pure Greedy/merge-to-single", 0xc28f2c5c33d40f5e),
-    ("seed42/cvar0.9|Mixed Greedy/merge-to-single", 0xcb28e33a3b8a732e),
+    ("seed42/cvar0.9|Mixed Greedy/merge-to-single", 0x22b5c2e221686687),
+    ("seed7/theta+0.50|Components", 0xfe68da3fd0b37c27),
+    ("seed7/theta+0.50|Pure Matching", 0x5c45ccd6058f5546),
+    ("seed7/theta+0.50|Pure Greedy", 0xad96dc65147b3f26),
+    ("seed7/theta+0.50|Mixed Matching", 0x5a681a84476117ce),
+    ("seed7/theta+0.50|Mixed Greedy", 0x3775ea89c5d2bcd7),
+    ("seed7/theta+0.50|Pure FreqItemset", 0x8c98e2c43b8c2755),
+    ("seed7/theta+0.50|Mixed FreqItemset", 0xc8139f5a57888466),
+    ("seed7/theta+0.50|Components (listed prices)", 0xcee06174aaf4637c),
+    ("seed7/theta+0.50|Pure Matching/no-co-rater", 0x732cbdd2f2d3943d),
+    ("seed7/theta+0.50|Pure Matching/no-new-vertex", 0x5c45ccd6058f5546),
+    ("seed7/theta+0.50|Pure Greedy/merge-to-single", 0x0e7e34fcd7fb797b),
+    ("seed7/theta+0.50|Mixed Greedy/merge-to-single", 0x179057f5d1b28439),
 ];
+
+#[test]
+fn merge_to_single_mixed_greedy_reports_the_revenue_its_menu_earns() {
+    // A forced (loss-making) merge must add the revenue change its commit
+    // actually makes, so the reported revenue is the menu's revenue.
+    let to_single = GreedyOptions { merge_to_single: true };
+    for (market_id, market) in markets(1).into_iter().take(6) {
+        let out = MixedGreedy { opts: to_single }.run(&market);
+        let menu = out.config.expected_revenue(&market);
+        assert!(
+            (out.revenue - menu).abs() < 1e-6 * out.revenue,
+            "{market_id}: reported {} but the menu earns {menu}",
+            out.revenue
+        );
+    }
+}
+
+#[test]
+fn last_trace_point_counts_the_configuration_bundles() {
+    for (market_id, market) in markets(1) {
+        for (name, method) in registry() {
+            let out = method.run(&market);
+            if let Some(last) = out.trace.points().last() {
+                assert_eq!(
+                    last.n_bundles,
+                    out.config.n_bundles(),
+                    "{market_id}|{name}: last trace point disagrees with the configuration"
+                );
+            }
+        }
+    }
+}

@@ -149,8 +149,8 @@ fn all_methods_never_lose_to_components() {
             Box::new(PureGreedy::default()),
             Box::new(MixedMatching::default()),
             Box::new(MixedGreedy::default()),
-            Box::new(PureFreqItemset::default()),
-            Box::new(MixedFreqItemset::default()),
+            Box::new(PureFreqItemset),
+            Box::new(MixedFreqItemset),
         ];
         for method in methods {
             let out = method.run(&m);

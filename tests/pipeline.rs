@@ -38,8 +38,8 @@ fn configurations_validate_and_reevaluate() {
         Box::new(PureGreedy::default()),
         Box::new(MixedMatching::default()),
         Box::new(MixedGreedy::default()),
-        Box::new(PureFreqItemset::default()),
-        Box::new(MixedFreqItemset::default()),
+        Box::new(PureFreqItemset),
+        Box::new(MixedFreqItemset),
     ];
     for method in methods {
         let out = method.run(&m);
