@@ -39,6 +39,7 @@ use crate::index::MenuIndex;
 use crate::proto::{self, DaemonStats, ErrorCode, Request, Response, UserSel, MAX_FRAME};
 use crate::query::chunked_payment_fold;
 use crate::swap::ServeHandle;
+use revmax_core::config::BundleConfig;
 use revmax_core::market::Market;
 use revmax_core::marketlog::{Event, MarketLog};
 use revmax_engine::{CacheStats, LiveEngine};
@@ -48,6 +49,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Tile block width of the daemon's indexes. Its queries are tens to a
+/// few hundred ids (a point query, a coalesced run, an `All` over a
+/// served market), answered by many workers that each build a tile per
+/// query. Sixteen lanes hold a typical point query in one block; wider
+/// tiles for `All` and coalesced runs bought no throughput and raised
+/// the fleet's peak RSS (`DESIGN.md` §9.3).
+const QUERY_BLOCK: usize = 16;
+
+/// The daemon's index over a solved menu: its worker fan-out and
+/// [`QUERY_BLOCK`].
+fn serving_index(market: &Market, config: &BundleConfig, cfg: &DaemonConfig) -> MenuIndex {
+    MenuIndex::compile(market, config).with_threads(cfg.query_threads).with_block(QUERY_BLOCK)
+}
 
 /// Knobs of a [`Daemon`]. `Default` is sized for tests and small hosts;
 /// the `revmax-served` bin maps its CLI keys onto these.
@@ -325,9 +340,7 @@ impl Daemon {
         let mut live = LiveEngine::new(&methods, cfg.cohorts)?;
         let initial = live.resolve(&market)?;
         let cell = initial.whole_cell().ok_or("initial resolve produced no cells")?;
-        let index =
-            MenuIndex::compile(&market, &cell.outcome.config).with_threads(cfg.query_threads);
-        let handle = ServeHandle::new(index);
+        let handle = ServeHandle::new(serving_index(&market, &cell.outcome.config, &cfg));
 
         let listener = TcpListener::bind(bind_addr).map_err(|e| format!("bind: {e}"))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
@@ -700,9 +713,7 @@ fn churn_loop(
                     let Some(cell) = report.whole_cell() else {
                         continue;
                     };
-                    let index = MenuIndex::compile(&churned, &cell.outcome.config)
-                        .with_threads(cfg.query_threads);
-                    shared.handle.swap(index);
+                    shared.handle.swap(serving_index(&churned, &cell.outcome.config, &cfg));
                     shared.counters.mutations_applied.fetch_add(applied, Ordering::Relaxed);
                 }
                 Err(e) => {

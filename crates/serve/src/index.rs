@@ -216,9 +216,10 @@ impl MenuIndex {
     }
 
     /// Override the tile kernel's user-block width (0 restores
-    /// [`crate::kernel::DEFAULT_BLOCK`]); each query caps it at its §6
-    /// chunk length. Never affects results, only cache behavior; the
-    /// [`KernelKind::Rows`] reference walks one user at a time anyway.
+    /// [`crate::kernel::DEFAULT_BLOCK`]); each query caps it at its batch
+    /// length, and blocks run across §6 chunk boundaries. Never affects
+    /// results, only cache behavior; the [`KernelKind::Rows`] reference
+    /// walks one user at a time anyway.
     pub fn with_block(mut self, block: usize) -> MenuIndex {
         self.block = block;
         self

@@ -11,10 +11,11 @@
 //!   the walk loads one contiguous lane row per node and the whole tile
 //!   (`n_nodes × block × 8` bytes) stays cache-resident across the walk.
 //! * **Lane determinism** — lane assignment is a pure function of index
-//!   (lane `l` of a block holds the block's `l`-th user, blocks split a
-//!   §6 chunk front to back), and every lane's arithmetic is exactly the
-//!   row-walk's: per-user results are bit-identical to [`KernelKind::Rows`]
-//!   at any block size and thread count.
+//!   (lane `l` of a block holds the block's `l`-th user, blocks cut a
+//!   batch front to back, across §6 chunk boundaries), and every lane's
+//!   arithmetic is exactly the row-walk's: per-user results are
+//!   bit-identical to [`KernelKind::Rows`] at any block size and thread
+//!   count.
 //! * **Branchless step adoption** — in the step regime (γ ≥
 //!   `Params::STEP_GAMMA`) adoption decisions become sign masks and the
 //!   per-lane state updates compile to selects, with two bit-safety
@@ -32,14 +33,19 @@
 //!   the whole block; a lane with no holdings is the all-zero state,
 //!   which makes the child combine an unconditional add (`x + 0.0 = x`
 //!   bitwise for the non-negative sums involved).
-//! * **Adoption bitmaps** — collect mode records each (node, lane)
-//!   adoption decision as one branchless OR into a per-lane bitmap
-//!   (`⌈n_nodes/64⌉` words), so the collect walk stays as tight as the
-//!   payment-only walk. The held-offer list is reconstructed afterwards
-//!   by `take_offers`: adopting a node wipes every
-//!   holding in its subtree, so the final list is exactly the adopted
-//!   nodes without an adopted ancestor — a descending bit-scan that
-//!   masks off each emitted node's subtree in O(held) word ops.
+//! * **One walk body, four monomorphs** — `walk::<COLLECT, COUNT>` carries
+//!   only the state its query reads: `COLLECT` (only `assign`) records
+//!   adoption decisions, `COUNT` (only when `1 + θ != 1.0`) carries the
+//!   held-item count, which at θ = 0 cannot change any add-on factor.
+//! * **Node-major adoption bits** — the lane loops write each node's
+//!   decisions as a 0/1 byte row, packed eight lanes per multiply into
+//!   `adopt[n × words + lane / 64]`. After the walk, a rootward-first
+//!   cover pass per visited tree (`cov[n] = cov[parent] | adopt[parent]`,
+//!   children found from the post-order layout)
+//!   keeps the adopted nodes without an adopted ancestor — adopting a
+//!   node wipes every holding in its subtree — and two passes over those
+//!   bits build the block's held-offer CSR, which `take_offers` slices.
+//!   No tree-size limit: rows are per node, not per tree.
 //!
 //! The walk is price-parameterized (`TileScratch::walk_block` takes the
 //! price table as a slice) so a marginal-revenue query can re-walk the
@@ -93,7 +99,7 @@ pub(crate) trait BlockEval {
     fn payments(&self) -> &[f64];
     /// One lane's held offer node ids (menu order) from the last collect
     /// evaluation.
-    fn take_offers(&mut self, store: &MenuStore, lane: usize) -> Vec<u32>;
+    fn take_offers(&mut self, lane: usize) -> Vec<u32>;
 }
 
 /// Default user-block width. 512 lanes × 8 bytes = 4 KiB per node row —
@@ -110,27 +116,48 @@ pub const DEFAULT_BLOCK: usize = 512;
 pub const LANES: usize = 4;
 
 /// One level of the tile stack: every lane's holdings at this tree
-/// position, SoA. "No holding" is the all-zero state (`count == 0`), so
-/// combining children is an unconditional lane-wise add.
+/// position, SoA. "No holding" is the all-zero state (`sum == 0.0`,
+/// `paid == 0.0`, `count == 0`), so combining children is an
+/// unconditional lane-wise add.
 struct TileEntry {
     /// Raw Σ of item WTPs over held items, per lane.
     sum: Vec<f64>,
     /// Amount paid, per lane.
     paid: Vec<f64>,
-    /// Held item count, per lane (0 = no holding).
+    /// Held item count, per lane — read and written only by the walks
+    /// whose add-on factor depends on it (θ ≠ 0, see [`TileScratch::walk`]).
     count: Vec<u32>,
 }
 
 impl TileEntry {
-    fn new(stride: usize) -> Self {
-        TileEntry { sum: vec![0.0; stride], paid: vec![0.0; stride], count: vec![0; stride] }
+    fn new(width: usize) -> Self {
+        TileEntry { sum: vec![0.0; width], paid: vec![0.0; width], count: vec![0; width] }
     }
 }
 
+/// Run `$body` once per lane of the current block with `$l` bound to the
+/// lane: every lane `0..$b` when `$dense` (a contiguous loop over `[..b]`
+/// slices — bounds-check-free, so it vectorizes; uninterested lanes walk
+/// to the all-zero state and contribute `+0.0`, the same bits as being
+/// skipped), else only the compacted `$active` lanes. One body for both
+/// traversals, so they do the same per-lane arithmetic by construction.
+macro_rules! for_lanes {
+    ($dense:expr, $b:expr, $active:expr, |$l:ident| $body:block) => {
+        if $dense {
+            for $l in 0..$b $body
+        } else {
+            for &lane in $active.iter() {
+                let $l = lane as usize;
+                $body
+            }
+        }
+    };
+}
+
 /// Reusable per-worker tile state. One `TileScratch` serves every block
-/// a worker evaluates during a query — across §6 chunks, since every
-/// consuming walk leaves the tile all-zero again. Nothing here escapes;
-/// results are read out through [`BlockEval`].
+/// a worker evaluates during a query, since every consuming walk leaves
+/// the tile all-zero again. Nothing here escapes; results are read out
+/// through [`BlockEval`].
 pub(crate) struct TileScratch {
     /// Lane capacity (the block width).
     block: usize,
@@ -145,17 +172,26 @@ pub(crate) struct TileScratch {
     acc: Vec<f64>,
     /// Per-lane expected payment of the last walk.
     payments: Vec<f64>,
-    /// Words per lane of `flag_words`: `⌈n_nodes / 64⌉`.
-    wpl: usize,
-    /// Collect mode: per-lane adoption bitmap of the last walk,
-    /// lane-major — node `n`'s decision for lane `l` is bit `n % 64` of
-    /// `flag_words[l * wpl + n / 64]`. Recording a decision is one
-    /// branchless OR, so the collect walk stays as tight as the
-    /// payment-only walk, and a lane's whole outcome sits in `wpl` words
-    /// for [`BlockEval::take_offers`]. Cleared per collect walk.
-    flag_words: Vec<u64>,
-    /// Readout scratch: one lane's `wpl` flag words, consumed bit by bit.
-    readout: Vec<u64>,
+    /// Words per node row of `adopt` and `cov`: `⌈block / 64⌉`.
+    words: usize,
+    /// Collect mode: node-major adoption bits of the last walk — lane `l`
+    /// adopted node `n` iff bit `l % 64` of `adopt[n * words + l / 64]`.
+    /// Only the rows of visited trees are written; after the readout
+    /// they hold the *held* bits (adopted and not covered).
+    adopt: Vec<u64>,
+    /// Readout scratch, same layout: the lanes that adopted a proper
+    /// ancestor of `n` (`cov[n] = cov[parent] | adopt[parent]`).
+    cov: Vec<u64>,
+    /// Collect mode: the current node's adoption decision per lane as a
+    /// 0/1 byte, written by the lane loops and packed into `adopt`.
+    flags: Vec<u8>,
+    /// Subtree ranges `(first, root)` of the trees the last collect walk
+    /// visited (pure menus: `(root, root)`), in root order.
+    visited: Vec<(u32, u32)>,
+    /// Held-offer CSR of the last collect walk: lane `l` holds
+    /// `offers[offer_ptr[l]..offer_ptr[l + 1]]`, in menu order.
+    offer_ptr: Vec<usize>,
+    offers: Vec<u32>,
     /// Stack arena, reused across nodes/blocks (`sp` live entries).
     entries: Vec<TileEntry>,
     sp: usize,
@@ -174,15 +210,20 @@ impl TileScratch {
         if (stride / 8).is_multiple_of(2) {
             stride += 8;
         }
-        let wpl = store.shape.prices.len().div_ceil(64);
+        let n_nodes = store.shape.prices.len();
+        let words = block.div_ceil(64);
         TileScratch {
             block,
             stride,
-            acc: vec![0.0; store.shape.prices.len() * stride],
+            acc: vec![0.0; n_nodes * stride],
             payments: vec![0.0; block],
-            wpl,
-            flag_words: vec![0; block * wpl],
-            readout: vec![0; wpl],
+            words,
+            adopt: vec![0; n_nodes * words],
+            cov: vec![0; n_nodes * words],
+            flags: vec![0; block],
+            visited: Vec::new(),
+            offer_ptr: vec![0; block + 1],
+            offers: Vec::new(),
             entries: Vec::new(),
             sp: 0,
             active: Vec::with_capacity(block),
@@ -223,15 +264,8 @@ impl TileScratch {
     /// compiled `shape.prices`, or a perturbed copy for marginal-revenue
     /// queries — same code path, so perturbed results are bit-identical
     /// to a recompile at the perturbed price). Fills `payments[..b]` and,
-    /// with `collect`, the per-(node, lane) adoption flags behind
+    /// with `collect`, the held-offer lists behind
     /// [`BlockEval::take_offers`].
-    ///
-    /// Every offer (pure) / tree (mixed) is walked only for the compacted
-    /// list of lanes interested in it — per-block interest is sparse, and
-    /// the union of 64 lanes' interests would otherwise visit nearly
-    /// every node for nearly every block. Skipped lanes contribute the
-    /// same bits as the row-walk's skipped users (`+0.0` payments, no
-    /// offers), so compaction never shows up in results.
     ///
     /// With `consume`, every tile lane the walk reads is zeroed behind
     /// it, restoring the all-zero tile for the next scatter (see
@@ -245,10 +279,54 @@ impl TileScratch {
         collect: bool,
         consume: bool,
     ) {
+        // The held-item count only feeds the add-on factor, which is
+        // `1 + θ` or `1.0` by count — the same `1.0` whatever the count
+        // when `1 + θ == 1.0`, so that walk drops the count stream.
+        let count = 1.0 + store.params.theta != 1.0;
+        match (collect, count) {
+            (false, false) => self.walk::<false, false>(store, prices, b, consume),
+            (false, true) => self.walk::<false, true>(store, prices, b, consume),
+            (true, false) => self.walk::<true, false>(store, prices, b, consume),
+            (true, true) => self.walk::<true, true>(store, prices, b, consume),
+        }
+        if collect {
+            self.read_offers(store, b);
+        }
+    }
+
+    /// The walk, monomorphized on what its query needs: `COLLECT` records
+    /// every (node, lane) adoption decision into `adopt` (only `assign`
+    /// reads them), `COUNT` carries the per-lane held-item count (only
+    /// θ ≠ 0 reads it). Dropping either part never changes a payment bit.
+    ///
+    /// Every offer (pure) / tree (mixed) is walked only for the compacted
+    /// list of lanes interested in it — per-block interest is sparse, and
+    /// the union of all lanes' interests would otherwise visit nearly
+    /// every node for nearly every block. Skipped lanes contribute the
+    /// same bits as the row-walk's skipped users (`+0.0` payments, no
+    /// offers), so compaction never shows up in results.
+    fn walk<const COLLECT: bool, const COUNT: bool>(
+        &mut self,
+        store: &MenuStore,
+        prices: &[f64],
+        b: usize,
+        consume: bool,
+    ) {
         let TileScratch {
-            block, stride, acc, payments, wpl, flag_words, entries, sp, active, ..
+            block,
+            stride,
+            acc,
+            payments,
+            words,
+            adopt,
+            flags,
+            visited,
+            entries,
+            sp,
+            active,
+            ..
         } = self;
-        let (block, stride, wpl) = (*block, *stride, *wpl);
+        let (block, stride, words) = (*block, *stride, *words);
         debug_assert!(b <= block);
         let shape = &store.shape;
         let adoption = &store.adoption;
@@ -256,17 +334,15 @@ impl TileScratch {
         let eps = adoption.epsilon;
         let bundle_factor = 1.0 + store.params.theta;
         let node_size = |n: u32| shape.node_indptr[n as usize + 1] - shape.node_indptr[n as usize];
+        let flags = &mut flags[..b];
         payments[..b].fill(0.0);
-        if collect {
-            flag_words.fill(0);
-        }
+        visited.clear();
 
         match shape.strategy {
             Strategy::Pure => {
                 let step = adoption.is_step();
                 for &root in shape.roots.iter() {
                     let rbase = root as usize * stride;
-                    let (rw, rb) = (root as usize >> 6, root as usize & 63);
                     active.clear();
                     for l in 0..b {
                         if acc[rbase + l] != 0.0 {
@@ -302,14 +378,6 @@ impl TileScratch {
                             let margin = alpha * (factor * s) - price + eps;
                             payments[l] += price * ((margin >= 0.0) as u32 as f64);
                         }
-                        if collect {
-                            for &l in active.iter() {
-                                let l = l as usize;
-                                let s = acc[rbase + l];
-                                let a = (alpha * (factor * s) - price + eps >= 0.0) as u64;
-                                flag_words[l * wpl + rw] |= a << rb;
-                            }
-                        }
                     } else {
                         // Soft sigmoid: only interested lanes contribute
                         // (an *included* zero-WTP lane would add a
@@ -317,13 +385,19 @@ impl TileScratch {
                         // row-walk — `active` is that restriction.
                         for &l in active.iter() {
                             let l = l as usize;
-                            let s = acc[rbase + l];
-                            let w = factor * s;
+                            let w = factor * acc[rbase + l];
                             payments[l] += price * adoption.probability(w, price);
-                            if collect {
-                                let a = (adoption.margin(w, price) >= 0.0) as u64;
-                                flag_words[l * wpl + rw] |= a << rb;
-                            }
+                        }
+                    }
+                    if COLLECT {
+                        // The modal offer set, in either regime.
+                        visited.push((root, root));
+                        let bits = &mut adopt[root as usize * words..][..words];
+                        bits.fill(0);
+                        for &l in active.iter() {
+                            let l = l as usize;
+                            let a = adoption.margin(factor * acc[rbase + l], price) >= 0.0;
+                            bits[l >> 6] |= (a as u64) << (l & 63);
                         }
                     }
                     if consume {
@@ -352,103 +426,73 @@ impl TileScratch {
                     if active.is_empty() {
                         continue;
                     }
-                    // Adaptive lane traversal: a mostly-interested block
-                    // runs the full-width loops (contiguous, bounds-free,
-                    // auto-vectorizable; uninterested lanes walk to the
-                    // all-zero state and contribute `+0.0`, the same bits
-                    // as being skipped), a sparse block the compacted
-                    // gather loops. Pure perf dispatch — both bodies do
-                    // the row-walk's arithmetic verbatim.
+                    // Adaptive lane traversal (`for_lanes!`): a
+                    // mostly-interested block runs the full-width loops,
+                    // a sparse block the compacted ones. Pure perf
+                    // dispatch — both run the same body.
                     let dense = active.len() * 2 >= b;
+                    let first = shape.subtree_start[root as usize];
+                    if COLLECT {
+                        visited.push((first, root));
+                    }
                     debug_assert_eq!(*sp, 0);
-                    for n in shape.subtree_start[root as usize]..=root {
+                    for n in first..=root {
                         let k = shape.n_children[n as usize] as usize;
                         let price = prices[n as usize];
                         let size = node_size(n);
                         let nbase = n as usize * stride;
-                        let (nw, nb) = (n as usize >> 6, n as usize & 63);
+                        let row = &acc[nbase..nbase + b];
                         if k == 0 {
                             // Leaf offer: plain take-it-or-leave-it per
                             // lane; a declined/uninterested lane is the
-                            // all-zero state. Collect mode records the
-                            // adoption mask as a flag byte — still
-                            // branchless.
+                            // all-zero state.
                             if *sp == entries.len() {
                                 entries.push(TileEntry::new(block));
                             }
                             let e = &mut entries[*sp];
                             *sp += 1;
                             let factor = if size >= 2 { bundle_factor } else { 1.0 };
-                            if dense {
-                                let row = &acc[nbase..nbase + b];
-                                let sums = &mut e.sum[..b];
-                                let paid = &mut e.paid[..b];
-                                let count = &mut e.count[..b];
-                                for l in 0..b {
-                                    let s = row[l];
-                                    let margin = alpha * (factor * s) - price + eps;
-                                    let adopt = (margin >= 0.0) & (s != 0.0);
-                                    sums[l] = if adopt { s } else { 0.0 };
-                                    paid[l] = if adopt { price } else { 0.0 };
+                            let (sums, paid) = (&mut e.sum[..b], &mut e.paid[..b]);
+                            let count = &mut e.count[..b];
+                            for_lanes!(dense, b, active, |l| {
+                                let s = row[l];
+                                let margin = alpha * (factor * s) - price + eps;
+                                let adopt = (margin >= 0.0) & (s != 0.0);
+                                sums[l] = if adopt { s } else { 0.0 };
+                                paid[l] = if adopt { price } else { 0.0 };
+                                if COUNT {
                                     count[l] = if adopt { size as u32 } else { 0 };
                                 }
-                                if collect {
-                                    // Re-derive the mask (same pure
-                                    // arithmetic, same bits) in a second
-                                    // pass so the hot loop above keeps
-                                    // vectorizing without the strided
-                                    // bitmap read-modify-write.
-                                    for l in 0..b {
-                                        let s = row[l];
-                                        let margin = alpha * (factor * s) - price + eps;
-                                        let adopt = (margin >= 0.0) & (s != 0.0);
-                                        flag_words[l * wpl + nw] |= (adopt as u64) << nb;
-                                    }
+                                if COLLECT {
+                                    flags[l] = adopt as u8;
                                 }
-                            } else {
-                                for &l in active.iter() {
-                                    let l = l as usize;
-                                    let s = acc[nbase + l];
-                                    let margin = alpha * (factor * s) - price + eps;
-                                    let adopt = (margin >= 0.0) & (s != 0.0);
-                                    e.sum[l] = if adopt { s } else { 0.0 };
-                                    e.paid[l] = if adopt { price } else { 0.0 };
-                                    e.count[l] = if adopt { size as u32 } else { 0 };
-                                    if collect {
-                                        flag_words[l * wpl + nw] |= (adopt as u64) << nb;
-                                    }
-                                }
-                            }
+                            });
                         } else {
                             // Combine the top k children into the base
                             // entry, lane-wise, in child order — the
                             // solver's left-to-right merge fold. Unheld
                             // children are all-zero, so the add is
-                            // unconditional and bit-preserving.
+                            // unconditional and bit-preserving. One loop
+                            // per stream: fusing the f64 and u32 adds
+                            // vectorized worse (medium menus, θ ≠ 0).
                             let base = *sp - k;
                             let (head, tail) = entries.split_at_mut(base + 1);
                             let dst = &mut head[base];
+                            let (sums, paid) = (&mut dst.sum[..b], &mut dst.paid[..b]);
+                            let count = &mut dst.count[..b];
                             for src in &tail[..k - 1] {
-                                if dense {
-                                    let (ds, ss) = (&mut dst.sum[..b], &src.sum[..b]);
-                                    for l in 0..b {
-                                        ds[l] += ss[l];
-                                    }
-                                    let (dp, sq) = (&mut dst.paid[..b], &src.paid[..b]);
-                                    for l in 0..b {
-                                        dp[l] += sq[l];
-                                    }
-                                    let (dc, sc) = (&mut dst.count[..b], &src.count[..b]);
-                                    for l in 0..b {
-                                        dc[l] += sc[l];
-                                    }
-                                } else {
-                                    for &l in active.iter() {
-                                        let l = l as usize;
-                                        dst.sum[l] += src.sum[l];
-                                        dst.paid[l] += src.paid[l];
-                                        dst.count[l] += src.count[l];
-                                    }
+                                let (src_sum, src_paid) = (&src.sum[..b], &src.paid[..b]);
+                                let src_count = &src.count[..b];
+                                for_lanes!(dense, b, active, |l| {
+                                    sums[l] += src_sum[l];
+                                });
+                                for_lanes!(dense, b, active, |l| {
+                                    paid[l] += src_paid[l];
+                                });
+                                if COUNT {
+                                    for_lanes!(dense, b, active, |l| {
+                                        count[l] += src_count[l];
+                                    });
                                 }
                             }
                             // Upgrade decision per lane. The combined
@@ -456,69 +500,45 @@ impl TileScratch {
                             // holdings" and "no holdings" are no-ops;
                             // only adoption rewrites the lane, via
                             // branchless selects.
-                            if dense && !collect {
-                                let row = &acc[nbase..nbase + b];
-                                let sums = &mut dst.sum[..b];
-                                let paid = &mut dst.paid[..b];
-                                let count = &mut dst.count[..b];
-                                for l in 0..b {
-                                    let s_b = row[l];
-                                    let s_held = sums[l];
-                                    let q = paid[l];
-                                    let c_held = count[l] as usize;
-                                    let addon_count = size.saturating_sub(c_held).max(1);
-                                    let afactor =
-                                        if addon_count >= 2 { bundle_factor } else { 1.0 };
-                                    let addon_wtp = afactor * (s_b - s_held).max(0.0);
-                                    let margin = alpha * addon_wtp - (price - q) + eps;
-                                    let adopt = (margin >= 0.0) & (s_b != 0.0);
-                                    sums[l] = if adopt { s_b } else { s_held };
-                                    paid[l] = if adopt { price } else { q };
-                                    count[l] = if adopt { size as u32 } else { c_held as u32 };
-                                }
-                            } else {
-                                // Collect-mode bodies also stay
-                                // branchless — the decision lands in a
-                                // flag byte; only the lane source
-                                // differs between dense and compact.
-                                macro_rules! decide {
-                                    ($l:expr, $record:literal) => {{
-                                        let l = $l;
-                                        let s_b = acc[nbase + l];
-                                        let s_held = dst.sum[l];
-                                        let q = dst.paid[l];
-                                        let c_held = dst.count[l] as usize;
-                                        let addon_count = size.saturating_sub(c_held).max(1);
-                                        let afactor =
-                                            if addon_count >= 2 { bundle_factor } else { 1.0 };
-                                        let addon_wtp = afactor * (s_b - s_held).max(0.0);
-                                        let margin = alpha * addon_wtp - (price - q) + eps;
-                                        let adopt = (margin >= 0.0) & (s_b != 0.0);
-                                        dst.sum[l] = if adopt { s_b } else { s_held };
-                                        dst.paid[l] = if adopt { price } else { q };
-                                        dst.count[l] =
-                                            if adopt { size as u32 } else { c_held as u32 };
-                                        if $record {
-                                            flag_words[l * wpl + nw] |= (adopt as u64) << nb;
-                                        }
-                                    }};
-                                }
-                                if dense {
-                                    // dense ∧ ¬collect took the arm above.
-                                    for l in 0..b {
-                                        decide!(l, true);
-                                    }
-                                } else if collect {
-                                    for &l in active.iter() {
-                                        decide!(l as usize, true);
+                            for_lanes!(dense, b, active, |l| {
+                                let s_b = row[l];
+                                let s_held = sums[l];
+                                let q = paid[l];
+                                let afactor = if COUNT {
+                                    let addon_count = size.saturating_sub(count[l] as usize).max(1);
+                                    if addon_count >= 2 {
+                                        bundle_factor
+                                    } else {
+                                        1.0
                                     }
                                 } else {
-                                    for &l in active.iter() {
-                                        decide!(l as usize, false);
-                                    }
+                                    bundle_factor
+                                };
+                                let addon_wtp = afactor * (s_b - s_held).max(0.0);
+                                let margin = alpha * addon_wtp - (price - q) + eps;
+                                let adopt = (margin >= 0.0) & (s_b != 0.0);
+                                sums[l] = if adopt { s_b } else { s_held };
+                                paid[l] = if adopt { price } else { q };
+                                if COUNT {
+                                    count[l] = if adopt { size as u32 } else { count[l] };
+                                }
+                                if COLLECT {
+                                    flags[l] = adopt as u8;
+                                }
+                            });
+                            *sp = base + 1;
+                        }
+                        if COLLECT {
+                            let bits = &mut adopt[n as usize * words..][..words];
+                            if dense {
+                                pack_flags(flags, bits);
+                            } else {
+                                bits.fill(0);
+                                for &l in active.iter() {
+                                    let l = l as usize;
+                                    bits[l >> 6] |= u64::from(flags[l]) << (l & 63);
                                 }
                             }
-                            *sp = base + 1;
                         }
                         if consume {
                             if dense {
@@ -533,20 +553,107 @@ impl TileScratch {
                     // Pop the root: lanes with no holdings pay +0.0
                     // (bit-preserving).
                     *sp -= 1;
-                    let e = &entries[*sp];
-                    if dense {
-                        let paid = &e.paid[..b];
-                        for l in 0..b {
-                            payments[l] += paid[l];
-                        }
-                    } else {
-                        for &l in active.iter() {
-                            payments[l as usize] += e.paid[l as usize];
-                        }
-                    }
+                    let paid = &entries[*sp].paid[..b];
+                    for_lanes!(dense, b, active, |l| {
+                        payments[l] += paid[l];
+                    });
                 }
             }
         }
+    }
+
+    /// Turn the last collect walk's adoption bits into the per-lane
+    /// held-offer CSR. Adopting an offer node drops every holding inside
+    /// its subtree, so a lane holds exactly the nodes it adopted without
+    /// adopting an ancestor. Per visited tree, a rootward-first pass
+    /// (post-order ids grow rootward) hands each node `p`'s cover to its
+    /// children — `cov[n] = cov[p] | adopt[p]` — and masks
+    /// `adopt[n] &= !cov[n]` in place; masking `p` first is harmless,
+    /// since `cov[p] | (adopt[p] & !cov[p]) == cov[p] | adopt[p]`.
+    /// Two passes over the held bits then count and place each lane's
+    /// offers; nodes are visited in ascending id order, which is menu
+    /// order.
+    fn read_offers(&mut self, store: &MenuStore, b: usize) {
+        let TileScratch { words, adopt, cov, visited, offer_ptr, offers, .. } = self;
+        let words = *words;
+        let used = b.div_ceil(64);
+        let shape = &store.shape;
+        for &(first, root) in visited.iter() {
+            cov[root as usize * words..][..used].fill(0);
+            for p in (first as usize..=root as usize).rev() {
+                // `p`'s children are the subtrees ending right below it,
+                // last child first.
+                let mut end = p;
+                for _ in 0..shape.n_children[p] {
+                    let n = end - 1;
+                    for w in 0..used {
+                        let c = cov[p * words + w] | adopt[p * words + w];
+                        cov[n * words + w] = c;
+                        adopt[n * words + w] &= !c;
+                    }
+                    end = shape.subtree_start[n] as usize;
+                }
+            }
+        }
+        // Count into `offer_ptr[l + 1]`, prefix-sum to each lane's start,
+        // place (advancing `offer_ptr[l]` to lane `l`'s end), then shift
+        // the ends back into place.
+        offer_ptr[..=b].fill(0);
+        for_held(adopt, words, used, visited, |l, _| offer_ptr[l + 1] += 1);
+        for l in 0..b {
+            offer_ptr[l + 1] += offer_ptr[l];
+        }
+        offers.resize(offer_ptr[b], 0);
+        for_held(adopt, words, used, visited, |l, n| {
+            offers[offer_ptr[l]] = n;
+            offer_ptr[l] += 1;
+        });
+        offer_ptr.copy_within(0..b, 1);
+        offer_ptr[0] = 0;
+    }
+}
+
+/// Call `f(lane, node)` for every set bit of the visited trees' rows of
+/// `bits` (`words` per node, the first `used` of them live), nodes in
+/// ascending id order.
+fn for_held(
+    bits: &[u64],
+    words: usize,
+    used: usize,
+    visited: &[(u32, u32)],
+    mut f: impl FnMut(usize, u32),
+) {
+    for &(first, root) in visited {
+        for n in first..=root {
+            for (w, &word) in bits[n as usize * words..][..used].iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    f(w * 64 + rest.trailing_zeros() as usize, n);
+                    rest &= rest - 1;
+                }
+            }
+        }
+    }
+}
+
+/// Pack a row of 0/1 lane bytes into adoption bits — lane `l` to bit
+/// `l % 64` of `bits[l / 64]` — eight lanes per multiply: the magic
+/// constant gathers byte `i`'s low bit into bit `56 + i` with no carries,
+/// so the top byte is the eight lanes' bits in order. A ragged tail
+/// packs bit by bit.
+fn pack_flags(flags: &[u8], bits: &mut [u64]) {
+    for (word, lanes) in bits.iter_mut().zip(flags.chunks(64)) {
+        let mut w = 0u64;
+        let mut eights = lanes.chunks_exact(8);
+        for (g, e) in (&mut eights).enumerate() {
+            let x = u64::from_le_bytes([e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7]]);
+            w |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+        }
+        let tail = lanes.len() & !7;
+        for (i, &f) in eights.remainder().iter().enumerate() {
+            w |= u64::from(f) << (tail + i);
+        }
+        *word = w;
     }
 }
 
@@ -562,45 +669,10 @@ impl BlockEval for TileScratch {
         &self.payments
     }
 
-    /// Reconstruct one lane's held-offer list (menu order) from the last
-    /// collect walk's adoption bitmap. Adopting an offer node drops
-    /// every holding inside its subtree, so the final list is exactly
-    /// the adopted nodes without an adopted ancestor. Scanning set bits
-    /// highest-first visits ancestors before descendants (post-order ids
-    /// grow rootward) and later trees before earlier ones; each emitted
-    /// node masks off its whole subtree `[subtree_start[n], n]` in O(1)
-    /// word ops, so what survives is the maximal adopted set. Emitted
-    /// subtree intervals are pairwise disjoint and ids are tree-segment
-    /// ordered, so one global reverse yields the row-walk's menu-order
-    /// list.
-    fn take_offers(&mut self, store: &MenuStore, lane: usize) -> Vec<u32> {
-        let shape = &store.shape;
-        let wpl = self.wpl;
-        self.readout.copy_from_slice(&self.flag_words[lane * wpl..(lane + 1) * wpl]);
-        let buf = &mut self.readout[..];
-        let mut out = Vec::new();
-        let mut wi = wpl;
-        while wi > 0 {
-            wi -= 1;
-            while buf[wi] != 0 {
-                let bit = 63 - buf[wi].leading_zeros() as usize;
-                let n = wi * 64 + bit;
-                out.push(n as u32);
-                let s = shape.subtree_start[n] as usize;
-                let sw = s >> 6;
-                if sw == wi {
-                    buf[wi] &= !((!0u64 << (s & 63)) & (!0u64 >> (63 - bit)));
-                } else {
-                    buf[wi] &= !(!0u64 >> (63 - bit));
-                    for w in &mut buf[sw + 1..wi] {
-                        *w = 0;
-                    }
-                    buf[sw] &= !(!0u64 << (s & 63));
-                }
-            }
-        }
-        out.reverse();
-        out
+    /// One lane's held offers (menu order) from the last collect walk's
+    /// held-offer CSR, as an exact-size copy.
+    fn take_offers(&mut self, lane: usize) -> Vec<u32> {
+        self.offers[self.offer_ptr[lane]..self.offer_ptr[lane + 1]].to_vec()
     }
 }
 

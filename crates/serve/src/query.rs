@@ -40,10 +40,12 @@
 //!
 //! Every batch method is validate → drive → ordered fold or flatten. The
 //! private driver takes a user source (an id batch, or the whole market
-//! with block ids generated on the fly), fans the fixed chunks out once
-//! with one block evaluator per worker, and hands each block to the
-//! method's sink; the sink decides what a block contributes (payments,
-//! assignments, a revenue fold, a marginal double walk).
+//! with block ids generated on the fly), cuts it into tasks of whole §6
+//! chunks, fans them out with one block evaluator per worker, and hands
+//! each block — which may straddle chunk boundaries — to the method's
+//! sink with its chunk cut points; the sink decides what a block
+//! contributes (payments, assignments, per-chunk revenue folds, a
+//! marginal double walk).
 
 use crate::index::{MenuIndex, MenuStore};
 use crate::kernel::{BlockEval, KernelKind, TileScratch};
@@ -134,6 +136,15 @@ enum Source<'a> {
     All(usize),
 }
 
+impl Source<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Source::Ids(ids) => ids.len(),
+            Source::All(n) => n,
+        }
+    }
+}
+
 impl MenuIndex {
     /// Reject any queried id that is not a consumer of the compiled
     /// market, naming the first offender. The scan is separate from the
@@ -178,7 +189,7 @@ impl MenuIndex {
         let parts = self.drive(
             Source::Ids(users),
             self.evaluator(),
-            |store, eval, blk, out: &mut Vec<f64>| {
+            |store, eval, blk, _, out: &mut Vec<f64>| {
                 eval.eval_block(store, blk, false);
                 out.extend_from_slice(&eval.payments()[..blk.len()]);
             },
@@ -251,32 +262,39 @@ impl MenuIndex {
 
     /// Assignments of a validated source, in source order.
     fn assignments(&self, users: Source<'_>) -> Vec<Assignment> {
-        let parts = self.drive(users, self.evaluator(), |store, eval, blk, out: &mut Vec<_>| {
+        let parts = self.drive(users, self.evaluator(), |store, eval, blk, _, out: &mut Vec<_>| {
             eval.eval_block(store, blk, true);
             for (lane, &user) in blk.iter().enumerate() {
-                let offers = eval.take_offers(store, lane);
+                let offers = eval.take_offers(lane);
                 out.push(Assignment { user, payment: eval.payments()[lane], offers });
             }
         });
-        parts.into_iter().flatten().collect()
+        let mut out = Vec::with_capacity(users.len());
+        for part in parts {
+            out.extend(part);
+        }
+        out
     }
 
     /// Expected revenue of a validated source: per chunk, the payments
-    /// summed left to right from `+0.0` (blocks split a chunk front to
-    /// back, lanes are in user order), then the chunk partials folded in
-    /// chunk order — the sequential chunked fold, at any thread count.
+    /// summed left to right from `+0.0` (lanes are in user order, blocks
+    /// run front to back, and a chunk never spans two tasks), then the
+    /// chunk partials folded in chunk order — the sequential chunked
+    /// fold, at any thread count and block width.
     fn revenue(&self, users: Source<'_>) -> f64 {
-        let parts = self.drive(users, self.evaluator(), |store, eval, blk, total: &mut f64| {
-            eval.eval_block(store, blk, false);
-            *total = eval.payments()[..blk.len()].iter().fold(*total, |a, &p| a + p);
-        });
-        parts.into_iter().fold(0.0f64, |a, s| a + s)
+        let parts =
+            self.drive(users, self.evaluator(), |store, eval, blk, cuts, parts: &mut Vec<f64>| {
+                eval.eval_block(store, blk, false);
+                fold_chunks(parts, &eval.payments()[..blk.len()], cuts);
+            });
+        parts.into_iter().flatten().fold(0.0f64, |a, s| a + s)
     }
 
     /// Marginal revenue over a validated source. The sink always uses the
     /// tile evaluator: per block it scatters once, walks the compiled
     /// prices keeping the tile, then walks the perturbed table consuming
-    /// it. Both totals fold exactly as [`MenuIndex::revenue`] does.
+    /// it. Both totals fold exactly as [`MenuIndex::revenue`] does, each
+    /// into its own list of chunk partials.
     fn marginal(
         &self,
         offer: u32,
@@ -287,17 +305,17 @@ impl MenuIndex {
         let parts = self.drive(
             users,
             TileScratch::new,
-            |store, tile, blk, (base, pert): &mut (f64, f64)| {
+            |store, tile, blk, cuts, (base, pert): &mut (Vec<f64>, Vec<f64>)| {
                 let b = blk.len();
                 tile.scatter_block(store, blk);
                 tile.walk_block(store, &store.shape.prices, b, false, false);
-                *base = tile.payments()[..b].iter().fold(*base, |a, &p| a + p);
+                fold_chunks(base, &tile.payments()[..b], cuts);
                 tile.walk_block(store, &perturbed, b, false, true);
-                *pert = tile.payments()[..b].iter().fold(*pert, |a, &p| a + p);
+                fold_chunks(pert, &tile.payments()[..b], cuts);
             },
         );
-        let (base, perturbed) =
-            parts.into_iter().fold((0.0f64, 0.0f64), |a, s| (a.0 + s.0, a.1 + s.1));
+        let base = parts.iter().flat_map(|p| &p.0).fold(0.0f64, |a, &s| a + s);
+        let perturbed = parts.iter().flat_map(|p| &p.1).fold(0.0f64, |a, &s| a + s);
         Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
     }
 
@@ -313,35 +331,41 @@ impl MenuIndex {
         }
     }
 
-    /// The query loop every batch method runs. Cuts the source at the
-    /// fixed §6 chunk boundaries (`effective_chunk_size(len, 0)`) and fans
-    /// the chunks out once; each worker builds one evaluator,
-    /// `make(store, width)`, with the block width capped at the chunk
-    /// length (a 16-id point query builds a 1-lane tile, not a 512-lane
-    /// one), and hands every block of each chunk, front to back, to
-    /// `sink` along with that chunk's partial. Partials return in chunk
-    /// order. Reusing one evaluator across chunks is bit-safe: block width
-    /// never changes a lane's bits, and every evaluation overwrites the
-    /// lanes it reports (the tile consumes itself back to all-zero).
+    /// The query loop every batch method runs. The block width is the
+    /// index's block capped at the batch length (a 16-id point query runs
+    /// one 16-lane block). The batch is cut into **tasks** — each the
+    /// shortest run of whole §6 chunks (`effective_chunk_size(len, 0)`)
+    /// at least one block wide — fanned out once; each worker builds one
+    /// evaluator, `make(store, width)`, and hands every block of its
+    /// tasks, front to back, to `sink` along with the task's partial and
+    /// the block's **cuts**: the lane offsets at which a new chunk starts
+    /// inside the block (a task's first block always opens with `0`).
+    /// Blocks are independent of chunks, so one block may end a chunk and
+    /// open the next; a chunk never spans two tasks, so a sink that folds
+    /// lanes into per-chunk partials ([`fold_chunks`]) sees every chunk's
+    /// lanes in order. Partials return in task order. Reusing one
+    /// evaluator across tasks is bit-safe: block width never changes a
+    /// lane's bits, and every evaluation overwrites the lanes it reports
+    /// (the tile consumes itself back to all-zero).
     fn drive<E, P: Default + Send>(
         &self,
         users: Source<'_>,
         make: impl Fn(&MenuStore, usize) -> E + Sync,
-        sink: impl Fn(&MenuStore, &mut E, &[u32], &mut P) + Sync,
+        sink: impl Fn(&MenuStore, &mut E, &[u32], &[usize], &mut P) + Sync,
     ) -> Vec<P> {
         let store = &*self.store;
-        let len = match users {
-            Source::Ids(ids) => ids.len(),
-            Source::All(n) => n,
-        };
+        let len = users.len();
         let chunk = effective_chunk_size(len, 0);
-        let width = self.block().min(chunk);
-        let init = || (make(store, width), Vec::new());
-        revmax_par::par_index_map_with(self.threads, len.div_ceil(chunk), init, |(eval, buf), k| {
-            let (lo, hi) = (k * chunk, (k * chunk + chunk).min(len));
+        let width = self.block().min(len).max(1);
+        let task = width.div_ceil(chunk) * chunk;
+        let init = || (make(store, width), Vec::new(), Vec::new());
+        let run = |(eval, buf, cuts): &mut (E, Vec<u32>, Vec<usize>), t: usize| {
+            let (lo, hi) = (t * task, (t * task + task).min(len));
             let mut part = P::default();
             for start in (lo..hi).step_by(width) {
                 let end = (start + width).min(hi);
+                cuts.clear();
+                cuts.extend((start.next_multiple_of(chunk)..end).step_by(chunk).map(|c| c - start));
                 let blk = match users {
                     Source::Ids(ids) => &ids[start..end],
                     Source::All(_) => {
@@ -350,10 +374,11 @@ impl MenuIndex {
                         &buf[..]
                     }
                 };
-                sink(store, eval, blk, &mut part);
+                sink(store, eval, blk, cuts, &mut part);
             }
             part
-        })
+        };
+        revmax_par::par_index_map_with(self.threads, len.div_ceil(task), init, run)
     }
 
     /// The perturbed price table of a marginal-revenue query, or the
@@ -371,6 +396,23 @@ impl MenuIndex {
         let mut prices = shape.prices.clone();
         prices[offer as usize] = moved;
         Ok(prices)
+    }
+}
+
+/// Fold a block's per-lane values, in order, into a task's per-chunk
+/// partials: lanes before the first cut continue the open partial, and
+/// every cut opens a fresh one from `+0.0`.
+fn fold_chunks(parts: &mut Vec<f64>, lanes: &[f64], cuts: &[usize]) {
+    let mut lo = 0;
+    for &cut in cuts.iter().chain([&lanes.len()]) {
+        if lo < cut {
+            let open = parts.last_mut().expect("a task's first block opens a chunk");
+            *open = lanes[lo..cut].iter().fold(*open, |a, &p| a + p);
+        }
+        if cut < lanes.len() {
+            parts.push(0.0);
+        }
+        lo = cut;
     }
 }
 

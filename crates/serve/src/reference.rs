@@ -197,7 +197,7 @@ impl BlockEval for RowScratch {
         &self.payments
     }
 
-    fn take_offers(&mut self, _store: &MenuStore, lane: usize) -> Vec<u32> {
+    fn take_offers(&mut self, lane: usize) -> Vec<u32> {
         std::mem::take(&mut self.offers[lane])
     }
 }
