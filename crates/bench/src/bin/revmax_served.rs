@@ -10,11 +10,13 @@
 //! ephemeral port, which is printed), `scale` (tiny|small|medium),
 //! `seed`, `theta`, `methods` (CSV of registry names/aliases; the first
 //! method's whole-market cell is the served menu), `cohorts`, `workers`
-//! (query worker threads), `queue` (bounded request-queue capacity — the
-//! admission-control knob), `coalesce` (max extra same-kind requests per
-//! batched call; 0 disables), `query_threads` (`revmax-par` threads per
-//! batched call; results are bit-identical at any value), `compact_at`
-//! (`MarketLog` compaction threshold; 0 disables).
+//! (how many queries may execute at once; connection threads run them,
+//! there are no worker threads), `queue` (bounded request-queue capacity
+//! — the admission-control knob), `coalesce` (max extra same-kind
+//! requests per batched call; 0 disables), `query_threads`
+//! (`revmax-par` threads per batched call; results are bit-identical at
+//! any value), `compact_at` (`MarketLog` compaction threshold; 0
+//! disables).
 //!
 //! The daemon solves once up front, prints `listening on <addr>`, and
 //! from then on every swap happens off the request path in the churn

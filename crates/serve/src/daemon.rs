@@ -2,21 +2,24 @@
 //!
 //! Everything below is `std`-only (`std::net` blocking sockets,
 //! `std::thread`, `Mutex`/`Condvar`), matching the workspace's `vendor/`
-//! philosophy. The process is four kinds of thread around two shared
+//! philosophy. The process is three kinds of thread around two shared
 //! structures:
 //!
 //! * **Connection threads** (one per accepted socket) read
 //!   [`proto`] frames, decode them totally (a malformed
 //!   frame gets an error response, never a panic), and either answer
-//!   inline (`SwapStats`, `MutateMarket` enqueue, `Shutdown`) or push a
-//!   query job into the **bounded request queue** and relay the reply.
-//! * **Worker threads** drain the queue. A worker pops one job and then
-//!   **coalesces**: it keeps popping while the queue front is the same
-//!   kind of point query, concatenates the id batches, executes ONE
-//!   batched [`MenuIndex`] call in the shapes `serve_bench` proves fast,
-//!   and splits the results back per request. Coalescing is invisible in
-//!   the results: per-user evaluation is independent, and a revenue
-//!   request's fold is re-applied per request via
+//!   inline (`SwapStats`, `MutateMarket` enqueue, `Shutdown`) or run the
+//!   query themselves. A query first takes one of
+//!   [`DaemonConfig::workers`] **permits**. With a permit free and
+//!   nothing queued, the thread that read the query executes it: no
+//!   job, no channel, no thread handoff. Otherwise the query waits in the
+//!   **bounded request queue**, and whichever thread holds a permit
+//!   **drains** it before giving the permit back. Draining
+//!   **coalesces**: it pops a same-kind run of point queries, executes
+//!   ONE batched [`MenuIndex`] call in the shapes `serve_bench` proves
+//!   fast, and splits the results back per request. Coalescing is
+//!   invisible in the results: per-user evaluation is independent, and a
+//!   revenue request's fold is re-applied per request via
 //!   [`chunked_payment_fold`], which is bit-identical to
 //!   [`MenuIndex::try_expected_revenue`] on that request alone.
 //! * **The churn thread** owns the [`MarketLog`] and the retained
@@ -31,7 +34,7 @@
 //! ([`DaemonConfig::queue_cap`]). When it is full the connection thread
 //! answers [`ErrorCode::Overloaded`] immediately instead of queueing
 //! unbounded latency — the client retries; the daemon's tail stays flat.
-//! Per-endpoint latency (enqueue → reply) lands in a log₂-bucketed
+//! Per-endpoint latency (admission → reply) lands in a log₂-bucketed
 //! [`LatencyHistogram`] whose quantiles export through
 //! [`Request::SwapStats`] and, in the `loadgen` bin, BENCH_JSON.
 
@@ -45,21 +48,21 @@ use revmax_core::marketlog::{Event, MarketLog};
 use revmax_engine::{CacheStats, LiveEngine};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Tile block width of the daemon's indexes. Its queries are tens to a
 /// few hundred ids (a point query, a coalesced run, an `All` over a
-/// served market), answered by many workers that each build a tile per
-/// query. Sixteen lanes hold a typical point query in one block; wider
-/// tiles for `All` and coalesced runs bought no throughput and raised
-/// the fleet's peak RSS (`DESIGN.md` §9.3).
+/// served market), answered on many connection threads that each build a
+/// tile per query. Sixteen lanes hold a typical point query in one block;
+/// wider tiles for `All` and coalesced runs bought no throughput and
+/// raised the fleet's peak RSS (`DESIGN.md` §9.3).
 const QUERY_BLOCK: usize = 16;
 
-/// The daemon's index over a solved menu: its worker fan-out and
-/// [`QUERY_BLOCK`].
+/// The daemon's index over a solved menu: its per-query thread fan-out
+/// and [`QUERY_BLOCK`].
 fn serving_index(market: &Market, config: &BundleConfig, cfg: &DaemonConfig) -> MenuIndex {
     MenuIndex::compile(market, config).with_threads(cfg.query_threads).with_block(QUERY_BLOCK)
 }
@@ -68,17 +71,20 @@ fn serving_index(market: &Market, config: &BundleConfig, cfg: &DaemonConfig) -> 
 /// the `revmax-served` bin maps its CLI keys onto these.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Query worker threads draining the request queue.
+    /// How many queries may execute at once: the number of permits
+    /// connection threads take to run a query (their own, or a queued
+    /// run they drain). There are no worker threads.
     pub workers: usize,
     /// Bounded request-queue capacity — the admission-control knob.
-    /// Requests beyond it are shed with [`ErrorCode::Overloaded`].
+    /// Requests that find every permit taken wait here; beyond the cap
+    /// they are shed with [`ErrorCode::Overloaded`].
     pub queue_cap: usize,
-    /// Maximum number of *extra* same-kind requests a worker folds into
+    /// Maximum number of *extra* same-kind requests a drain folds into
     /// one batched call (0 disables coalescing).
     pub coalesce: usize,
-    /// `revmax-par` threads per batched query (workers are the daemon's
-    /// parallelism, so 1 is the right default; results are bit-identical
-    /// at any value).
+    /// `revmax-par` threads per batched query (the permits are the
+    /// daemon's parallelism, so 1 is the right default; results are
+    /// bit-identical at any value).
     pub query_threads: usize,
     /// Configurator methods for the churn thread's incremental re-solves
     /// (registry names/aliases; the first method's whole-market cell is
@@ -171,14 +177,14 @@ enum QueryKind {
     },
 }
 
-/// One admitted point query waiting for a worker.
+/// One admitted point query waiting in the queue for a permit holder.
 struct Job {
     kind: QueryKind,
     /// `None` = whole market (the `*_all` paths, which materialize no id
     /// batch); `Some` = an explicit id batch.
     ids: Option<Vec<u32>>,
     reply: mpsc::Sender<Response>,
-    enqueued: Instant,
+    admitted: Instant,
 }
 
 impl Job {
@@ -189,63 +195,167 @@ impl Job {
     }
 }
 
-/// Bounded MPMC queue on `Mutex<VecDeque>` + `Condvar`. `try_push` is the
-/// admission decision; `pop_coalesced` is the worker side, returning a
-/// same-kind run of jobs from the queue front.
+/// What [`JobQueue`]'s lock guards.
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Permits held: queries executing (or runs being drained) right now.
+    running: usize,
+    /// Set by shutdown; admission refuses from then on.
+    closed: bool,
+}
+
+/// The bounded request queue and the execution permits, under one lock.
+///
+/// Invariant: a job is only ever queued while some thread holds a
+/// permit, and a holder returns its permit only under the lock that sees
+/// the queue empty ([`JobQueue::drain`]). So no admitted job is left
+/// without a thread to run it.
 struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
+    state: Mutex<QueueState>,
+    /// Signalled when a closed queue goes idle ([`JobQueue::wait_idle`]).
+    idle: Condvar,
     cap: usize,
+    permits: usize,
+    /// Extra same-kind jobs a drain folds into one run.
+    coalesce: usize,
+}
+
+/// The right to execute queries, taken at admission. Returned by
+/// [`JobQueue::drain`] once the queue is empty, or on drop — which only
+/// happens while a holder unwinds from a panicking query.
+struct Permit<'q> {
+    queue: &'q JobQueue,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.queue.release(&mut self.queue.lock());
+    }
+}
+
+/// The outcome of [`JobQueue::admit`].
+enum Admission<'q> {
+    /// Nothing queued and a permit was free: run the query on this thread
+    /// (its ids handed back), then [`JobQueue::drain`].
+    Run(Permit<'q>, Option<Vec<u32>>),
+    /// The query was queued; its reply arrives on the receiver. With a
+    /// permit, this thread took a free one and drains (its own job
+    /// included) before it waits for the reply.
+    Queued(mpsc::Receiver<Response>, Option<Permit<'q>>),
+    /// The queue is at capacity.
+    Overloaded,
+    /// Shutdown has begun.
+    ShuttingDown,
 }
 
 impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue { jobs: Mutex::new(VecDeque::new()), ready: Condvar::new(), cap: cap.max(1) }
-    }
-
-    /// Admit `job` unless the queue is at capacity. Returns the job back
-    /// on refusal so the caller can answer `Overloaded`.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if q.len() >= self.cap {
-            return Err(job);
+    fn new(cap: usize, permits: usize, coalesce: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState { jobs: VecDeque::new(), running: 0, closed: false }),
+            idle: Condvar::new(),
+            cap: cap.max(1),
+            permits: permits.max(1),
+            coalesce,
         }
-        q.push_back(job);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
     }
 
-    /// Pop the front job plus up to `max_extra` directly-following jobs
-    /// that can share one batched call: same kind, and only explicit-id
-    /// batches coalesce (an `All` query runs alone on the whole-market
-    /// path). Blocks until a job arrives; returns `None` once
-    /// the queue is empty *and* `stop` is set — pending jobs are always
-    /// drained before workers exit.
-    fn pop_coalesced(&self, max_extra: usize, stop: &AtomicBool) -> Option<Vec<Job>> {
-        let mut q = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
+    /// The lock is never held while a query executes, so poisoning can
+    /// only come from a panic inside this module's own bookkeeping; the
+    /// state stays consistent either way.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The admission decision for one query, in one critical section.
+    fn admit(&self, kind: QueryKind, ids: Option<Vec<u32>>, admitted: Instant) -> Admission<'_> {
+        let mut st = self.lock();
+        if st.closed {
+            return Admission::ShuttingDown;
+        }
+        let permit_free = st.running < self.permits;
+        if permit_free && st.jobs.is_empty() {
+            st.running += 1;
+            return Admission::Run(Permit { queue: self }, ids);
+        }
+        if st.jobs.len() >= self.cap {
+            return Admission::Overloaded;
+        }
+        let (reply, rx) = mpsc::channel();
+        st.jobs.push_back(Job { kind, ids, reply, admitted });
+        let permit = if permit_free {
+            st.running += 1;
+            Some(Permit { queue: self })
+        } else {
+            None
+        };
+        Admission::Queued(rx, permit)
+    }
+
+    /// Run queued work with `permit` until the queue is empty, then return
+    /// the permit under the same lock that saw it empty. Each run is the
+    /// front job plus up to `coalesce` directly-following jobs that can
+    /// share one batched call: same kind, and only explicit-id batches
+    /// coalesce (an `All` or marginal query runs alone). Never blocks.
+    fn drain(&self, permit: Permit<'_>, mut run: impl FnMut(Vec<Job>)) {
         loop {
-            if let Some(first) = q.pop_front() {
-                let mut batch = vec![first];
-                while batch[0].coalesces() && batch.len() <= max_extra {
-                    match q.front() {
-                        Some(j) if j.kind == batch[0].kind && j.coalesces() => {
-                            batch.push(q.pop_front().expect("front just probed"));
-                        }
-                        _ => break,
+            let mut st = self.lock();
+            let Some(first) = st.jobs.pop_front() else {
+                std::mem::forget(permit);
+                self.release(&mut st);
+                return;
+            };
+            let mut batch = vec![first];
+            while batch[0].coalesces() && batch.len() <= self.coalesce {
+                match st.jobs.front() {
+                    Some(j) if j.kind == batch[0].kind && j.coalesces() => {
+                        batch.push(st.jobs.pop_front().expect("front just probed"));
                     }
+                    _ => break,
                 }
-                return Some(batch);
             }
-            if stop.load(Ordering::Acquire) {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
+            drop(st);
+            run(batch);
         }
     }
 
-    fn wake_all(&self) {
-        self.ready.notify_all();
+    /// Refuse admission from now on.
+    fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        self.notify_if_idle(&st);
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Give one permit back under the lock.
+    fn release(&self, st: &mut QueueState) {
+        st.running -= 1;
+        if st.running == 0 {
+            // Empty unless the last holder unwound mid-drain: no thread is
+            // left to run these jobs, so drop them and let their connection
+            // threads see the reply channel close, not wait forever.
+            st.jobs.clear();
+        }
+        self.notify_if_idle(st);
+    }
+
+    /// Only [`JobQueue::wait_idle`] waits, and only on a closed queue, so
+    /// open queues skip the wake-up.
+    fn notify_if_idle(&self, st: &QueueState) {
+        if st.closed && st.running == 0 && st.jobs.is_empty() {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Block until the queue is closed, no permit is held and nothing is
+    /// queued: every admitted query has been executed.
+    fn wait_idle(&self) {
+        let mut st = self.lock();
+        while !st.closed || st.running > 0 || !st.jobs.is_empty() {
+            st = self.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -276,7 +386,6 @@ impl Counters {
 struct Shared {
     handle: ServeHandle,
     queue: JobQueue,
-    shutdown: AtomicBool,
     counters: Counters,
     assign_hist: LatencyHistogram,
     revenue_hist: LatencyHistogram,
@@ -322,7 +431,6 @@ pub struct Daemon {
     shared: Arc<Shared>,
     churn_tx: mpsc::Sender<ChurnMsg>,
     accept: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
     churn: JoinHandle<()>,
 }
 
@@ -347,8 +455,7 @@ impl Daemon {
 
         let shared = Arc::new(Shared {
             handle: handle.clone(),
-            queue: JobQueue::new(cfg.queue_cap),
-            shutdown: AtomicBool::new(false),
+            queue: JobQueue::new(cfg.queue_cap, cfg.workers, cfg.coalesce),
             counters: Counters::default(),
             assign_hist: LatencyHistogram::new(),
             revenue_hist: LatencyHistogram::new(),
@@ -362,21 +469,13 @@ impl Daemon {
             std::thread::spawn(move || churn_loop(market, live, churn_rx, shared, cfg))
         };
 
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let coalesce = cfg.coalesce;
-                std::thread::spawn(move || worker_loop(shared, coalesce))
-            })
-            .collect();
-
         let accept = {
             let shared = Arc::clone(&shared);
             let churn_tx = churn_tx.clone();
             let max_frame = cfg.max_frame;
             std::thread::spawn(move || {
                 for conn in listener.incoming() {
-                    if shared.shutdown.load(Ordering::Acquire) {
+                    if shared.queue.is_closed() {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
@@ -392,7 +491,7 @@ impl Daemon {
             })
         };
 
-        Ok(Daemon { addr, shared, churn_tx, accept, workers, churn })
+        Ok(Daemon { addr, shared, churn_tx, accept, churn })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
@@ -419,23 +518,21 @@ impl Daemon {
     }
 
     /// Block until the daemon has shut down (a [`Request::Shutdown`]
-    /// frame arrived or [`Daemon::request_shutdown`] was called) and all
-    /// worker/churn/accept threads have drained and exited.
+    /// frame arrived or [`Daemon::request_shutdown`] was called), every
+    /// admitted query has been executed — no permit is held and nothing
+    /// is queued — and the churn and accept threads have exited.
     pub fn join(self) {
         let _ = self.accept.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.shared.queue.wait_idle();
         let _ = self.churn.join();
     }
 }
 
-/// Flip the shutdown flag and unblock every parked thread: workers (via
-/// the queue condvar), the churn thread (via a `Stop` message), and the
-/// accept loop (via a wake-up connection to ourselves).
+/// Close admission and unblock every parked thread: [`Daemon::join`] (via
+/// the queue's idle condvar), the churn thread (via a `Stop` message),
+/// and the accept loop (via a wake-up connection to ourselves).
 fn initiate_shutdown(shared: &Shared, churn_tx: &mpsc::Sender<ChurnMsg>, addr: SocketAddr) {
-    shared.shutdown.store(true, Ordering::Release);
-    shared.queue.wake_all();
+    shared.queue.close();
     let _ = churn_tx.send(ChurnMsg::Stop);
     drop(TcpStream::connect(addr));
 }
@@ -498,9 +595,7 @@ fn connection_loop(
             Request::MutateMarket(events) => {
                 let n = events.len() as u64;
                 let generation = shared.handle.generation();
-                if shared.shutdown.load(Ordering::Acquire)
-                    || churn_tx.send(ChurnMsg::Batch(events)).is_err()
-                {
+                if shared.queue.is_closed() || churn_tx.send(ChurnMsg::Batch(events)).is_err() {
                     send(&mut stream, &error(ErrorCode::ShuttingDown, SHUTTING_DOWN))
                 } else {
                     send(&mut stream, &Response::MutateAck { accepted: n, generation })
@@ -522,42 +617,76 @@ fn connection_loop(
     }
 }
 
-/// Admit one point query (or shed it), wait for the worker's reply, and
-/// write it back. Returns false when the connection died.
+/// Admit one point query (or shed it), get its answer, and write it
+/// back. Returns false when the connection died.
+///
+/// No socket is written while a permit is held: the answer goes out
+/// after the drain has returned the permit, so a client that stops
+/// reading stalls only its own connection, never the daemon's capacity.
 fn handle_query(stream: &mut TcpStream, shared: &Shared, kind: QueryKind, sel: UserSel) -> bool {
-    if shared.shutdown.load(Ordering::Acquire) {
-        return send(stream, &error(ErrorCode::ShuttingDown, SHUTTING_DOWN));
-    }
-    let (tx, rx) = mpsc::channel();
     let ids = match sel {
         UserSel::All => None,
         UserSel::Ids(ids) => Some(ids),
     };
     // audit: allow(wall-clock) queue-latency histogram timestamp; responses never read it
-    let job = Job { kind, ids, reply: tx, enqueued: Instant::now() };
-    if shared.queue.try_push(job).is_err() {
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        return send(stream, &error(ErrorCode::Overloaded, "request queue full, retry"));
-    }
-    match rx.recv() {
-        Ok(resp) => send(stream, &resp),
-        Err(_) => false, // workers dropped the job during shutdown drain
-    }
+    let admitted = Instant::now();
+    let drain = |permit| shared.queue.drain(permit, |jobs| execute_batch(shared, jobs));
+    let resp = match shared.queue.admit(kind, ids, admitted) {
+        Admission::Run(permit, ids) => {
+            let resp = answer(shared, &shared.handle.current(), kind, ids.as_deref());
+            record_latency(shared, kind, admitted);
+            drain(permit);
+            resp
+        }
+        Admission::Queued(rx, permit) => {
+            if let Some(permit) = permit {
+                drain(permit);
+            }
+            match rx.recv() {
+                Ok(resp) => resp,
+                Err(_) => return false, // its drain unwound from a panic
+            }
+        }
+        Admission::Overloaded => {
+            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+            error(ErrorCode::Overloaded, "request queue full, retry")
+        }
+        Admission::ShuttingDown => error(ErrorCode::ShuttingDown, SHUTTING_DOWN),
+    };
+    send(stream, &resp)
 }
 
 // ---------------------------------------------------------------------
-// Worker threads
+// Query execution (on whichever connection thread holds the permit)
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: Arc<Shared>, coalesce: usize) {
-    while let Some(jobs) = shared.queue.pop_coalesced(coalesce, &shared.shutdown) {
-        execute_batch(&shared, jobs);
+/// Answer one query on its own against `index`: an id batch or the whole
+/// market, for any kind. Both the direct path and a drained run of one
+/// call this; a query error becomes a typed `Query` response.
+fn answer(shared: &Shared, index: &MenuIndex, kind: QueryKind, ids: Option<&[u32]>) -> Response {
+    let result = match (kind, ids) {
+        (QueryKind::Assign, Some(ids)) => index.try_assign(ids).map(Response::Assignments),
+        (QueryKind::Assign, None) => Ok(Response::Assignments(index.assign_all())),
+        (QueryKind::Revenue, Some(ids)) => index.try_expected_revenue(ids).map(Response::Revenue),
+        (QueryKind::Revenue, None) => Ok(Response::Revenue(index.expected_revenue_all())),
+        (QueryKind::Marginal { offer, dprice }, Some(ids)) => {
+            index.try_marginal_revenue(offer, dprice, ids).map(Response::Marginal)
+        }
+        (QueryKind::Marginal { offer, dprice }, None) => {
+            index.try_marginal_revenue_all(offer, dprice).map(Response::Marginal)
+        }
+    };
+    match result {
+        Ok(resp) => {
+            served(shared, kind);
+            resp
+        }
+        Err(e) => error(ErrorCode::Query, e),
     }
 }
 
-/// Execute one coalesced run of same-kind jobs against a single snapshot
-/// of the served index, split the results back per request, reply, and
-/// record per-endpoint latency.
+/// Execute one drained run of same-kind jobs against a single snapshot
+/// of the served index, split the results back per request, and reply.
 ///
 /// Coalescing is result-invisible: per-user evaluation is independent, so
 /// a combined `assign` batch answers every constituent request with
@@ -567,37 +696,14 @@ fn worker_loop(shared: Arc<Shared>, coalesce: usize) {
 /// [`MenuIndex::try_expected_revenue`] on that request alone.
 fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
     let index = shared.handle.current();
-    let kind = jobs[0].kind;
-    if jobs.len() > 1 {
-        shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
-    }
-
-    // Marginal what-ifs and whole-market queries run alone (they never
-    // coalesce): one call validates and answers either selector shape.
-    if !jobs[0].coalesces() {
-        debug_assert_eq!(jobs.len(), 1);
-        let job = jobs.pop().expect("one solo job");
-        let result = match (kind, job.ids.as_deref()) {
-            (QueryKind::Marginal { offer, dprice }, Some(ids)) => {
-                index.try_marginal_revenue(offer, dprice, ids).map(Response::Marginal)
-            }
-            (QueryKind::Marginal { offer, dprice }, None) => {
-                index.try_marginal_revenue_all(offer, dprice).map(Response::Marginal)
-            }
-            // A non-marginal solo job is a whole-market (`All`) query.
-            (QueryKind::Assign, _) => Ok(Response::Assignments(index.assign_all())),
-            (QueryKind::Revenue, _) => Ok(Response::Revenue(index.expected_revenue_all())),
-        };
-        let resp = match result {
-            Ok(resp) => {
-                served(shared, kind);
-                resp
-            }
-            Err(e) => error(ErrorCode::Query, e),
-        };
+    if jobs.len() == 1 {
+        let job = jobs.pop().expect("one job");
+        let resp = answer(shared, &index, job.kind, job.ids.as_deref());
         finish(shared, job, resp);
         return;
     }
+    let kind = jobs[0].kind;
+    shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
 
     // Validate every id batch up front so one bad request cannot spoil
     // the shared evaluation: invalid jobs answer a typed Query error,
@@ -634,7 +740,7 @@ fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
                 finish(shared, job, Response::Revenue(total));
             }
         }
-        QueryKind::Marginal { .. } => unreachable!("handled above"),
+        QueryKind::Marginal { .. } => unreachable!("marginal queries never coalesce"),
     }
 }
 
@@ -648,17 +754,22 @@ fn served(shared: &Shared, kind: QueryKind) {
     };
 }
 
-/// Reply to one job and record its endpoint latency (enqueue → reply).
-/// Marginal requests keep no exported histogram — the 17-field stats
-/// frame carries only the two steady-state endpoints' quantiles.
+/// Reply to one queued job and record its endpoint latency.
 fn finish(shared: &Shared, job: Job, resp: Response) {
-    let ns = job.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    match job.kind {
+    record_latency(shared, job.kind, job.admitted);
+    let _ = job.reply.send(resp);
+}
+
+/// Record one query's endpoint latency (admission → reply). Marginal
+/// requests keep no exported histogram — the 17-field stats frame
+/// carries only the two steady-state endpoints' quantiles.
+fn record_latency(shared: &Shared, kind: QueryKind, admitted: Instant) {
+    let ns = admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    match kind {
         QueryKind::Assign => shared.assign_hist.record(ns),
         QueryKind::Revenue => shared.revenue_hist.record(ns),
         QueryKind::Marginal { .. } => {}
     }
-    let _ = job.reply.send(resp);
 }
 
 // ---------------------------------------------------------------------
@@ -758,37 +869,62 @@ mod tests {
         assert_eq!(h.quantile(1.0), u64::MAX);
     }
 
-    fn job(kind: QueryKind, ids: Option<Vec<u32>>) -> (Job, mpsc::Receiver<Response>) {
-        let (tx, rx) = mpsc::channel();
-        (Job { kind, ids, reply: tx, enqueued: Instant::now() }, rx)
+    /// Admit a query on `q`, expecting it to run directly.
+    fn run_direct(q: &JobQueue) -> Permit<'_> {
+        match q.admit(QueryKind::Assign, Some(vec![0]), Instant::now()) {
+            Admission::Run(permit, _) => permit,
+            _ => panic!("expected the direct path"),
+        }
+    }
+
+    /// Admit a query on `q` while every permit is held, expecting it to
+    /// queue; returns its reply receiver.
+    fn queue(q: &JobQueue, kind: QueryKind, ids: Option<Vec<u32>>) -> mpsc::Receiver<Response> {
+        match q.admit(kind, ids, Instant::now()) {
+            Admission::Queued(rx, None) => rx,
+            _ => panic!("expected the job to queue behind a held permit"),
+        }
+    }
+
+    /// Drain `q` with `permit`, returning each run's `(kind, ids)` shape.
+    fn drained(q: &JobQueue, permit: Permit<'_>) -> Vec<Vec<(QueryKind, Option<Vec<u32>>)>> {
+        let mut runs = Vec::new();
+        q.drain(permit, |jobs| runs.push(jobs.into_iter().map(|j| (j.kind, j.ids)).collect()));
+        runs
     }
 
     #[test]
     fn queue_sheds_beyond_capacity_and_pops_fifo() {
-        let q = JobQueue::new(2);
-        let stop = AtomicBool::new(false);
-        let (a, _ra) = job(QueryKind::Assign, Some(vec![1]));
-        let (b, _rb) = job(QueryKind::Assign, Some(vec![2]));
-        let (c, _rc) = job(QueryKind::Assign, Some(vec![3]));
-        assert!(q.try_push(a).is_ok());
-        assert!(q.try_push(b).is_ok());
+        let q = JobQueue::new(2, 1, 0); // coalescing off
+        let permit = run_direct(&q);
+        let _ra = queue(&q, QueryKind::Assign, Some(vec![1]));
+        let _rb = queue(&q, QueryKind::Assign, Some(vec![2]));
         // Admission control: the third is refused, not queued.
-        assert!(q.try_push(c).is_err());
-        let batch = q.pop_coalesced(0, &stop).unwrap(); // coalescing off
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].ids, Some(vec![1]));
-        let batch = q.pop_coalesced(0, &stop).unwrap();
-        assert_eq!(batch[0].ids, Some(vec![2]));
-        // Empty + stop => workers exit.
-        stop.store(true, Ordering::Release);
-        assert!(q.pop_coalesced(0, &stop).is_none());
+        assert!(matches!(
+            q.admit(QueryKind::Assign, Some(vec![3]), Instant::now()),
+            Admission::Overloaded
+        ));
+        // One job per run, front to back.
+        let runs = drained(&q, permit);
+        let ids: Vec<_> = runs.iter().map(|r| r[0].1.clone()).collect();
+        assert_eq!(ids, [Some(vec![1]), Some(vec![2])]);
+        // The drain found the queue empty and gave the permit back: the
+        // next query runs directly again.
+        drop(run_direct(&q));
+        // Closed: admission refuses, and the idle queue does not block.
+        q.close();
+        assert!(matches!(
+            q.admit(QueryKind::Revenue, None, Instant::now()),
+            Admission::ShuttingDown
+        ));
+        q.wait_idle();
     }
 
     #[test]
     fn queue_coalesces_same_kind_id_runs_only() {
-        let q = JobQueue::new(16);
-        let stop = AtomicBool::new(false);
-        let keep: Vec<_> = [
+        let q = JobQueue::new(16, 1, 16);
+        let permit = run_direct(&q);
+        let _keep: Vec<_> = [
             (QueryKind::Revenue, Some(vec![1u32])),
             (QueryKind::Revenue, Some(vec![2])),
             (QueryKind::Revenue, Some(vec![3])),
@@ -797,42 +933,93 @@ mod tests {
             (QueryKind::Assign, Some(vec![5])),
         ]
         .into_iter()
-        .map(|(kind, ids)| {
-            let (j, rx) = job(kind, ids);
-            assert!(q.try_push(j).is_ok());
-            rx
-        })
+        .map(|(kind, ids)| queue(&q, kind, ids))
         .collect();
 
-        let batch = q.pop_coalesced(16, &stop).unwrap();
-        assert_eq!(batch.len(), 3, "three revenue id-jobs coalesce");
-        assert!(batch.iter().all(|j| j.kind == QueryKind::Revenue));
-        let batch = q.pop_coalesced(16, &stop).unwrap();
-        assert_eq!(batch.len(), 1, "assign job stops at the All job");
-        assert_eq!(batch[0].ids, Some(vec![4]));
-        let batch = q.pop_coalesced(16, &stop).unwrap();
-        assert_eq!(batch.len(), 1, "All runs alone");
-        assert!(batch[0].ids.is_none());
-        let batch = q.pop_coalesced(16, &stop).unwrap();
-        assert_eq!(batch[0].ids, Some(vec![5]));
-        drop(keep);
+        let runs = drained(&q, permit);
+        let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+        assert_eq!(lens, [3, 1, 1, 1], "three revenue id-jobs coalesce; All runs alone");
+        assert!(runs[0].iter().all(|(k, _)| *k == QueryKind::Revenue));
+        assert_eq!(runs[1][0].1, Some(vec![4]), "assign job stops at the All job");
+        assert!(runs[2][0].1.is_none());
+        assert_eq!(runs[3][0].1, Some(vec![5]));
     }
 
     #[test]
     fn coalesce_budget_caps_the_run() {
-        let q = JobQueue::new(16);
-        let stop = AtomicBool::new(false);
-        let keep: Vec<_> = (0..5)
-            .map(|k| {
-                let (j, rx) = job(QueryKind::Assign, Some(vec![k]));
-                assert!(q.try_push(j).is_ok());
-                rx
-            })
-            .collect();
-        let batch = q.pop_coalesced(2, &stop).unwrap();
-        assert_eq!(batch.len(), 3, "1 + max_extra");
-        let batch = q.pop_coalesced(2, &stop).unwrap();
-        assert_eq!(batch.len(), 2);
-        drop(keep);
+        let q = JobQueue::new(16, 1, 2);
+        let permit = run_direct(&q);
+        let _keep: Vec<_> = (0..5).map(|k| queue(&q, QueryKind::Assign, Some(vec![k]))).collect();
+        let lens: Vec<usize> = drained(&q, permit).iter().map(Vec::len).collect();
+        assert_eq!(lens, [3, 2], "1 + coalesce, then the rest");
+    }
+
+    #[test]
+    fn a_free_permit_is_taken_by_the_thread_that_queues() {
+        // Two permits, one held. A job queued behind the held one (only
+        // possible once a holder has unwound) takes the free permit in the
+        // same critical section and drains its own job.
+        let q = JobQueue::new(4, 2, 16);
+        let held = run_direct(&q);
+        let second = run_direct(&q);
+        let rx = queue(&q, QueryKind::Revenue, Some(vec![7]));
+        drop(second); // as if unwound: one permit free, one job queued
+        let Admission::Queued(_rx, Some(permit)) =
+            q.admit(QueryKind::Revenue, Some(vec![8]), Instant::now())
+        else {
+            panic!("expected to queue and take the free permit");
+        };
+        let runs = drained(&q, permit);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            runs[0].iter().map(|(_, ids)| ids.clone()).collect::<Vec<_>>(),
+            [Some(vec![7]), Some(vec![8])]
+        );
+        drop(rx);
+        drop(held);
+    }
+
+    #[test]
+    fn permit_comes_back_when_its_holder_panics() {
+        let q = JobQueue::new(4, 1, 16);
+        let permit = run_direct(&q);
+        let rx = queue(&q, QueryKind::Assign, Some(vec![1]));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.drain(permit, |_| panic!("query panicked"));
+        }));
+        assert!(unwound.is_err());
+        // The permit is back, and the job that panicked was dropped, so
+        // its connection thread sees the reply channel close.
+        assert!(rx.recv().is_err());
+        let permit = run_direct(&q);
+        // A job still queued when the last holder unwinds is dropped too,
+        // rather than waiting for a thread that will never come.
+        let rx = queue(&q, QueryKind::Revenue, Some(vec![2]));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = permit;
+            panic!("query panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(rx.recv().is_err());
+        drop(run_direct(&q));
+    }
+
+    #[test]
+    fn wait_idle_returns_only_after_the_last_permit() {
+        let q = JobQueue::new(4, 1, 16);
+        let released = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let permit = run_direct(&q);
+            q.close();
+            s.spawn(|| {
+                // The sleep only makes it likely that `wait_idle` is
+                // already blocked; the check below holds either way.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                released.store(true, Ordering::SeqCst);
+                q.drain(permit, |_| {});
+            });
+            q.wait_idle();
+            assert!(released.load(Ordering::SeqCst), "wait_idle returned while a permit was held");
+        });
     }
 }

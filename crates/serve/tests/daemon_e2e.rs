@@ -9,7 +9,9 @@
 //!   same event history,
 //! * malformed frames and out-of-range ids answer typed errors and never
 //!   kill the process,
-//! * `Shutdown` drains and `Daemon::join` returns.
+//! * `Shutdown` drains and `Daemon::join` returns, with queries in flight,
+//! * with one permit and eight connections, queued and coalesced queries
+//!   answer bit-identically to direct in-process calls.
 
 use revmax_core::market::Market;
 use revmax_core::marketlog::{Event, MarketLog};
@@ -18,6 +20,7 @@ use revmax_serve::proto::{self, Request, Response, UserSel};
 use revmax_serve::{Daemon, DaemonConfig, ErrorCode, MenuIndex};
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 fn tiny_market() -> Market {
@@ -271,21 +274,135 @@ fn marginal_revenue_opcode_answers_bit_exactly_over_the_wire() {
     daemon.join();
 }
 
-#[test]
-fn process_side_shutdown_drains_and_joins() {
-    let daemon = spawn_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
-    let mut stream = connect(&daemon);
-    match proto::roundtrip(&mut stream, &Request::ExpectedRevenue(UserSel::All)).unwrap() {
-        Response::Revenue(x) => assert!(x.is_finite()),
-        other => panic!("expected Revenue, got {other:?}"),
+/// Bit-compare two assignment lists (payments by their bits).
+fn assert_same_assignments(got: &[revmax_serve::Assignment], want: &[revmax_serve::Assignment]) {
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.user, w.user);
+        assert_eq!(g.payment.to_bits(), w.payment.to_bits(), "user {}", g.user);
+        assert_eq!(g.offers, w.offers, "user {}", g.user);
     }
+}
+
+/// Check one answer to an `Assign` / `ExpectedRevenue` query against the
+/// in-process index.
+fn check_answer(index: &MenuIndex, req: &Request, resp: Response) {
+    match (req, resp) {
+        (Request::ExpectedRevenue(UserSel::All), Response::Revenue(got)) => {
+            assert_eq!(got.to_bits(), index.expected_revenue_all().to_bits());
+        }
+        (Request::Assign(UserSel::Ids(ids)), Response::Assignments(got)) => {
+            assert_same_assignments(&got, &index.try_assign(ids).unwrap());
+        }
+        (Request::ExpectedRevenue(UserSel::Ids(ids)), Response::Revenue(got)) => {
+            assert_eq!(got.to_bits(), index.try_expected_revenue(ids).unwrap().to_bits());
+        }
+        (req, resp) => panic!("{req:?} answered {resp:?}"),
+    }
+}
+
+/// Interleaved 16-id `Assign` / `ExpectedRevenue` query `r` of client `c`.
+fn point_query(c: u32, r: u32, n_users: u32) -> Request {
+    let ids: Vec<u32> = (0..16).map(|k| (r * 31 + k * 7 + c * 11) % n_users).collect();
+    if (r + c).is_multiple_of(2) {
+        Request::Assign(UserSel::Ids(ids))
+    } else {
+        Request::ExpectedRevenue(UserSel::Ids(ids))
+    }
+}
+
+#[test]
+fn one_permit_eight_connections_queue_drain_and_coalesce_bit_exactly() {
+    // One permit, eight closed-loop connections: many queries find the
+    // permit held, queue, and are answered by whichever connection thread
+    // holds it, often coalesced with their neighbours.
+    const CONNS: u32 = 8;
+    const QUERIES: u32 = 150;
+    let daemon = spawn_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let index = daemon.handle().current();
+    let n_users = index.n_users() as u32;
+    let addr = daemon.addr();
+    std::thread::scope(|s| {
+        for c in 0..CONNS {
+            let index = &index;
+            s.spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("client connect");
+                stream.set_nodelay(true).unwrap();
+                for r in 0..QUERIES {
+                    let req = point_query(c, r, n_users);
+                    let resp = proto::roundtrip(&mut stream, &req).expect("query answered");
+                    check_answer(index, &req, resp);
+                }
+            });
+        }
+    });
+
+    let stats = daemon.stats();
+    assert_eq!(stats.generation, 0, "no churn: every answer came from one index");
+    assert_eq!(stats.shed, 0);
+    assert_eq!(
+        stats.served_assign + stats.served_revenue,
+        u64::from(CONNS * QUERIES),
+        "every query served exactly once"
+    );
     daemon.request_shutdown();
     daemon.join();
+}
 
-    // A new query on the old connection either fails outright (the
+#[test]
+fn process_side_shutdown_drains_and_joins() {
+    // Four connections keep queries in flight on a one-permit daemon
+    // while shutdown is requested: every query gets its correct answer
+    // or ShuttingDown, and `join` returns only once the queue is idle.
+    const CONNS: u32 = 4;
+    let daemon = spawn_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let index = daemon.handle().current();
+    let n_users = index.n_users() as u32;
+    let answered: [AtomicU64; CONNS as usize] = Default::default();
+    let mut streams: Vec<TcpStream> = (0..CONNS).map(|_| connect(&daemon)).collect();
+    std::thread::scope(|s| {
+        let clients: Vec<_> = streams
+            .iter_mut()
+            .enumerate()
+            .map(|(c, stream)| {
+                let (index, answered) = (&index, &answered[c]);
+                s.spawn(move || {
+                    for r in 0.. {
+                        let req = if r % 5 == 4 {
+                            Request::ExpectedRevenue(UserSel::All)
+                        } else {
+                            point_query(c as u32, r, n_users)
+                        };
+                        match proto::roundtrip(stream, &req).expect("query answered") {
+                            Response::Error { code: ErrorCode::ShuttingDown, .. } => return r,
+                            resp => check_answer(index, &req, resp),
+                        }
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
+                    unreachable!()
+                })
+            })
+            .collect();
+        // Shut down mid-stream, once every client is under way.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while answered.iter().any(|a| a.load(Ordering::Relaxed) < 20) {
+            if Instant::now() > deadline {
+                daemon.request_shutdown(); // release the other clients first
+                panic!("clients stalled before shutdown");
+            }
+            std::thread::yield_now();
+        }
+        daemon.request_shutdown();
+        daemon.join();
+        for c in clients {
+            assert!(c.join().expect("client thread") >= 20, "client was under way at shutdown");
+        }
+    });
+
+    // A new query on an old connection either fails outright (the
     // connection thread exited) or answers ShuttingDown — it is never
     // silently executed against a drained daemon.
-    let followup = proto::roundtrip(&mut stream, &Request::ExpectedRevenue(UserSel::All));
+    let followup = proto::roundtrip(&mut streams[0], &Request::ExpectedRevenue(UserSel::All));
     match followup {
         Err(_) => {}
         Ok(Response::Error { code: ErrorCode::ShuttingDown, .. }) => {}
