@@ -202,25 +202,64 @@ impl PartialEq for WtpMatrix {
 
 /// Streaming builder for the dual-CSR arena: push `(user, item, wtp)`
 /// triples (any order), then [`CsrBuilder::finish`]. Duplicate
-/// `(user, item)` pairs are rejected in exactly one place — here — with a
-/// clear panic naming the offending pair.
+/// `(user, item)` pairs are rejected here with a clear panic naming the
+/// offending pair.
+///
+/// While pushes arrive strictly ascending in `(user, item)` — as every
+/// `RatingsData` stream and every [`WtpMatrix::compact`] replay does —
+/// each entry is appended straight to the finished rows (12 B per entry),
+/// and a repeat of the previous pair panics on the spot. The first push
+/// below its predecessor **spills**: the rows written so far are unpacked
+/// into a `(user, item, wtp)` triple buffer (16 B per entry), and every
+/// later push lands there too; `finish` then pays one global sort and an
+/// adjacent-duplicate scan before it refills the rows. Either way both
+/// fronts end in one back half (column scatter from the rows in user
+/// order, total summed in row order), so the arena's bits do not depend
+/// on arrival order.
 #[derive(Debug)]
 pub struct CsrBuilder {
     n_users: usize,
     n_items: usize,
-    triples: Vec<(u32, u32, f64)>,
+    /// Entries per user at `row_indptr[u + 1]` (prefix-summed by `finish`).
+    row_indptr: Vec<usize>,
+    /// Entries per item at `col_indptr[i + 1]` (prefix-summed by `finish`).
+    col_indptr: Vec<usize>,
+    /// The rows in arrival order: final while pushes ascend, empty after a
+    /// spill until `finish` refills them from the sorted triples.
+    row_indices: Vec<u32>,
+    row_values: Vec<f64>,
+    /// `(user << 32) | item` of the previous push (ascending front only).
+    last: Option<u64>,
+    /// Every entry so far, once a push arrived out of order.
+    spill: Option<Vec<(u32, u32, f64)>>,
     listed_prices: Option<Vec<f64>>,
 }
 
 impl CsrBuilder {
     /// Builder for an `n_users × n_items` matrix.
     pub fn new(n_users: usize, n_items: usize) -> Self {
-        CsrBuilder { n_users, n_items, triples: Vec::new(), listed_prices: None }
+        CsrBuilder {
+            n_users,
+            n_items,
+            row_indptr: vec![0; n_users + 1],
+            col_indptr: vec![0; n_items + 1],
+            row_indices: Vec::new(),
+            row_values: Vec::new(),
+            last: None,
+            spill: None,
+            listed_prices: None,
+        }
     }
 
-    /// Pre-size the entry buffer.
+    /// Pre-size the entry buffer (the rows, or the triples after a spill).
     pub fn reserve(&mut self, nnz: usize) {
-        self.triples.reserve(nnz);
+        match &mut self.spill {
+            Some(triples) => triples.reserve(nnz),
+            None => {
+                self.row_indices.reserve(nnz);
+                self.row_values.reserve(nnz);
+            }
+        }
     }
 
     /// Attach listed per-item prices (one per item).
@@ -233,7 +272,9 @@ impl CsrBuilder {
     /// Add one entry. Panics on out-of-range ids or a non-finite /
     /// non-positive WTP — this is the single ingestion point of the whole
     /// store, so a NaN can never reach the pricing hot paths, and the
-    /// error names the offending `(user, item)` pair.
+    /// error names the offending `(user, item)` pair. A repeat of the
+    /// previous pair panics here; other duplicates are caught by `finish`.
+    #[inline]
     pub fn push(&mut self, user: u32, item: u32, wtp: f64) {
         assert!((user as usize) < self.n_users, "user {user} out of range");
         assert!((item as usize) < self.n_items, "item {item} out of range");
@@ -241,58 +282,94 @@ impl CsrBuilder {
             wtp.is_finite() && wtp > 0.0,
             "WTP for (user {user}, item {item}) must be finite and positive, got {wtp}"
         );
-        self.triples.push((user, item, wtp));
+        let key = (u64::from(user) << 32) | u64::from(item);
+        if self.spill.is_none() && self.last.is_none_or(|prev| key > prev) {
+            self.last = Some(key);
+            self.row_indices.push(item);
+            self.row_values.push(wtp);
+        } else {
+            self.push_unordered(user, item, wtp, key);
+        }
+        self.row_indptr[user as usize + 1] += 1;
+        self.col_indptr[item as usize + 1] += 1;
     }
 
-    /// Sort, check for duplicates, and assemble both CSR orientations.
-    pub fn finish(self) -> WtpMatrix {
-        let CsrBuilder { n_users, n_items, mut triples, listed_prices } = self;
-        // One global (user, item) sort gives both orientations their order:
-        // rows fill sequentially already sorted by item, and the item-major
-        // scatter below preserves the ascending-user order inside columns.
-        triples.sort_unstable_by_key(|&(u, i, _)| (u, i));
-        for w in triples.windows(2) {
-            assert!(
-                (w[0].0, w[0].1) != (w[1].0, w[1].1),
-                "duplicate (user, item) entry: user {}, item {}",
-                w[1].0,
-                w[1].1
-            );
+    /// A push off the ascending front: a repeat of the previous pair
+    /// panics, the first push below it spills, and every push after a
+    /// spill lands in the triple buffer.
+    #[cold]
+    fn push_unordered(&mut self, user: u32, item: u32, wtp: f64, key: u64) {
+        if self.spill.is_none() {
+            if self.last == Some(key) {
+                duplicate(user, item);
+            }
+            self.spill_rows();
         }
-        let nnz = triples.len();
-        let mut total = 0.0;
+        self.spill.as_mut().expect("spilled").push((user, item, wtp));
+    }
 
-        // Rows: sequential fill from the sorted triples.
-        let mut row_indptr = vec![0usize; n_users + 1];
-        let mut row_indices = Vec::with_capacity(nnz);
-        let mut row_values = Vec::with_capacity(nnz);
-        for &(u, i, w) in &triples {
-            row_indptr[u as usize + 1] += 1;
-            row_indices.push(i);
-            row_values.push(w);
-            total += w;
+    /// Leave the ascending front: unpack the rows written so far into the
+    /// triple buffer, recovering each entry's user from the row counts.
+    fn spill_rows(&mut self) {
+        let indices = std::mem::take(&mut self.row_indices);
+        let values = std::mem::take(&mut self.row_values);
+        let mut triples = Vec::with_capacity(indices.capacity().max(indices.len() + 1));
+        let mut entries = indices.into_iter().zip(values);
+        for (u, &count) in self.row_indptr[1..].iter().enumerate() {
+            triples.extend(entries.by_ref().take(count).map(|(i, w)| (u as u32, i, w)));
         }
+        self.spill = Some(triples);
+    }
+
+    /// Assemble both CSR orientations (sorting and checking spilled
+    /// triples for duplicates first).
+    pub fn finish(self) -> WtpMatrix {
+        let CsrBuilder {
+            n_users,
+            n_items,
+            mut row_indptr,
+            mut col_indptr,
+            mut row_indices,
+            mut row_values,
+            spill,
+            listed_prices,
+            ..
+        } = self;
+        if let Some(mut triples) = spill {
+            // One global (user, item) sort gives the rows their order; the
+            // per-user and per-item counts are order-free and already kept.
+            triples.sort_unstable_by_key(|&(u, i, _)| (u, i));
+            for w in triples.windows(2) {
+                if (w[0].0, w[0].1) == (w[1].0, w[1].1) {
+                    duplicate(w[1].0, w[1].1);
+                }
+            }
+            row_indices = triples.iter().map(|t| t.1).collect();
+            row_values = triples.iter().map(|t| t.2).collect();
+        }
+        let nnz = row_indices.len();
         for k in 0..n_users {
             row_indptr[k + 1] += row_indptr[k];
-        }
-
-        // Columns: counting scatter. Triples are visited in (user, item)
-        // order, so each column receives its users in ascending order.
-        let mut col_indptr = vec![0usize; n_items + 1];
-        for &(_, i, _) in &triples {
-            col_indptr[i as usize + 1] += 1;
         }
         for k in 0..n_items {
             col_indptr[k + 1] += col_indptr[k];
         }
+        // Columns: counting scatter from the rows in user order, so each
+        // column receives its users in ascending order. The same walk sums
+        // the total in (user, item) order.
+        let mut total = 0.0;
         let mut cursor = col_indptr[..n_items].to_vec();
         let mut col_indices = vec![0u32; nnz];
         let mut col_values = vec![0f64; nnz];
-        for &(u, i, w) in &triples {
-            let slot = &mut cursor[i as usize];
-            col_indices[*slot] = u;
-            col_values[*slot] = w;
-            *slot += 1;
+        for u in 0..n_users {
+            let (lo, hi) = (row_indptr[u], row_indptr[u + 1]);
+            for (&i, &w) in row_indices[lo..hi].iter().zip(&row_values[lo..hi]) {
+                let slot = &mut cursor[i as usize];
+                col_indices[*slot] = u as u32;
+                col_values[*slot] = w;
+                *slot += 1;
+                total += w;
+            }
         }
 
         WtpMatrix {
@@ -309,6 +386,11 @@ impl CsrBuilder {
             view: None,
         }
     }
+}
+
+/// The builder's one duplicate-pair panic.
+fn duplicate(user: u32, item: u32) -> ! {
+    panic!("duplicate (user, item) entry: user {user}, item {item}")
 }
 
 impl WtpMatrix {
@@ -878,6 +960,68 @@ mod tests {
         b.push(2, 7, 1.0);
         b.push(3, 7, 2.5);
         b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate (user, item) entry: user 3, item 7")]
+    fn duplicate_in_a_sorted_stream_panics_at_the_push() {
+        let mut b = WtpMatrix::builder(5, 9);
+        b.push(0, 8, 1.0);
+        b.push(3, 7, 1.0);
+        b.push(3, 7, 2.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate (user, item) entry: user 1, item 2")]
+    fn duplicate_after_a_spill_panics_naming_the_pair() {
+        // Both copies arrive after the spill; neither is the previous push.
+        let mut b = WtpMatrix::builder(4, 4);
+        b.push(2, 0, 1.0);
+        b.push(0, 3, 1.0);
+        b.push(1, 2, 1.5);
+        b.push(3, 3, 1.0);
+        b.push(1, 2, 2.0);
+        b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "WTP for (user 0, item 1) must be finite and positive, got 0")]
+    fn zero_wtp_rejected_in_a_sorted_stream() {
+        let mut b = WtpMatrix::builder(1, 2);
+        b.push(0, 0, 1.0);
+        b.push(0, 1, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "WTP for (user 0, item 1) must be finite and positive, got -2")]
+    fn negative_wtp_rejected_after_a_spill() {
+        let mut b = WtpMatrix::builder(2, 2);
+        b.push(1, 0, 1.0);
+        b.push(0, 0, 1.0);
+        b.push(0, 1, -2.0);
+    }
+
+    #[test]
+    fn spilled_build_equals_sorted_build_bit_for_bit() {
+        // Non-dyadic values: any change of summation order would show in
+        // the total's low bits.
+        let sorted: Vec<(u32, u32, f64)> = (0..5u32)
+            .flat_map(|u| (0..4u32).filter(move |i| (u + i) % 3 != 1).map(move |i| (u, i, 0.1)))
+            .enumerate()
+            .map(|(k, (u, i, w))| (u, i, w * (k as f64 + 1.3)))
+            .collect();
+        let mut late = sorted.clone();
+        let early = late.remove(2);
+        late.push(early);
+        let a = WtpMatrix::from_triples(5, 4, sorted, None);
+        let b = WtpMatrix::from_triples(5, 4, late, None);
+        assert_eq!(a, b);
+        assert_eq!(a.total_wtp().to_bits(), b.total_wtp().to_bits());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        for u in 0..5 {
+            assert_eq!(a.row(u).ids, b.row(u).ids);
+            assert_eq!(a.row(u).values, b.row(u).values);
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! 1. Both CSR orientations (row and column views) agree entry-for-entry
 //!    with a dense reference matrix, whatever order the triples arrive in.
-//! 2. Any [`MarketView`] — item subset, user subset, or both — answers
+//! 2. The arena's bits do not depend on arrival order: sorted, shuffled
+//!    and late-out-of-order (spilling) pushes of the same triples give the
+//!    same `total_wtp` bits, fingerprint, and row/column slices.
+//! 3. Any [`MarketView`] — item subset, user subset, or both — answers
 //!    every solve **bit-identically** to a `Market` built from scratch on
 //!    the restricted triples: same revenue, same prices, same bundles,
 //!    for every configurator in the registry.
@@ -37,6 +40,23 @@ fn triples_of(dense: &[Vec<f64>]) -> Vec<(u32, u32, f64)> {
         }
     }
     t
+}
+
+/// Sorted nonzero triples with non-dyadic values (~3/8 of cells empty):
+/// summing them in any other order than (user, item) would change the
+/// low bits of the total.
+fn arb_triples() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f64)>)> {
+    (1usize..9, 1usize..9).prop_flat_map(|(m, n)| {
+        proptest::collection::vec(0u32..80u32, m * n..=m * n).prop_map(move |raw| {
+            let triples = raw
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r >= 30)
+                .map(|(k, &r)| ((k / n) as u32, (k % n) as u32, r as f64 * 0.1 + 0.013))
+                .collect();
+            (m, n, triples)
+        })
+    })
 }
 
 /// Canonical bit-exact serialization of an outcome (prices, revenues,
@@ -100,6 +120,43 @@ proptest! {
             row_nnz += row.len();
         }
         prop_assert_eq!(row_nnz, w.nnz());
+    }
+
+    #[test]
+    fn arrival_order_changes_no_bit((m, n, sorted) in arb_triples(), seed in 0u64..1000) {
+        let k = sorted.len();
+        let mut shuffled = sorted.clone();
+        for idx in 0..k {
+            let j = (seed as usize).wrapping_mul(31).wrapping_add(idx * 7) % k;
+            shuffled.swap(idx, j);
+        }
+        // Sorted but for one entry pushed last, after many in order: the
+        // builder spills mid-stream.
+        let mut late = sorted.clone();
+        if k >= 2 {
+            let early = late.remove(seed as usize % (k - 1));
+            late.push(early);
+        }
+        let mut want = 0.0;
+        for &(_, _, w) in &sorted {
+            want += w;
+        }
+        let a = WtpMatrix::from_triples(m, n, sorted, None);
+        prop_assert_eq!(a.total_wtp().to_bits(), f64::to_bits(want));
+        for other in [shuffled, late] {
+            let b = WtpMatrix::from_triples(m, n, other, None);
+            prop_assert_eq!(a.total_wtp().to_bits(), b.total_wtp().to_bits());
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+            prop_assert_eq!(a.nnz(), b.nnz());
+            for u in 0..m as u32 {
+                prop_assert_eq!(a.row(u).ids, b.row(u).ids);
+                prop_assert_eq!(a.row(u).values, b.row(u).values);
+            }
+            for i in 0..n as u32 {
+                prop_assert_eq!(a.col(i).ids, b.col(i).ids);
+                prop_assert_eq!(a.col(i).values, b.col(i).values);
+            }
+        }
     }
 
     #[test]

@@ -24,24 +24,36 @@ pub struct RatingsData {
 impl RatingsData {
     /// Construct and validate. Ratings are sorted (user, item) for
     /// determinism. Panics on any invariant violation.
+    ///
+    /// One pass checks every rating and whether the list already ascends
+    /// strictly in (user, item), as `clone_users`' output does; such input
+    /// is kept as it is. Input out of order costs a stable sort and an
+    /// adjacent-duplicate scan on top.
     pub fn new(n_users: usize, n_items: usize, mut ratings: Vec<Rating>, prices: Vec<f64>) -> Self {
         assert_eq!(prices.len(), n_items, "one price per item required");
         for &p in &prices {
             assert!(p.is_finite() && p > 0.0, "prices must be positive and finite, got {p}");
         }
+        let mut ascending = true;
+        let mut prev: Option<(u32, u32)> = None;
         for r in &ratings {
             assert!((r.user as usize) < n_users, "user {} out of range", r.user);
             assert!((r.item as usize) < n_items, "item {} out of range", r.item);
             assert!((1..=5).contains(&r.stars), "stars {} out of 1..=5", r.stars);
+            let key = (r.user, r.item);
+            ascending &= prev.is_none_or(|p| p < key);
+            prev = Some(key);
         }
-        ratings.sort_by_key(|r| (r.user, r.item));
-        for w in ratings.windows(2) {
-            assert!(
-                (w[0].user, w[0].item) != (w[1].user, w[1].item),
-                "duplicate rating for (user {}, item {})",
-                w[0].user,
-                w[0].item
-            );
+        if !ascending {
+            ratings.sort_by_key(|r| (r.user, r.item));
+            for w in ratings.windows(2) {
+                assert!(
+                    (w[0].user, w[0].item) != (w[1].user, w[1].item),
+                    "duplicate rating for (user {}, item {})",
+                    w[0].user,
+                    w[0].item
+                );
+            }
         }
         RatingsData { n_users, n_items, ratings, prices }
     }
@@ -230,6 +242,45 @@ mod tests {
             1,
             vec![Rating { user: 0, item: 0, stars: 5 }, Rating { user: 0, item: 0, stars: 4 }],
             vec![1.0],
+        );
+    }
+
+    fn rating(user: u32, item: u32, stars: u8) -> Rating {
+        Rating { user, item, stars }
+    }
+
+    #[test]
+    fn new_sorts_unsorted_input() {
+        let d = RatingsData::new(
+            3,
+            2,
+            vec![rating(2, 0, 1), rating(0, 1, 3), rating(1, 1, 4), rating(0, 0, 5)],
+            vec![1.0, 2.0],
+        );
+        let order: Vec<(u32, u32)> = d.ratings().iter().map(|r| (r.user, r.item)).collect();
+        assert_eq!(order, vec![(0, 0), (0, 1), (1, 1), (2, 0)]);
+        assert_eq!(d.ratings()[0].stars, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate rating for (user 0, item 1)")]
+    fn rejects_a_duplicate_in_sorted_input() {
+        RatingsData::new(
+            2,
+            2,
+            vec![rating(0, 0, 5), rating(0, 1, 3), rating(0, 1, 4), rating(1, 0, 2)],
+            vec![1.0, 2.0],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate rating for (user 1, item 0)")]
+    fn rejects_a_duplicate_in_unsorted_input() {
+        RatingsData::new(
+            2,
+            2,
+            vec![rating(1, 0, 5), rating(0, 1, 3), rating(1, 0, 4)],
+            vec![1.0, 2.0],
         );
     }
 

@@ -143,6 +143,34 @@ mod tests {
     }
 
     #[test]
+    fn reports_an_out_of_range_item() {
+        let dir = std::env::temp_dir().join("revmax_io_test_range");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rp = dir.join("ratings.csv");
+        let pp = dir.join("prices.csv");
+        std::fs::write(&rp, "user,item,stars\n0,0,4\n1,3,5\n").unwrap();
+        std::fs::write(&pp, "item,price\n0,5.0\n1,6.0\n").unwrap();
+        let err = load(&rp, &pp).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "item 3 out of range");
+    }
+
+    #[test]
+    fn reports_a_duplicate_sorted_or_not() {
+        let dir = std::env::temp_dir().join("revmax_io_test_dup");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rp = dir.join("ratings.csv");
+        let pp = dir.join("prices.csv");
+        std::fs::write(&pp, "item,price\n0,5.0\n1,6.0\n").unwrap();
+        for body in ["0,0,4\n0,1,2\n0,1,5\n", "0,1,2\n0,0,4\n0,1,5\n"] {
+            std::fs::write(&rp, format!("user,item,stars\n{body}")).unwrap();
+            let err = load(&rp, &pp).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "duplicate rating for (user 0, item 1)");
+        }
+    }
+
+    #[test]
     fn rejects_sparse_price_rows() {
         let dir = std::env::temp_dir().join("revmax_io_test_sparse");
         std::fs::create_dir_all(&dir).unwrap();

@@ -28,12 +28,12 @@ fn checked_scaled_ids(what: &str, count: usize, factor: usize) -> usize {
 pub fn clone_users(data: &RatingsData, factor: usize) -> RatingsData {
     assert!(factor >= 1, "factor must be >= 1");
     let n_users = checked_scaled_ids("user", data.n_users(), factor);
+    // Copy k's users follow copy k-1's, so the (user, item) order of
+    // `data` carries over and `RatingsData::new` keeps it without a sort.
     let mut ratings = Vec::with_capacity(data.ratings().len() * factor);
     for copy in 0..factor {
         let offset = (copy * data.n_users()) as u32;
-        for r in data.ratings() {
-            ratings.push(Rating { user: r.user + offset, item: r.item, stars: r.stars });
-        }
+        ratings.extend(data.ratings().iter().map(|r| Rating { user: r.user + offset, ..*r }));
     }
     RatingsData::new(n_users, data.n_items(), ratings, data.prices().to_vec())
 }
@@ -194,6 +194,27 @@ mod tests {
     fn clone_users_factor_one_is_identity() {
         let d = base();
         assert_eq!(clone_users(&d, 1), d);
+    }
+
+    #[test]
+    fn clone_users_equals_the_push_loop_reference() {
+        let d = base();
+        let mut ratings = Vec::new();
+        for copy in 0..3u32 {
+            for r in d.ratings() {
+                let user = r.user + copy * d.n_users() as u32;
+                ratings.push(Rating { user, item: r.item, stars: r.stars });
+            }
+        }
+        let reference =
+            RatingsData::new(3 * d.n_users(), d.n_items(), ratings.clone(), d.prices().to_vec());
+        assert_eq!(clone_users(&d, 3), reference);
+        // The same ratings arriving in reverse take the sort path to the same data.
+        ratings.reverse();
+        assert_eq!(
+            RatingsData::new(3 * d.n_users(), d.n_items(), ratings, d.prices().to_vec()),
+            reference
+        );
     }
 
     #[test]

@@ -40,8 +40,45 @@ pub fn mine_maximal(db: &TransactionDb, minsup: u32) -> Vec<Itemset> {
 /// miner at any thread count: the intersections are independent, their
 /// tail order is preserved, and the PEP/emission logic stays sequential
 /// (`DESIGN.md` §6).
+///
+/// At `minsup = 1` every transaction is frequent, so the maximal sets are
+/// read off the transactions without a search: they are the
+/// inclusion-maximal distinct transactions, each supported by its copies.
+/// The output is the same as the search's.
 pub fn mine_maximal_with_threads(db: &TransactionDb, minsup: u32, threads: usize) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be >= 1");
+    if minsup == 1 {
+        return maximal_baskets(db);
+    }
+    mine_dfs(db, minsup, threads)
+}
+
+/// The maximal frequent itemsets at `minsup = 1`: the inclusion-maximal
+/// distinct non-empty transactions ("baskets"). A transaction containing
+/// a maximal basket is that basket, so each set's support is its number
+/// of copies. Baskets are taken longest first, so any strict superset of
+/// a basket has been kept (or subsumed by a kept set) before it is seen.
+fn maximal_baskets(db: &TransactionDb) -> Vec<Itemset> {
+    // Transpose the vertical layout; items ascend, so each basket is sorted.
+    let mut baskets = vec![Vec::new(); db.n_transactions()];
+    for i in 0..db.n_items() as u32 {
+        for t in db.item_bitmap(i).iter_ones() {
+            baskets[t].push(i);
+        }
+    }
+    baskets.retain(|b| !b.is_empty());
+    baskets.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    let mut miner = Miner { minsup: 1, threads: 1, found: Vec::new(), index: Default::default() };
+    for copies in baskets.chunk_by(|a, b| a == b) {
+        miner.emit(copies[0].clone(), copies.len() as u32);
+    }
+    let mut out = miner.found;
+    out.sort_by(|a, b| a.items.cmp(&b.items));
+    out
+}
+
+/// The bitmap DFS miner, at any `minsup`.
+fn mine_dfs(db: &TransactionDb, minsup: u32, threads: usize) -> Vec<Itemset> {
     let roots: Vec<(u32, Bitmap, u32)> = (0..db.n_items() as u32)
         .filter_map(|i| {
             let bm = db.item_bitmap(i);
@@ -307,6 +344,32 @@ mod tests {
         for minsup in [1, 2, 3, 5, 8, 12, 20] {
             check(&db, minsup);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn basket_path_equals_the_miner_at_minsup_one(
+            txs in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..=8), 0..=40),
+        ) {
+            // Few items and short baskets: repeated baskets and nested
+            // baskets are both common.
+            let db = TransactionDb::from_transactions(12, &txs);
+            proptest::prop_assert_eq!(maximal_baskets(&db), mine_dfs(&db, 1, 1));
+        }
+    }
+
+    #[test]
+    fn basket_supports_count_copies() {
+        let db = TransactionDb::from_transactions(
+            4,
+            &[vec![0, 1], vec![2], vec![0, 1], vec![0], vec![], vec![1, 2, 3], vec![2, 3, 1]],
+        );
+        let got = maximal_baskets(&db);
+        let sets: Vec<(Vec<u32>, u32)> = got.into_iter().map(|s| (s.items, s.support)).collect();
+        assert_eq!(sets, vec![(vec![0, 1], 2), (vec![1, 2, 3], 2)]);
+        assert_eq!(mine_dfs(&db, 1, 1), mine_maximal(&db, 1));
     }
 
     #[test]
