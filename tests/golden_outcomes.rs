@@ -6,12 +6,17 @@
 //! unchanged; a deliberate behaviour change re-records only the entries it
 //! names.
 //!
-//! On a mismatch the test prints the full recomputed table, ready to paste
-//! over [`GOLDEN`].
+//! A second table, [`WSP_GOLDEN`], pins the two weighted-set-packing
+//! comparators (`Optimal`, `Greedy WSP`) on 10-item markets, small enough
+//! for their `2^N` enumeration.
+//!
+//! On a mismatch a test prints its full recomputed table, ready to paste
+//! over [`GOLDEN`] or [`WSP_GOLDEN`].
 
 use revmax::core::algorithms::{GreedyOptions, MatchingOptions};
 use revmax::core::fingerprint::fingerprint_str;
 use revmax::core::prelude::*;
+use revmax::core::wsp;
 use revmax::engine::report::canon_outcome;
 use revmax::engine::ScaleSpec;
 
@@ -88,26 +93,92 @@ fn digests(threads: usize) -> Vec<(String, u64)> {
     out
 }
 
+/// 40 consumers × 10 items of hashed WTP in [0, 12) with ~35% zeros,
+/// built like `tests/parallel_determinism.rs`'s WSP market.
+fn wsp_market(seed: u64, theta: f64, threads: usize) -> Market {
+    let rows: Vec<Vec<f64>> = (0..40u64)
+        .map(|u| {
+            (0..10u64)
+                .map(|i| {
+                    let h = (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u * 131 + i * 17))
+                        .wrapping_mul(0xD134_2543_DE82_EF95);
+                    if h % 100 < 35 {
+                        0.0
+                    } else {
+                        ((h >> 32) % 1200) as f64 / 100.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Market::new(
+        WtpMatrix::from_rows(rows),
+        Params::default().with_theta(theta).with_threads(Threads::Fixed(threads)),
+    )
+}
+
+fn wsp_digests(threads: usize) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for seed in [2015u64, 7, 42] {
+        for theta in [0.0, 0.05] {
+            let market = wsp_market(seed, theta, threads);
+            let table = wsp::enumerate_subset_revenues(&market);
+            for outcome in [wsp::optimal(&market, &table), wsp::greedy_wsp(&market, &table)] {
+                let id = format!("seed{seed}/theta{theta:+.2}|{}", outcome.algorithm);
+                out.push((id, fingerprint_str(&canon_outcome(&outcome))));
+            }
+        }
+    }
+    out
+}
+
+/// Compare `got` with the pinned table; on a mismatch panic with the
+/// recomputed table.
+fn assert_table(what: &str, threads: usize, got: Vec<(String, u64)>, golden: &[(&str, u64)]) {
+    let want: Vec<(String, u64)> =
+        golden.iter().map(|&(id, digest)| (id.to_string(), digest)).collect();
+    if got != want {
+        let table: String =
+            got.iter().map(|(id, d)| format!("    (\"{id}\", 0x{d:016x}),\n")).collect();
+        let diff: Vec<&str> =
+            got.iter().filter(|g| !want.contains(g)).map(|(id, _)| id.as_str()).collect();
+        panic!(
+            "{what} digests diverged at {threads} threads ({} of {} entries: {diff:?}); \
+             recomputed table:\n{table}",
+            diff.len(),
+            got.len()
+        );
+    }
+}
+
 #[test]
 fn outcome_digests_match_the_recorded_table() {
     for threads in [1, 4] {
-        let got = digests(threads);
-        let want: Vec<(String, u64)> =
-            GOLDEN.iter().map(|&(id, digest)| (id.to_string(), digest)).collect();
-        if got != want {
-            let table: String =
-                got.iter().map(|(id, d)| format!("    (\"{id}\", 0x{d:016x}),\n")).collect();
-            let diff: Vec<&str> =
-                got.iter().filter(|g| !want.contains(g)).map(|(id, _)| id.as_str()).collect();
-            panic!(
-                "outcome digests diverged at {threads} threads ({} of {} entries: {diff:?}); \
-                 recomputed table:\n{table}",
-                diff.len(),
-                got.len()
-            );
-        }
+        assert_table("outcome", threads, digests(threads), GOLDEN);
     }
 }
+
+#[test]
+fn wsp_digests_match_the_recorded_table() {
+    for threads in [1, 4] {
+        assert_table("WSP", threads, wsp_digests(threads), WSP_GOLDEN);
+    }
+}
+
+const WSP_GOLDEN: &[(&str, u64)] = &[
+    ("seed2015/theta+0.00|Optimal", 0x2b092222de852f3e),
+    ("seed2015/theta+0.00|Greedy WSP", 0x0ca2b929df4b4eb3),
+    ("seed2015/theta+0.05|Optimal", 0x1d0854fa65ecc30b),
+    ("seed2015/theta+0.05|Greedy WSP", 0x940c06bcd0e8adb1),
+    ("seed7/theta+0.00|Optimal", 0xff0fe300cf2c1e62),
+    ("seed7/theta+0.00|Greedy WSP", 0xe22387ac78e44779),
+    ("seed7/theta+0.05|Optimal", 0xde7cfe2dedc7c906),
+    ("seed7/theta+0.05|Greedy WSP", 0x02ad15166fe8f134),
+    ("seed42/theta+0.00|Optimal", 0x8b3e2f38b5a60923),
+    ("seed42/theta+0.00|Greedy WSP", 0x11392bb17de6b573),
+    ("seed42/theta+0.05|Optimal", 0x0b4f8272e7cc16c4),
+    ("seed42/theta+0.05|Greedy WSP", 0x891e8d16570bb29f),
+];
 
 const GOLDEN: &[(&str, u64)] = &[
     ("seed2015/theta+0.00|Components", 0x4cdf8c715cc893df),
