@@ -221,33 +221,127 @@ fn outcome_from_masks(
     Outcome::assemble(name, config, revenue, components_revenue, market, trace)
 }
 
+/// Result of [`solve_all_subsets`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubsetDpResult {
+    /// Optimal total weight over pairwise-disjoint subsets of the full set.
+    pub total_weight: f64,
+    /// The chosen subsets (as item bitmasks), a partition of the covered
+    /// items.
+    pub chosen: Vec<u32>,
+}
+
+/// Solve weighted set packing where every nonempty subset of `n` items is a
+/// candidate with weight `weights[mask]` (`weights.len() == 1 << n`,
+/// `weights[0]` ignored). Non-positive weights are never selected.
+///
+/// This is the exact packing behind [`optimal`] (the role Gurobi plays in
+/// the paper). When the candidate family is literally "all subsets", the
+/// packing optimum satisfies a clean recurrence over item masks:
+///
+/// ```text
+///   best(∅)    = 0
+///   best(mask) = max( best(mask \ {low}),                    — leave `low` unsold
+///                     max_{s ⊆ mask, low ∈ s} w(s) + best(mask \ s) )
+/// ```
+///
+/// where `low` is the lowest item of `mask`. Anchoring every considered
+/// subset at `low` avoids counting the same partition once per permutation.
+/// Total work is `Σ_mask 2^|mask|` = `O(3^N)`; at the paper's N = 20 this is
+/// ~3.5·10⁹ cheap operations, versus hours for a generic ILP on 2²⁰
+/// variables.
+///
+/// Memory: two `O(2^n)` tables. Panics if `n > 26` to avoid surprise
+/// multi-gigabyte allocations; the paper's regime is `n ≤ 25`.
+pub fn solve_all_subsets(n: usize, weights: &[f64]) -> SubsetDpResult {
+    assert!(n <= 26, "subset DP limited to 26 items (got {n})");
+    assert_eq!(weights.len(), 1usize << n, "weights must have 2^n entries");
+    let full = 1usize << n;
+    let mut best = vec![0.0f64; full];
+    // choice[mask] = the subset anchored at the lowest bit selected at this
+    // state, or 0 when the lowest item is left uncovered.
+    let mut choice = vec![0u32; full];
+    for mask in 1..full {
+        let low = mask.trailing_zeros();
+        let low_bit = 1usize << low;
+        let rest = mask & !low_bit;
+        // Leave `low` unsold.
+        let mut b = best[rest];
+        let mut c = 0u32;
+        // Try every subset s ⊆ mask with low ∈ s: enumerate t ⊆ rest and
+        // set s = t | low_bit.
+        let mut t = rest;
+        loop {
+            let s = t | low_bit;
+            let w = weights[s];
+            if w > 0.0 {
+                let cand = w + best[mask ^ s];
+                if cand > b {
+                    b = cand;
+                    c = s as u32;
+                }
+            }
+            if t == 0 {
+                break;
+            }
+            t = (t - 1) & rest;
+        }
+        best[mask] = b;
+        choice[mask] = c;
+    }
+    // Reconstruct the chosen partition.
+    let mut chosen = Vec::new();
+    let mut mask = full - 1;
+    while mask != 0 {
+        let c = choice[mask];
+        if c == 0 {
+            mask &= mask - 1; // drop the lowest bit (item left unsold)
+        } else {
+            chosen.push(c);
+            mask ^= c as usize;
+        }
+    }
+    SubsetDpResult { total_weight: best[full - 1], chosen }
+}
+
 /// `Optimal`: exact pure-bundling configuration via the subset DP over the
 /// enumerated revenue table (the role Gurobi plays in the paper).
 pub fn optimal(market: &Market, table: &SubsetRevenues) -> Outcome {
     let start = Instant::now(); // audit: allow(wall-clock) solve_time is reported timing, never a result input
-    let dp = revmax_ilp::subset_dp::solve_all_subsets(table.n_items, &table.revenue);
+    let dp = solve_all_subsets(table.n_items, &table.revenue);
     outcome_from_masks("Optimal", market, table, &dp.chosen, start.elapsed())
 }
 
 /// `Greedy WSP`: the √N-approximate packing, selecting by the norm-scaled
-/// score `w/√|S|` (the rule that actually carries the paper's cited √N
-/// guarantee — see `revmax_ilp::greedy` for why "average weight per item"
-/// does not).
+/// score `w/√|S|`. The paper describes "a greedy approach that repeatedly
+/// selects the next set with the highest average weight per item" and
+/// attributes a `√N` guarantee to it, citing Gonen & Lehmann (EC'00) and
+/// Chandra & Halldórsson (SODA'99). The average-weight rule `w/|S|` is only
+/// `Θ(N)`-approximate (a dense singleton can block one huge set); the `√N`
+/// guarantee belongs to `w/√|S|`, the rule used here. The test
+/// `per_item_rule_misses_sqrt_bound` below gives a 3-item counterexample.
 pub fn greedy_wsp(market: &Market, table: &SubsetRevenues) -> Outcome {
     let start = Instant::now(); // audit: allow(wall-clock) solve_time is reported timing, never a result input
-    let n = table.n_items;
+    let chosen = greedy_selection(table.n_items, &table.revenue);
+    outcome_from_masks("Greedy WSP", market, table, &chosen, start.elapsed())
+}
+
+/// The disjoint subsets [`greedy_wsp`] packs, in pick order: every positive
+/// `revenue[mask]` by descending `w/√|S|` (ties by ascending mask), each
+/// taken if it misses the items already covered.
+fn greedy_selection(n: usize, revenue: &[f64]) -> Vec<u32> {
     // Sort subset ids by score descending. (Materializing 2^N ids is the
     // dominant memory cost; fine for N ≤ 26.)
     let mut order: Vec<u32> = (1..(1u32 << n)).collect();
     order.sort_by(|&a, &b| {
-        let da = table.revenue[a as usize] / (a.count_ones() as f64).sqrt();
-        let db = table.revenue[b as usize] / (b.count_ones() as f64).sqrt();
+        let da = revenue[a as usize] / (a.count_ones() as f64).sqrt();
+        let db = revenue[b as usize] / (b.count_ones() as f64).sqrt();
         db.total_cmp(&da).then(a.cmp(&b))
     });
     let mut covered = 0u32;
     let mut chosen = Vec::new();
     for s in order {
-        if table.revenue[s as usize] <= 0.0 {
+        if revenue[s as usize] <= 0.0 {
             break;
         }
         if covered & s == 0 {
@@ -258,7 +352,7 @@ pub fn greedy_wsp(market: &Market, table: &SubsetRevenues) -> Outcome {
             }
         }
     }
-    outcome_from_masks("Greedy WSP", market, table, &chosen, start.elapsed())
+    chosen
 }
 
 #[cfg(test)]
@@ -414,6 +508,161 @@ mod tests {
         assert_eq!(t.revenue[0], 0.0);
     }
 
+    /// Build the all-subsets weight table from an additive-with-synergy toy
+    /// model so optima are easy to reason about.
+    fn table(n: usize, f: impl Fn(u32) -> f64) -> Vec<f64> {
+        (0..(1u32 << n)).map(|m| if m == 0 { 0.0 } else { f(m) }).collect()
+    }
+
+    #[test]
+    fn single_item() {
+        let w = table(1, |_| 5.0);
+        let r = solve_all_subsets(1, &w);
+        assert_eq!(r.total_weight, 5.0);
+        assert_eq!(r.chosen, vec![0b1]);
+    }
+
+    #[test]
+    fn additive_weights_prefer_singletons_or_anything() {
+        // Purely additive: any partition of all items scores the same.
+        let w = table(3, |m| m.count_ones() as f64);
+        let r = solve_all_subsets(3, &w);
+        assert_eq!(r.total_weight, 3.0);
+        let union: u32 = r.chosen.iter().fold(0, |a, &s| {
+            assert_eq!(a & s, 0, "overlap in chosen sets");
+            a | s
+        });
+        assert_eq!(union, 0b111);
+    }
+
+    #[test]
+    fn superadditive_prefers_grand_bundle() {
+        let w = table(4, |m| {
+            let k = m.count_ones() as f64;
+            k * k // strictly superadditive
+        });
+        let r = solve_all_subsets(4, &w);
+        assert_eq!(r.total_weight, 16.0);
+        assert_eq!(r.chosen, vec![0b1111]);
+    }
+
+    #[test]
+    fn subadditive_prefers_singletons() {
+        let w = table(4, |m| (m.count_ones() as f64).sqrt());
+        let r = solve_all_subsets(4, &w);
+        assert!((r.total_weight - 4.0).abs() < 1e-12);
+        assert_eq!(r.chosen.len(), 4);
+    }
+
+    #[test]
+    fn negative_weights_leave_items_unsold() {
+        let w = table(3, |m| if m == 0b011 { 4.0 } else { -1.0 });
+        let r = solve_all_subsets(3, &w);
+        assert_eq!(r.total_weight, 4.0);
+        assert_eq!(r.chosen, vec![0b011]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^n entries")]
+    fn rejects_wrong_table_size() {
+        solve_all_subsets(3, &[0.0; 4]);
+    }
+
+    #[test]
+    fn per_item_rule_misses_sqrt_bound() {
+        // The counterexample to the paper's "average weight per item" rule:
+        // {0} w=57 vs {0,1,2} w=98.8 on 3 items. Per item, the singleton
+        // wins (57 > 32.9) and packs 57 < opt/√3 ≈ 57.04; by w/√|S| the
+        // triple wins (57.04 > 57), and the greedy packs the optimum.
+        let w = table(3, |m| match m {
+            0b001 => 57.0,
+            0b111 => 98.8,
+            _ => 0.0,
+        });
+        let opt = solve_all_subsets(3, &w).total_weight;
+        assert_eq!(opt, 98.8);
+        assert!(w[0b001] / 1.0 > w[0b111] / 3.0 && w[0b001] < opt / 3f64.sqrt());
+        assert_eq!(greedy_selection(3, &w), vec![0b111]);
+    }
+
+    /// Random all-subsets table over `n` items with weights in
+    /// [-20, 180) in steps of 0.5, about one in ten non-positive.
+    fn random_table(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7);
+        let mut w = vec![0.0; 1 << n];
+        for x in w.iter_mut().skip(1) {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *x = ((state >> 33) % 400) as f64 / 2.0 - 20.0;
+        }
+        w
+    }
+
+    /// Brute-force packing optimum: every set partition of the `n` items
+    /// (restricted-growth strings), each block scoring `max(0, w)` — a
+    /// block of non-positive weight stands for its items left unsold.
+    fn best_partition(n: usize, weights: &[f64]) -> f64 {
+        fn rec(item: usize, n: usize, blocks: &mut Vec<u32>, weights: &[f64], best: &mut f64) {
+            if item == n {
+                let total = blocks.iter().map(|&b| weights[b as usize].max(0.0)).sum::<f64>();
+                *best = best.max(total);
+                return;
+            }
+            for k in 0..=blocks.len() {
+                if k == blocks.len() {
+                    blocks.push(0);
+                }
+                blocks[k] |= 1 << item;
+                rec(item + 1, n, blocks, weights, best);
+                blocks[k] &= !(1 << item);
+                if blocks[k] == 0 {
+                    blocks.pop();
+                }
+            }
+        }
+        let mut best = 0.0;
+        rec(0, n, &mut Vec::new(), weights, &mut best);
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn subset_dp_equals_the_best_partition(n in 1usize..=7, seed in 0u64..1_000_000) {
+            let w = random_table(n, seed);
+            let dp = solve_all_subsets(n, &w);
+            let brute = best_partition(n, &w);
+            proptest::prop_assert!((dp.total_weight - brute).abs() < 1e-9,
+                "dp {} vs brute force {brute}", dp.total_weight);
+            // The chosen sets are disjoint, positive, and sum to the total.
+            let mut union = 0u32;
+            let mut total = 0.0;
+            for &s in &dp.chosen {
+                proptest::prop_assert_eq!(union & s, 0);
+                proptest::prop_assert!(w[s as usize] > 0.0);
+                union |= s;
+                total += w[s as usize];
+            }
+            proptest::prop_assert!((total - dp.total_weight).abs() < 1e-9);
+        }
+
+        #[test]
+        fn greedy_selection_is_within_sqrt_n_of_optimal(n in 1usize..=7, seed in 0u64..1_000_000) {
+            let w = random_table(n, seed);
+            let opt = solve_all_subsets(n, &w).total_weight;
+            let mut union = 0u32;
+            let mut total = 0.0;
+            for s in greedy_selection(n, &w) {
+                proptest::prop_assert_eq!(union & s, 0);
+                union |= s;
+                total += w[s as usize];
+            }
+            proptest::prop_assert!(total <= opt + 1e-9, "greedy {total} above opt {opt}");
+            proptest::prop_assert!(total + 1e-9 >= opt / (n as f64).sqrt(),
+                "greedy {total} below opt/√{n} (opt {opt})");
+        }
+    }
+
     #[test]
     fn k2_matching_equals_optimal_when_optimal_pairs() {
         // With size cap 2, PureMatching is provably optimal (Section 5.1);
@@ -434,7 +683,7 @@ mod tests {
                 *r = 0.0;
             }
         }
-        let dp = revmax_ilp::subset_dp::solve_all_subsets(3, &capped);
+        let dp = solve_all_subsets(3, &capped);
         let pm = PureMatching::default().run(&m);
         assert!(
             (dp.total_weight - pm.revenue).abs() < 1e-9,

@@ -10,7 +10,7 @@ pub struct Rating {
 
 /// A ratings dataset with per-item listed prices.
 ///
-/// Invariants (enforced by [`RatingsData::new`]): user/item ids are dense in
+/// Invariants (enforced by [`RatingsData::try_new`]): user/item ids are dense in
 /// `0..n_users` / `0..n_items`, stars are in 1..=5, prices are finite and
 /// positive with one entry per item, and (user, item) pairs are unique.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,40 +22,64 @@ pub struct RatingsData {
 }
 
 impl RatingsData {
+    /// Construct and validate, panicking with [`RatingsData::try_new`]'s
+    /// message on any invariant violation.
+    pub fn new(n_users: usize, n_items: usize, ratings: Vec<Rating>, prices: Vec<f64>) -> Self {
+        // Checked here too so the panic keeps `assert_eq!`'s message.
+        assert_eq!(prices.len(), n_items, "one price per item required");
+        Self::try_new(n_users, n_items, ratings, prices).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Construct and validate. Ratings are sorted (user, item) for
-    /// determinism. Panics on any invariant violation.
+    /// determinism. Returns the first invariant violation found as an
+    /// error message.
     ///
     /// One pass checks every rating and whether the list already ascends
     /// strictly in (user, item), as `clone_users`' output does; such input
     /// is kept as it is. Input out of order costs a stable sort and an
     /// adjacent-duplicate scan on top.
-    pub fn new(n_users: usize, n_items: usize, mut ratings: Vec<Rating>, prices: Vec<f64>) -> Self {
-        assert_eq!(prices.len(), n_items, "one price per item required");
-        for &p in &prices {
-            assert!(p.is_finite() && p > 0.0, "prices must be positive and finite, got {p}");
+    pub fn try_new(
+        n_users: usize,
+        n_items: usize,
+        mut ratings: Vec<Rating>,
+        prices: Vec<f64>,
+    ) -> Result<Self, String> {
+        if prices.len() != n_items {
+            return Err(format!(
+                "one price per item required: {} prices for {n_items} items",
+                prices.len()
+            ));
+        }
+        if let Some(p) = prices.iter().find(|p| !(p.is_finite() && **p > 0.0)) {
+            return Err(format!("prices must be positive and finite, got {p}"));
         }
         let mut ascending = true;
         let mut prev: Option<(u32, u32)> = None;
         for r in &ratings {
-            assert!((r.user as usize) < n_users, "user {} out of range", r.user);
-            assert!((r.item as usize) < n_items, "item {} out of range", r.item);
-            assert!((1..=5).contains(&r.stars), "stars {} out of 1..=5", r.stars);
+            if r.user as usize >= n_users {
+                return Err(format!("user {} out of range", r.user));
+            }
+            if r.item as usize >= n_items {
+                return Err(format!("item {} out of range", r.item));
+            }
+            if !(1..=5).contains(&r.stars) {
+                return Err(format!("stars {} out of 1..=5", r.stars));
+            }
             let key = (r.user, r.item);
             ascending &= prev.is_none_or(|p| p < key);
             prev = Some(key);
         }
         if !ascending {
             ratings.sort_by_key(|r| (r.user, r.item));
-            for w in ratings.windows(2) {
-                assert!(
-                    (w[0].user, w[0].item) != (w[1].user, w[1].item),
+            let key = |r: &Rating| (r.user, r.item);
+            if let Some(w) = ratings.windows(2).find(|w| key(&w[0]) == key(&w[1])) {
+                return Err(format!(
                     "duplicate rating for (user {}, item {})",
-                    w[0].user,
-                    w[0].item
-                );
+                    w[0].user, w[0].item
+                ));
             }
         }
-        RatingsData { n_users, n_items, ratings, prices }
+        Ok(RatingsData { n_users, n_items, ratings, prices })
     }
 
     pub fn n_users(&self) -> usize {
@@ -294,5 +318,33 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_bad_price() {
         RatingsData::new(1, 1, vec![], vec![0.0]);
+    }
+
+    #[test]
+    fn try_new_returns_each_violation_as_an_error() {
+        let r = |user, item, stars| Rating { user, item, stars };
+        let build = |n_users, ratings, prices| RatingsData::try_new(n_users, 2, ratings, prices);
+        let ok_prices = || vec![1.0, 2.0];
+        assert_eq!(build(1, vec![r(1, 0, 3)], ok_prices()).unwrap_err(), "user 1 out of range");
+        assert_eq!(build(1, vec![r(0, 2, 3)], ok_prices()).unwrap_err(), "item 2 out of range");
+        assert_eq!(build(1, vec![r(0, 0, 0)], ok_prices()).unwrap_err(), "stars 0 out of 1..=5");
+        assert_eq!(
+            build(1, vec![], vec![1.0, f64::NAN]).unwrap_err(),
+            "prices must be positive and finite, got NaN"
+        );
+        assert_eq!(
+            build(1, vec![], vec![1.0]).unwrap_err(),
+            "one price per item required: 1 prices for 2 items"
+        );
+        assert_eq!(
+            build(1, vec![r(0, 0, 3), r(0, 0, 4)], ok_prices()).unwrap_err(),
+            "duplicate rating for (user 0, item 0)"
+        );
+        assert_eq!(
+            build(1, vec![r(0, 1, 3), r(0, 0, 4), r(0, 1, 5)], ok_prices()).unwrap_err(),
+            "duplicate rating for (user 0, item 1)"
+        );
+        let good = build(1, vec![r(0, 1, 3), r(0, 0, 4)], ok_prices()).unwrap();
+        assert_eq!(good, RatingsData::new(1, 2, vec![r(0, 0, 4), r(0, 1, 3)], ok_prices()));
     }
 }

@@ -79,17 +79,7 @@ pub fn load(ratings_path: &Path, prices_path: &Path) -> io::Result<RatingsData> 
         ratings.push(Rating { user, item, stars });
     }
     let n_users = if ratings.is_empty() { 0 } else { max_user as usize + 1 };
-    // RatingsData::new panics on invariant violations; convert to errors.
-    std::panic::catch_unwind(|| RatingsData::new(n_users, prices.len(), ratings, prices)).map_err(
-        |e| {
-            let msg = e
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "invalid dataset".into());
-            bad(msg)
-        },
-    )
+    RatingsData::try_new(n_users, prices.len(), ratings, prices).map_err(bad)
 }
 
 fn parse<T: std::str::FromStr>(field: Option<&str>, name: &str, lineno: usize) -> io::Result<T> {

@@ -1,5 +1,6 @@
-//! Textbook Apriori (Agrawal & Srikant, VLDB'94), used as a slow-but-simple
-//! reference to validate the Eclat and MAFIA-style miners.
+//! Textbook Apriori (Agrawal & Srikant, VLDB'94), a test-only,
+//! slow-but-simple reference: the maximal miner's tests filter its output
+//! down to the maximal sets.
 
 use crate::{Itemset, TransactionDb};
 

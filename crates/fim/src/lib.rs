@@ -1,4 +1,4 @@
-//! # revmax-fim — frequent & maximal frequent itemset mining
+//! # revmax-fim — maximal frequent itemset mining
 //!
 //! The `FreqItemset` baselines of *Mining Revenue-Maximizing Bundling
 //! Configuration* (VLDB'15, Section 6.1.3) simulate Amazon's "Frequently
@@ -15,10 +15,9 @@
 //!   subtree pruning). At absolute support 1 — where the paper's 0.1%
 //!   lands on every market under 1000 consumers — no search is needed:
 //!   the maximal sets are the inclusion-maximal distinct transactions.
-//! * [`mine_frequent`] — Eclat-style DFS enumerating *all* frequent
-//!   itemsets (with an explosion guard).
-//! * [`apriori`] — textbook levelwise reference implementation (Agrawal &
-//!   Srikant, VLDB'94), used to cross-validate the miners in tests.
+//!
+//! The miner's tests check it against a maximality filter over a textbook
+//! Apriori (Agrawal & Srikant, VLDB'94), a test-only module.
 //!
 //! ```
 //! use revmax_fim::{TransactionDb, mine_maximal};
@@ -36,16 +35,14 @@
 //! assert_eq!(maximal[0].support, 2);
 //! ```
 
+#[cfg(test)]
 mod apriori;
 mod bitmap;
 mod db;
-mod eclat;
 mod maximal;
 
-pub use apriori::apriori;
 pub use bitmap::Bitmap;
 pub use db::TransactionDb;
-pub use eclat::{mine_frequent, mine_frequent_with_threads, EclatLimit};
 pub use maximal::{mine_maximal, mine_maximal_with_threads};
 
 /// A mined itemset: sorted item ids plus its transaction support.

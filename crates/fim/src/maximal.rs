@@ -16,14 +16,15 @@
 //! Correctness of emission-time subsumption checking follows from the
 //! left-to-right exploration order: any maximal superset of an emitted
 //! candidate lives in an earlier subtree (see the module tests, which
-//! cross-check against a filter over Eclat's full output).
+//! cross-check against a maximality filter over Apriori's full output).
 
 use crate::{Bitmap, Itemset, TransactionDb};
 use revmax_par::par_index_map;
 
 /// Minimum tail length before one node's conditional-bitmap intersections
-/// fan out across worker threads (same contract as the Eclat threshold:
-/// data-dependent only, so output is identical at any thread count).
+/// fan out across worker threads. The threshold depends only on the data,
+/// never on the thread count, so output is identical at any parallelism
+/// (`DESIGN.md` §6).
 const PAR_FANOUT_MIN: usize = 32;
 
 /// Mine the maximal frequent itemsets at absolute support `minsup ≥ 1`.
@@ -251,12 +252,12 @@ impl Miner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mine_frequent, EclatLimit};
+    use crate::apriori::apriori;
 
     /// Reference: maximal sets = frequent sets with no frequent strict
-    /// superset (filter over Eclat's complete output).
+    /// superset (filter over Apriori's complete output).
     fn reference_maximal(db: &TransactionDb, minsup: u32) -> Vec<Itemset> {
-        let all = mine_frequent(db, minsup, EclatLimit::Unbounded).unwrap();
+        let all = apriori(db, minsup);
         let mut out: Vec<Itemset> = all
             .iter()
             .filter(|s| !all.iter().any(|t| t.items.len() > s.items.len() && s.is_subset_of(t)))
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn dense_random_cross_check() {
-        // Pseudo-random database, all minsups, vs the Eclat filter.
+        // Pseudo-random database, all minsups, vs the Apriori filter.
         let mut state = 42u64;
         let mut txs = Vec::new();
         for _ in 0..40 {

@@ -9,13 +9,12 @@
 //! * [`core`] ([`revmax_core`]) — the paper's contribution: willingness-to-pay
 //!   modelling, the stochastic adoption model, optimal single-bundle pricing,
 //!   and the pure/mixed bundle-configuration algorithms (matching-based and
-//!   greedy) plus every baseline the paper evaluates against.
+//!   greedy) plus every baseline the paper evaluates against, including
+//!   the `Optimal` and `Greedy WSP` weighted-set-packing comparators of
+//!   Section 5.2/6.4 (`core::wsp`).
 //! * [`matching`] ([`revmax_matching`]) — maximum-weight matching on general
 //!   graphs (Edmonds' blossom algorithm), the substrate behind the optimal
 //!   2-sized configuration and Algorithm 1.
-//! * [`ilp`] ([`revmax_ilp`]) — exact and approximate 0-1 weighted set
-//!   packing, the substrate behind the `Optimal` and `Greedy WSP`
-//!   comparators of Section 5.2/6.4.
 //! * [`fim`] ([`revmax_fim`]) — maximal frequent itemset mining
 //!   (MAFIA-style), the substrate behind the `FreqItemset` baselines.
 //! * [`dataset`] ([`revmax_dataset`]) — a seeded synthetic stand-in for the
@@ -55,7 +54,6 @@ pub use revmax_core as core;
 pub use revmax_dataset as dataset;
 pub use revmax_engine as engine;
 pub use revmax_fim as fim;
-pub use revmax_ilp as ilp;
 pub use revmax_matching as matching;
 pub use revmax_par as par;
 pub use revmax_serve as serve;

@@ -134,7 +134,7 @@ proptest! {
                 *w = 0.0;
             }
         }
-        let dp = revmax::ilp::subset_dp::solve_all_subsets(n, &weights);
+        let dp = revmax::core::wsp::solve_all_subsets(n, &weights);
         prop_assert!((dp.total_weight - out.revenue).abs() < 1e-6,
             "matching {} vs 2-sized optimal {}", out.revenue, dp.total_weight);
     }
