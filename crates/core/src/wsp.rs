@@ -624,6 +624,25 @@ mod tests {
         best
     }
 
+    #[test]
+    fn agrees_with_the_best_partition_on_8_items() {
+        // One step past the proptest's 7 items: 4140 set partitions.
+        let n = 8;
+        let mut weights = vec![0.0; 1 << n];
+        let mut state = 0x1234_5678_9abc_def0u64;
+        for w in weights.iter_mut().skip(1) {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *w = ((state >> 33) % 1000) as f64 / 10.0;
+        }
+        let dp = solve_all_subsets(n, &weights);
+        let brute = best_partition(n, &weights);
+        assert!(
+            (dp.total_weight - brute).abs() < 1e-9,
+            "dp {} vs brute force {brute}",
+            dp.total_weight
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
 
