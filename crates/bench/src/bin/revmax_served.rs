@@ -12,9 +12,10 @@
 //! method's whole-market cell is the served menu), `cohorts`, `workers`
 //! (how many queries may execute at once; connection threads run them,
 //! there are no worker threads), `queue` (bounded request-queue capacity
-//! — the admission-control knob), `coalesce` (max extra same-kind
-//! requests per batched call; 0 disables), `query_threads`
-//! (`revmax-par` threads per batched call; results are bit-identical at
+//! — the admission-control knob; it also caps the mutation batches
+//! waiting for the churn thread), `coalesce` (max extra same-kind
+//! requests per drained run; 0 disables), `query_threads`
+//! (`revmax-par` threads per kernel call; results are bit-identical at
 //! any value), `compact_at` (`MarketLog` compaction threshold; 0
 //! disables).
 //!

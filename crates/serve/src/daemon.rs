@@ -15,32 +15,37 @@
 //!   job, no channel, no thread handoff. Otherwise the query waits in the
 //!   **bounded request queue**, and whichever thread holds a permit
 //!   **drains** it before giving the permit back. Draining
-//!   **coalesces**: it pops a same-kind run of point queries, executes
-//!   ONE batched [`MenuIndex`] call in the shapes `serve_bench` proves
-//!   fast, and splits the results back per request. Coalescing is
-//!   invisible in the results: per-user evaluation is independent, and a
-//!   revenue request's fold is re-applied per request via
-//!   [`chunked_payment_fold`], which is bit-identical to
-//!   [`MenuIndex::try_expected_revenue`] on that request alone.
+//!   **coalesces**: it pops a same-kind run of point queries and answers
+//!   them all against one snapshot of the served index.
 //! * **The churn thread** owns the [`MarketLog`] and the retained
 //!   [`LiveEngine`]: mutation batches are applied off the request path,
-//!   re-solved incrementally, compiled, and [`ServeHandle::swap`]ped in
-//!   atomically — queries never wait on a solve, and the PR-6 churn
-//!   parity guarantees hold end to end.
+//!   re-solved incrementally, compiled, given their answer table, and
+//!   [`ServeHandle::swap`]ped in atomically — queries never wait on a
+//!   solve, and the churn parity guarantees hold end to end. The churn
+//!   channel is bounded by the same `queue_cap`.
 //! * **The accept thread** hands sockets to connection threads until
 //!   shutdown.
 //!
-//! **Admission control:** the request queue is bounded
-//! ([`DaemonConfig::queue_cap`]). When it is full the connection thread
-//! answers [`ErrorCode::Overloaded`] immediately instead of queueing
-//! unbounded latency — the client retries; the daemon's tail stays flat.
+//! **Answers are table reads.** Every served index carries an answer
+//! table (`DESIGN.md` §11.6): each consumer's payment and held offers,
+//! filled by one kernel pass when the index is built. `Assign` and
+//! `ExpectedRevenue` read it — a revenue total is
+//! [`chunked_payment_fold`](crate::query::chunked_payment_fold) over the
+//! gathered payments, bit-identical to
+//! [`MenuIndex::try_expected_revenue`] — so the tile kernel runs only for
+//! that fill and for `MarginalRevenue`.
+//!
+//! **Admission control:** the request queue and the churn channel are
+//! bounded ([`DaemonConfig::queue_cap`] each). When one is full the
+//! connection thread answers [`ErrorCode::Overloaded`] immediately
+//! instead of queueing unbounded latency or memory — the client retries;
+//! the daemon's tail stays flat.
 //! Per-endpoint latency (admission → reply) lands in a log₂-bucketed
 //! [`LatencyHistogram`] whose quantiles export through
 //! [`Request::SwapStats`] and, in the `loadgen` bin, BENCH_JSON.
 
 use crate::index::MenuIndex;
 use crate::proto::{self, DaemonStats, ErrorCode, Request, Response, UserSel, MAX_FRAME};
-use crate::query::chunked_payment_fold;
 use crate::swap::ServeHandle;
 use revmax_core::config::BundleConfig;
 use revmax_core::market::Market;
@@ -48,23 +53,26 @@ use revmax_core::marketlog::{Event, MarketLog};
 use revmax_engine::{CacheStats, LiveEngine};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Tile block width of the daemon's indexes. Its queries are tens to a
-/// few hundred ids (a point query, a coalesced run, an `All` over a
-/// served market), answered on many connection threads that each build a
-/// tile per query. Sixteen lanes hold a typical point query in one block;
-/// wider tiles for `All` and coalesced runs bought no throughput and
-/// raised the fleet's peak RSS (`DESIGN.md` §9.3).
+/// Tile block width of the daemon's indexes. Tiles are built only to
+/// fill a generation's answer table and for `MarginalRevenue` queries,
+/// which may run on many connection threads at once. Sixteen lanes kept
+/// the fleet's peak RSS down when every point query built a tile; wider
+/// tiles bought no throughput then (`DESIGN.md` §9.3).
 const QUERY_BLOCK: usize = 16;
 
-/// The daemon's index over a solved menu: its per-query thread fan-out
-/// and [`QUERY_BLOCK`].
+/// The daemon's index over a solved menu: its per-query thread fan-out,
+/// [`QUERY_BLOCK`], and its answer table, filled before any reader can
+/// see the index.
 fn serving_index(market: &Market, config: &BundleConfig, cfg: &DaemonConfig) -> MenuIndex {
-    MenuIndex::compile(market, config).with_threads(cfg.query_threads).with_block(QUERY_BLOCK)
+    MenuIndex::compile(market, config)
+        .with_threads(cfg.query_threads)
+        .with_block(QUERY_BLOCK)
+        .with_answer_table()
 }
 
 /// Knobs of a [`Daemon`]. `Default` is sized for tests and small hosts;
@@ -77,14 +85,15 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Bounded request-queue capacity — the admission-control knob.
     /// Requests that find every permit taken wait here; beyond the cap
-    /// they are shed with [`ErrorCode::Overloaded`].
+    /// they are shed with [`ErrorCode::Overloaded`]. It also caps the
+    /// mutation batches waiting for the churn thread.
     pub queue_cap: usize,
-    /// Maximum number of *extra* same-kind requests a drain folds into
-    /// one batched call (0 disables coalescing).
+    /// Maximum number of *extra* same-kind requests a drain answers in
+    /// one run against one index snapshot (0 disables coalescing).
     pub coalesce: usize,
-    /// `revmax-par` threads per batched query (the permits are the
-    /// daemon's parallelism, so 1 is the right default; results are
-    /// bit-identical at any value).
+    /// `revmax-par` threads per kernel call: the answer-table fill and
+    /// marginal queries (the permits are the daemon's parallelism, so 1
+    /// is the right default; results are bit-identical at any value).
     pub query_threads: usize,
     /// Configurator methods for the churn thread's incremental re-solves
     /// (registry names/aliases; the first method's whole-market cell is
@@ -188,7 +197,7 @@ struct Job {
 }
 
 impl Job {
-    /// Whether this job may share a batched call: explicit-id assign and
+    /// Whether this job may join a coalesced run: explicit-id assign and
     /// revenue queries only.
     fn coalesces(&self) -> bool {
         self.ids.is_some() && !matches!(self.kind, QueryKind::Marginal { .. })
@@ -294,8 +303,8 @@ impl JobQueue {
     /// Run queued work with `permit` until the queue is empty, then return
     /// the permit under the same lock that saw it empty. Each run is the
     /// front job plus up to `coalesce` directly-following jobs that can
-    /// share one batched call: same kind, and only explicit-id batches
-    /// coalesce (an `All` or marginal query runs alone). Never blocks.
+    /// join it: same kind, and only explicit-id batches coalesce (an
+    /// `All` or marginal query runs alone). Never blocks.
     fn drain(&self, permit: Permit<'_>, mut run: impl FnMut(Vec<Job>)) {
         loop {
             let mut st = self.lock();
@@ -389,9 +398,21 @@ struct Shared {
     counters: Counters,
     assign_hist: LatencyHistogram,
     revenue_hist: LatencyHistogram,
+    /// Mutation batches sent to the churn thread and not yet taken by it,
+    /// at most the queue's `cap`. Counting bounds the churn channel
+    /// without the `cap` slots per daemon a `sync_channel` preallocates.
+    churn_backlog: AtomicUsize,
 }
 
 impl Shared {
+    /// The churn thread took `msg` off its channel: a batch frees its
+    /// backlog slot.
+    fn churn_took(&self, msg: &ChurnMsg) {
+        if let ChurnMsg::Batch(_) = msg {
+            self.churn_backlog.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+
     fn stats(&self) -> DaemonStats {
         let index = self.handle.current();
         let c = &self.counters;
@@ -459,6 +480,7 @@ impl Daemon {
             counters: Counters::default(),
             assign_hist: LatencyHistogram::new(),
             revenue_hist: LatencyHistogram::new(),
+            churn_backlog: AtomicUsize::new(0),
         });
         shared.counters.record_resolve(&initial.stats);
 
@@ -529,8 +551,9 @@ impl Daemon {
 }
 
 /// Close admission and unblock every parked thread: [`Daemon::join`] (via
-/// the queue's idle condvar), the churn thread (via a `Stop` message),
-/// and the accept loop (via a wake-up connection to ourselves).
+/// the queue's idle condvar), the churn thread (via a `Stop` message,
+/// which the churn backlog bound never refuses), and the accept loop (via
+/// a wake-up connection to ourselves).
 fn initiate_shutdown(shared: &Shared, churn_tx: &mpsc::Sender<ChurnMsg>, addr: SocketAddr) {
     shared.queue.close();
     let _ = churn_tx.send(ChurnMsg::Stop);
@@ -593,13 +616,7 @@ fn connection_loop(
                 handle_query(&mut stream, &shared, QueryKind::Marginal { offer, dprice }, sel)
             }
             Request::MutateMarket(events) => {
-                let n = events.len() as u64;
-                let generation = shared.handle.generation();
-                if shared.queue.is_closed() || churn_tx.send(ChurnMsg::Batch(events)).is_err() {
-                    send(&mut stream, &error(ErrorCode::ShuttingDown, SHUTTING_DOWN))
-                } else {
-                    send(&mut stream, &Response::MutateAck { accepted: n, generation })
-                }
+                send(&mut stream, &enqueue_mutation(&shared, &churn_tx, events))
             }
             Request::SwapStats => send(&mut stream, &Response::Stats(shared.stats())),
             Request::Shutdown => {
@@ -615,6 +632,31 @@ fn connection_loop(
             return;
         }
     }
+}
+
+/// Hand one mutation batch to the churn thread and ack it, or refuse it:
+/// `Overloaded` (counted as shed) when `queue_cap` batches already wait
+/// for the churn thread, `ShuttingDown` once shutdown has begun.
+fn enqueue_mutation(
+    shared: &Shared,
+    churn_tx: &mpsc::Sender<ChurnMsg>,
+    events: Vec<Event>,
+) -> Response {
+    let accepted = events.len() as u64;
+    let generation = shared.handle.generation();
+    if shared.queue.is_closed() {
+        return error(ErrorCode::ShuttingDown, SHUTTING_DOWN);
+    }
+    if shared.churn_backlog.fetch_add(1, Ordering::AcqRel) >= shared.queue.cap {
+        shared.churn_backlog.fetch_sub(1, Ordering::AcqRel);
+        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        return error(ErrorCode::Overloaded, "churn queue full, retry");
+    }
+    if churn_tx.send(ChurnMsg::Batch(events)).is_err() {
+        shared.churn_backlog.fetch_sub(1, Ordering::AcqRel);
+        return error(ErrorCode::ShuttingDown, SHUTTING_DOWN);
+    }
+    Response::MutateAck { accepted, generation }
 }
 
 /// Admit one point query (or shed it), get its answer, and write it
@@ -660,15 +702,14 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, kind: QueryKind, sel: U
 // Query execution (on whichever connection thread holds the permit)
 // ---------------------------------------------------------------------
 
-/// Answer one query on its own against `index`: an id batch or the whole
-/// market, for any kind. Both the direct path and a drained run of one
-/// call this; a query error becomes a typed `Query` response.
+/// Answer one query against `index`: an id batch or the whole market,
+/// for any kind. The direct path and every drained job call this; a query
+/// error becomes a typed `Query` response. `Assign` and `ExpectedRevenue`
+/// read the index's answer table; `MarginalRevenue` runs the kernel.
 fn answer(shared: &Shared, index: &MenuIndex, kind: QueryKind, ids: Option<&[u32]>) -> Response {
     let result = match (kind, ids) {
-        (QueryKind::Assign, Some(ids)) => index.try_assign(ids).map(Response::Assignments),
-        (QueryKind::Assign, None) => Ok(Response::Assignments(index.assign_all())),
-        (QueryKind::Revenue, Some(ids)) => index.try_expected_revenue(ids).map(Response::Revenue),
-        (QueryKind::Revenue, None) => Ok(Response::Revenue(index.expected_revenue_all())),
+        (QueryKind::Assign, ids) => index.serve_assign(ids).map(Response::Assignments),
+        (QueryKind::Revenue, ids) => index.serve_revenue(ids).map(Response::Revenue),
         (QueryKind::Marginal { offer, dprice }, Some(ids)) => {
             index.try_marginal_revenue(offer, dprice, ids).map(Response::Marginal)
         }
@@ -685,62 +726,16 @@ fn answer(shared: &Shared, index: &MenuIndex, kind: QueryKind, ids: Option<&[u32
     }
 }
 
-/// Execute one drained run of same-kind jobs against a single snapshot
-/// of the served index, split the results back per request, and reply.
-///
-/// Coalescing is result-invisible: per-user evaluation is independent, so
-/// a combined `assign` batch answers every constituent request with
-/// exactly the assignments a solo call would produce, and a revenue
-/// request's total is re-folded from the shared per-user payments with
-/// [`chunked_payment_fold`] — bit-identical to
-/// [`MenuIndex::try_expected_revenue`] on that request alone.
-fn execute_batch(shared: &Shared, mut jobs: Vec<Job>) {
+/// Answer one drained run of same-kind jobs against a single snapshot of
+/// the served index, replying to each. Each job is answered exactly as
+/// it would be alone: its ids are validated on their own, so one bad
+/// request cannot spoil its run-mates.
+fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     let index = shared.handle.current();
-    if jobs.len() == 1 {
-        let job = jobs.pop().expect("one job");
+    shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
+    for job in jobs {
         let resp = answer(shared, &index, job.kind, job.ids.as_deref());
         finish(shared, job, resp);
-        return;
-    }
-    let kind = jobs[0].kind;
-    shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
-
-    // Validate every id batch up front so one bad request cannot spoil
-    // the shared evaluation: invalid jobs answer a typed Query error,
-    // valid ones proceed into the combined call.
-    let mut valid: Vec<(Job, Vec<u32>)> = Vec::with_capacity(jobs.len());
-    for mut job in jobs {
-        let ids = job.ids.take().expect("only id batches coalesce");
-        match index.validate_users(&ids) {
-            Ok(()) => valid.push((job, ids)),
-            Err(e) => finish(shared, job, error(ErrorCode::Query, e)),
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-    let combined: Vec<u32> = valid.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
-    match kind {
-        QueryKind::Assign => {
-            let all = index.try_assign(&combined).expect("batches validated above");
-            let mut results = all.into_iter();
-            for (job, ids) in valid {
-                let part: Vec<_> = results.by_ref().take(ids.len()).collect();
-                served(shared, kind);
-                finish(shared, job, Response::Assignments(part));
-            }
-        }
-        QueryKind::Revenue => {
-            let payments = index.try_payments(&combined).expect("batches validated above");
-            let mut offset = 0usize;
-            for (job, ids) in valid {
-                let total = chunked_payment_fold(&payments[offset..offset + ids.len()]);
-                offset += ids.len();
-                served(shared, kind);
-                finish(shared, job, Response::Revenue(total));
-            }
-        }
-        QueryKind::Marginal { .. } => unreachable!("marginal queries never coalesce"),
     }
 }
 
@@ -785,6 +780,7 @@ fn churn_loop(
 ) {
     let mut log = MarketLog::new(market);
     'outer: while let Ok(msg) = rx.recv() {
+        shared.churn_took(&msg);
         let mut batches = match msg {
             ChurnMsg::Stop => break,
             ChurnMsg::Batch(events) => vec![events],
@@ -792,6 +788,7 @@ fn churn_loop(
         // Coalesce whatever else is already queued into one re-solve.
         let mut stop_after = false;
         while let Ok(more) = rx.try_recv() {
+            shared.churn_took(&more);
             match more {
                 ChurnMsg::Stop => {
                     stop_after = true;
@@ -824,6 +821,8 @@ fn churn_loop(
                     let Some(cell) = report.whole_cell() else {
                         continue;
                     };
+                    // The answer table is filled here, before the swap
+                    // publishes the index to readers.
                     shared.handle.swap(serving_index(&churned, &cell.outcome.config, &cfg));
                     shared.counters.mutations_applied.fetch_add(applied, Ordering::Relaxed);
                 }
@@ -1002,6 +1001,65 @@ mod tests {
         assert!(unwound.is_err());
         assert!(rx.recv().is_err());
         drop(run_direct(&q));
+    }
+
+    #[test]
+    fn a_full_churn_channel_sheds_mutations_with_overloaded() {
+        use revmax_core::bundle::Bundle;
+        use revmax_core::config::{OfferNode, Strategy};
+        use revmax_core::params::Params;
+        use revmax_core::wtp::WtpMatrix;
+        let market = Market::new(
+            WtpMatrix::from_rows(vec![vec![12.0, 4.0], vec![8.0, 2.0]]),
+            Params::default(),
+        );
+        let config = BundleConfig {
+            strategy: Strategy::Pure,
+            roots: vec![
+                OfferNode::leaf(Bundle::single(0), 8.0),
+                OfferNode::leaf(Bundle::single(1), 4.0),
+            ],
+        };
+        let shared = Shared {
+            handle: ServeHandle::new(MenuIndex::compile(&market, &config)),
+            queue: JobQueue::new(1, 1, 0),
+            counters: Counters::default(),
+            assign_hist: LatencyHistogram::new(),
+            revenue_hist: LatencyHistogram::new(),
+            churn_backlog: AtomicUsize::new(0),
+        };
+        let batch = || vec![Event::UpsertWtp { user: 0, item: 1, wtp: 5.0 }];
+        // A cap of 1, with nothing draining the channel.
+        let (tx, rx) = mpsc::channel();
+        assert!(matches!(
+            enqueue_mutation(&shared, &tx, batch()),
+            Response::MutateAck { accepted: 1, generation: 0 }
+        ));
+        match enqueue_mutation(&shared, &tx, batch()) {
+            Response::Error { code: ErrorCode::Overloaded, .. } => {}
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_eq!(shared.counters.shed.load(Ordering::Relaxed), 1);
+        let taken = rx.try_recv().expect("the accepted batch");
+        assert!(rx.try_recv().is_err(), "the refused batch never reached the channel");
+        // Once the churn thread takes a batch, the next one is accepted.
+        shared.churn_took(&taken);
+        assert!(matches!(enqueue_mutation(&shared, &tx, batch()), Response::MutateAck { .. }));
+        // A gone churn thread, or a closed queue, answers ShuttingDown.
+        shared.churn_took(&rx.try_recv().expect("the accepted batch"));
+        drop(rx);
+        match enqueue_mutation(&shared, &tx, batch()) {
+            Response::Error { code: ErrorCode::ShuttingDown, .. } => {}
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
+        assert_eq!(shared.churn_backlog.load(Ordering::Acquire), 0, "a failed send is not queued");
+        shared.queue.close();
+        let (tx, _rx) = mpsc::channel();
+        match enqueue_mutation(&shared, &tx, batch()) {
+            Response::Error { code: ErrorCode::ShuttingDown, .. } => {}
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
+        assert_eq!(shared.counters.shed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

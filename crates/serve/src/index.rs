@@ -28,6 +28,7 @@
 //! results bit-identical to solver-side evaluation.
 
 use crate::kernel::KernelKind;
+use crate::query::AnswerTable;
 use revmax_core::adoption::AdoptionModel;
 use revmax_core::config::{BundleConfig, OfferNode, Strategy};
 use revmax_core::market::Market;
@@ -94,6 +95,10 @@ pub struct MenuIndex {
     /// Tile-kernel user-block width (0 ⇒ [`crate::kernel::DEFAULT_BLOCK`]).
     /// Never affects results, only cache behavior.
     pub(crate) block: usize,
+    /// Every consumer's answer, filled by the daemon's serving index only
+    /// (`DESIGN.md` §11.6); `compile` and `rebind` leave it `None`, and
+    /// the public query methods never read it.
+    pub(crate) answers: Option<Arc<AnswerTable>>,
 }
 
 impl MenuIndex {
@@ -178,6 +183,7 @@ impl MenuIndex {
             threads: market.threads(),
             kernel,
             block,
+            answers: None,
             store: Arc::new(MenuStore {
                 shape,
                 n_users: market.n_users(),

@@ -44,7 +44,7 @@
 //!   children found from the post-order layout)
 //!   keeps the adopted nodes without an adopted ancestor — adopting a
 //!   node wipes every holding in its subtree — and two passes over those
-//!   bits build the block's held-offer CSR, which `take_offers` slices.
+//!   bits build the block's held-offer CSR, which `offers` slices.
 //!   No tree-size limit: rows are per node, not per tree.
 //!
 //! The walk is price-parameterized (`TileScratch::walk_block` takes the
@@ -93,13 +93,13 @@ impl KernelKind {
 pub(crate) trait BlockEval {
     /// Evaluate one block of users (no wider than the evaluator was built
     /// for). Per-lane payments land in `payments()[..users.len()]`; with
-    /// `collect`, per-lane held offers are readable via `take_offers`.
+    /// `collect`, per-lane held offers are readable via `offers`.
     fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool);
     /// Per-lane expected payments of the last evaluated block.
     fn payments(&self) -> &[f64];
     /// One lane's held offer node ids (menu order) from the last collect
     /// evaluation.
-    fn take_offers(&mut self, lane: usize) -> Vec<u32>;
+    fn offers(&self, lane: usize) -> &[u32];
 }
 
 /// Default user-block width. 512 lanes × 8 bytes = 4 KiB per node row —
@@ -264,8 +264,7 @@ impl TileScratch {
     /// compiled `shape.prices`, or a perturbed copy for marginal-revenue
     /// queries — same code path, so perturbed results are bit-identical
     /// to a recompile at the perturbed price). Fills `payments[..b]` and,
-    /// with `collect`, the held-offer lists behind
-    /// [`BlockEval::take_offers`].
+    /// with `collect`, the held-offer lists behind [`BlockEval::offers`].
     ///
     /// With `consume`, every tile lane the walk reads is zeroed behind
     /// it, restoring the all-zero tile for the next scatter (see
@@ -669,10 +668,10 @@ impl BlockEval for TileScratch {
         &self.payments
     }
 
-    /// One lane's held offers (menu order) from the last collect walk's
-    /// held-offer CSR, as an exact-size copy.
-    fn take_offers(&mut self, lane: usize) -> Vec<u32> {
-        self.offers[self.offer_ptr[lane]..self.offer_ptr[lane + 1]].to_vec()
+    /// One lane's held offers (menu order): its row of the last collect
+    /// walk's held-offer CSR.
+    fn offers(&self, lane: usize) -> &[u32] {
+        &self.offers[self.offer_ptr[lane]..self.offer_ptr[lane + 1]]
     }
 }
 

@@ -149,9 +149,10 @@ pub struct DaemonStats {
     pub served_revenue: u64,
     /// Marginal-revenue requests answered.
     pub served_marginal: u64,
-    /// Requests that rode along in another request's coalesced batch.
+    /// Requests that rode along in another request's coalesced run.
     pub coalesced: u64,
-    /// Requests refused by admission control (bounded queue full).
+    /// Requests refused by admission control (request queue or churn
+    /// backlog full).
     pub shed: u64,
     /// Frames that failed to decode.
     pub malformed: u64,

@@ -46,12 +46,22 @@
 //! sink with its chunk cut points; the sink decides what a block
 //! contributes (payments, assignments, per-chunk revenue folds, a
 //! marginal double walk).
+//!
+//! ## The answer table (`DESIGN.md` §11.6)
+//!
+//! A consumer's payment and held offers depend only on the menu and
+//! their WTP row, so for a frozen index they can be computed once. The
+//! daemon fills an `AnswerTable` with one kernel pass over every
+//! consumer and answers `Assign` / `ExpectedRevenue` from it. The
+//! public query methods never read it: they stay kernel evaluations, so
+//! every benchmark and oracle built on them still measures the kernel.
 
 use crate::index::{MenuIndex, MenuStore};
 use crate::kernel::{BlockEval, KernelKind, TileScratch};
 use crate::reference::RowScratch;
 use revmax_core::market::Market;
 use revmax_par::effective_chunk_size;
+use std::sync::Arc;
 
 /// A query rejected before evaluation. The serving daemon turns these
 /// into protocol error responses; nothing in the query path panics on
@@ -126,6 +136,28 @@ pub struct Assignment {
     pub offers: Vec<u32>,
 }
 
+/// Every consumer's answer under one compiled menu: the kernel's own
+/// per-lane outputs of one pass over `0..n_users`, stored flat. Consumer
+/// `u` pays `payments[u]` and holds `offers[offer_ptr[u]..offer_ptr[u +
+/// 1]]`, in menu order — 16 bytes per consumer plus 4 per held offer.
+/// Lane bits do not depend on block composition or width (§12.1), so a
+/// row is exactly what `try_assign(&[u])` returns.
+#[derive(Debug, Default)]
+pub(crate) struct AnswerTable {
+    payments: Vec<f64>,
+    offer_ptr: Vec<usize>,
+    offers: Vec<u32>,
+}
+
+impl AnswerTable {
+    /// Consumer `user`'s row as an [`Assignment`].
+    fn assignment(&self, user: u32) -> Assignment {
+        let u = user as usize;
+        let offers = self.offers[self.offer_ptr[u]..self.offer_ptr[u + 1]].to_vec();
+        Assignment { user, payment: self.payments[u], offers }
+    }
+}
+
 /// The consumers a query evaluates.
 #[derive(Clone, Copy)]
 enum Source<'a> {
@@ -182,8 +214,9 @@ impl MenuIndex {
     /// Per-user expected payments of the queried users, in query order —
     /// [`MenuIndex::try_assign`] without materializing the held-offer
     /// lists. `try_expected_revenue(users)` is exactly
-    /// [`chunked_payment_fold`] over this vector; the daemon's coalesced
-    /// revenue path relies on that identity (`DESIGN.md` §11).
+    /// [`chunked_payment_fold`] over this vector; the daemon's
+    /// answer-table revenue path relies on that identity (`DESIGN.md`
+    /// §11.6).
     pub fn try_payments(&self, users: &[u32]) -> Result<Vec<f64>, QueryError> {
         self.validate_users(users)?;
         let parts = self.drive(
@@ -260,12 +293,92 @@ impl MenuIndex {
         self.marginal(offer, dprice, Source::All(self.store.n_users))
     }
 
+    /// This index with its [`AnswerTable`] filled — the daemon's serving
+    /// index. The table costs one kernel pass; the public query methods
+    /// ignore it.
+    pub(crate) fn with_answer_table(mut self) -> MenuIndex {
+        self.answers = Some(Arc::new(self.answer_table()));
+        self
+    }
+
+    /// One collect pass over every consumer. Each task's partial keeps its
+    /// rows' offer ends relative to its own `offers`; the partials are
+    /// then stitched in task order, which is consumer order.
+    fn answer_table(&self) -> AnswerTable {
+        let n = self.store.n_users;
+        let parts = self.drive(
+            Source::All(n),
+            self.evaluator(),
+            |store, eval, blk, _, part: &mut AnswerTable| {
+                eval.eval_block(store, blk, true);
+                part.payments.extend_from_slice(&eval.payments()[..blk.len()]);
+                for lane in 0..blk.len() {
+                    part.offers.extend_from_slice(eval.offers(lane));
+                    part.offer_ptr.push(part.offers.len());
+                }
+            },
+        );
+        let mut table = AnswerTable {
+            payments: Vec::with_capacity(n),
+            offer_ptr: Vec::with_capacity(n + 1),
+            offers: Vec::with_capacity(parts.iter().map(|p| p.offers.len()).sum()),
+        };
+        table.offer_ptr.push(0);
+        for part in parts {
+            let base = table.offers.len();
+            table.offer_ptr.extend(part.offer_ptr.iter().map(|&end| base + end));
+            table.payments.extend(part.payments);
+            table.offers.extend(part.offers);
+        }
+        table
+    }
+
+    /// The daemon's `Assign`: `ids`, or every consumer for `None`. Read
+    /// from the answer table when the index carries one, else evaluated —
+    /// the same bits either way.
+    pub(crate) fn serve_assign(&self, ids: Option<&[u32]>) -> Result<Vec<Assignment>, QueryError> {
+        let Some(table) = self.answers.as_deref() else {
+            return match ids {
+                Some(ids) => self.try_assign(ids),
+                None => Ok(self.assign_all()),
+            };
+        };
+        Ok(match ids {
+            Some(ids) => {
+                self.validate_users(ids)?;
+                ids.iter().map(|&u| table.assignment(u)).collect()
+            }
+            None => (0..self.store.n_users as u32).map(|u| table.assignment(u)).collect(),
+        })
+    }
+
+    /// The daemon's `ExpectedRevenue`, like [`MenuIndex::serve_assign`]:
+    /// a table read folds the gathered payments with
+    /// [`chunked_payment_fold`], the reduction `try_expected_revenue` and
+    /// `expected_revenue_all` apply to the same payments.
+    pub(crate) fn serve_revenue(&self, ids: Option<&[u32]>) -> Result<f64, QueryError> {
+        let Some(table) = self.answers.as_deref() else {
+            return match ids {
+                Some(ids) => self.try_expected_revenue(ids),
+                None => Ok(self.expected_revenue_all()),
+            };
+        };
+        Ok(match ids {
+            Some(ids) => {
+                self.validate_users(ids)?;
+                let payments: Vec<f64> = ids.iter().map(|&u| table.payments[u as usize]).collect();
+                chunked_payment_fold(&payments)
+            }
+            None => chunked_payment_fold(&table.payments),
+        })
+    }
+
     /// Assignments of a validated source, in source order.
     fn assignments(&self, users: Source<'_>) -> Vec<Assignment> {
         let parts = self.drive(users, self.evaluator(), |store, eval, blk, _, out: &mut Vec<_>| {
             eval.eval_block(store, blk, true);
             for (lane, &user) in blk.iter().enumerate() {
-                let offers = eval.take_offers(lane);
+                let offers = eval.offers(lane).to_vec();
                 out.push(Assignment { user, payment: eval.payments()[lane], offers });
             }
         });
@@ -421,8 +534,8 @@ fn fold_chunks(parts: &mut Vec<f64>, lanes: &[f64], cuts: &[usize]) {
 /// each summed left to right from `+0.0`, block partials folded left to
 /// right from `+0.0`. Given `payments = try_payments(users)?`, this
 /// returns `try_expected_revenue(users)?` to the bit — which is what lets
-/// the daemon answer several coalesced revenue requests from one shared
-/// evaluation pass without perturbing any request's result.
+/// the daemon answer revenue requests from the per-user payments of its
+/// answer table with the kernel's bits.
 pub fn chunked_payment_fold(payments: &[f64]) -> f64 {
     if payments.is_empty() {
         return 0.0;
@@ -679,6 +792,147 @@ mod tests {
         assert_eq!(idx.try_marginal_revenue_all(0, 0.5).unwrap(), zero);
     }
 
+    /// Bit-compare two assignment lists (payments by their bits).
+    fn same_assignments(got: &[Assignment], want: &[Assignment]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(g, w)| {
+                g.user == w.user
+                    && g.payment.to_bits() == w.payment.to_bits()
+                    && g.offers == w.offers
+            })
+    }
+
+    #[test]
+    fn public_queries_never_read_the_answer_table() {
+        let m = table1();
+        for config in [components(), mixed_tree()] {
+            let plain = MenuIndex::compile(&m, &config);
+            assert!(plain.answers.is_none(), "compile leaves the table empty");
+            assert!(plain.rebind(&m).answers.is_none(), "rebind leaves the table empty");
+            let served = plain.clone().with_answer_table();
+            assert!(same_assignments(&served.serve_assign(None).unwrap(), &plain.assign_all()));
+            // A bad id is the same typed error on the table path.
+            let oor = QueryError::UserOutOfRange { user: 3, n_users: 3 };
+            assert_eq!(served.serve_assign(Some(&[0, 3])), Err(oor));
+            assert_eq!(served.serve_revenue(Some(&[3])), Err(oor));
+
+            // Swap in a table of wrong answers: the daemon's reads show
+            // it, every public query still answers from the kernel.
+            let mut poisoned = served.clone();
+            poisoned.answers = Some(Arc::new(AnswerTable {
+                payments: vec![-1.0; 3],
+                offer_ptr: vec![0; 4],
+                offers: Vec::new(),
+            }));
+            assert_eq!(poisoned.serve_revenue(None), Ok(-3.0));
+            let users = plain.all_users();
+            assert!(same_assignments(&poisoned.assign_all(), &plain.assign_all()));
+            assert!(same_assignments(&poisoned.assign(&users), &plain.assign(&users)));
+            assert_eq!(
+                poisoned.expected_revenue_all().to_bits(),
+                plain.expected_revenue_all().to_bits()
+            );
+            assert_eq!(
+                poisoned.expected_revenue(&users).to_bits(),
+                plain.expected_revenue(&users).to_bits()
+            );
+            assert_eq!(poisoned.try_payments(&users), plain.try_payments(&users));
+            assert_eq!(
+                poisoned.try_marginal_revenue_all(0, 0.5),
+                plain.try_marginal_revenue_all(0, 0.5)
+            );
+        }
+    }
+
+    #[test]
+    fn an_index_without_a_table_serves_from_the_kernel() {
+        let idx = MenuIndex::compile(&table1(), &mixed_tree());
+        let ids = [2, 0, 2];
+        assert!(same_assignments(&idx.serve_assign(Some(&ids)).unwrap(), &idx.assign(&ids)));
+        assert_eq!(idx.serve_revenue(Some(&ids)), idx.try_expected_revenue(&ids));
+        assert_eq!(idx.serve_revenue(None), Ok(idx.expected_revenue_all()));
+        assert!(same_assignments(&idx.serve_assign(None).unwrap(), &idx.assign_all()));
+    }
+
+    /// A random dense WTP matrix with at least one rating (entries 0 with
+    /// ~3/8 probability), 2–89 consumers × 1–6 items: past 64 consumers
+    /// the §6 chunks of `All` hold more than one payment.
+    fn arb_rows() -> impl proptest::strategy::Strategy<Value = Vec<Vec<f64>>> {
+        use proptest::prelude::*;
+        fn cell() -> impl Strategy<Value = f64> {
+            (0u32..80).prop_map(|raw| if raw < 30 { 0.0 } else { raw as f64 * 0.25 })
+        }
+        (2usize..90, 1usize..7)
+            .prop_flat_map(|(m, n)| {
+                proptest::collection::vec(proptest::collection::vec(cell(), n), m)
+            })
+            .prop_filter("a menu needs a rating", |rows| rows.iter().flatten().any(|&w| w != 0.0))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The answer table ≡ the kernel: every row is `try_assign(&[u])`,
+        /// and table answers to id batches (repeats, any order, empty; past
+        /// 64 ids a §6 chunk folds several payments) and to `All` carry the
+        /// kernel's bits, for pure and mixed solver menus at θ ∈ {0,
+        /// ±0.05}, step and sigmoid γ, filled at 1 or 4 threads and any
+        /// block width.
+        #[test]
+        fn answer_table_is_bit_identical_to_the_kernel(
+            rows in arb_rows(),
+            theta in 0usize..3,
+            sigmoid in 0u8..2,
+            threads in 0usize..2,
+            block in 0usize..4,
+            batches in proptest::collection::vec(proptest::collection::vec(0u32..1000, 0..200), 1..4),
+        ) {
+            use revmax_core::params::Threads;
+            let theta = [0.0, 0.05, -0.05][theta];
+            let gamma = if sigmoid == 1 { 1.5 } else { 1e6 };
+            let (threads, block) = ([1, 4][threads], [1, 3, 16, 0][block]);
+            let params = Params::default()
+                .with_theta(theta)
+                .with_gamma(gamma)
+                .with_threads(Threads::Fixed(1));
+            let market = Market::new(WtpMatrix::from_rows(rows), params);
+            let n = market.n_users() as u32;
+            for method in ["Components", "Pure Greedy", "Mixed Greedy"] {
+                let config = revmax_core::algorithms::by_name(method).unwrap().run(&market).config;
+                let kernel = MenuIndex::compile(&market, &config).with_threads(1);
+                let served =
+                    kernel.clone().with_threads(threads).with_block(block).with_answer_table();
+                let table = served.answers.as_deref().expect("filled");
+                for u in 0..n {
+                    proptest::prop_assert!(
+                        same_assignments(&[table.assignment(u)], &kernel.try_assign(&[u]).unwrap()),
+                        "{}: row {} differs from try_assign", method, u
+                    );
+                }
+                let all = served.serve_assign(None).unwrap();
+                proptest::prop_assert!(same_assignments(&all, &kernel.assign_all()), "{}", method);
+                proptest::prop_assert_eq!(
+                    served.serve_revenue(None).unwrap().to_bits(),
+                    kernel.expected_revenue_all().to_bits()
+                );
+                for ids in batches.iter().map(|b| b.iter().map(|&u| u % n).collect::<Vec<_>>())
+                    .chain([Vec::new()])
+                {
+                    let got = served.serve_assign(Some(&ids)).unwrap();
+                    proptest::prop_assert!(
+                        same_assignments(&got, &kernel.try_assign(&ids).unwrap()),
+                        "{}: batch {:?}", method, ids
+                    );
+                    proptest::prop_assert_eq!(
+                        served.serve_revenue(Some(&ids)).unwrap().to_bits(),
+                        kernel.try_expected_revenue(&ids).unwrap().to_bits(),
+                        "{}: batch {:?}", method, ids
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn payment_fold_reproduces_expected_revenue_bitwise() {
         let w = WtpMatrix::from_rows(
@@ -693,8 +947,8 @@ mod tests {
             chunked_payment_fold(&payments).to_bits(),
             idx.expected_revenue(&users).to_bits()
         );
-        // Sub-batch identity — the coalescing rule: any request's revenue
-        // folds from the shared per-user payments of the combined batch.
+        // Sub-batch identity: any batch's revenue folds from its own slice
+        // of per-user payments, however those were computed.
         let sub = &users[19..193];
         let sub_payments = &payments[19..193];
         assert_eq!(

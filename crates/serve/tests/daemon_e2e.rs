@@ -4,15 +4,17 @@
 //! checked at the wire:
 //!
 //! * zero dropped queries across however many hot swaps happen,
-//! * post-churn `ExpectedRevenue(All)` / `Assign(All)` **bit-identical**
-//!   to a cold rebuild (compact → fresh solve → fresh compile) of the
-//!   same event history,
+//! * post-churn `ExpectedRevenue` / `Assign` answers, `All` and 16-id
+//!   point queries alike, **bit-identical** to a cold rebuild (compact →
+//!   fresh solve → fresh compile) of the same event history, on a mixed
+//!   menu,
 //! * malformed frames and out-of-range ids answer typed errors and never
 //!   kill the process,
 //! * `Shutdown` drains and `Daemon::join` returns, with queries in flight,
 //! * with one permit and eight connections, queued and coalesced queries
 //!   answer bit-identically to direct in-process calls.
 
+use revmax_core::config::Strategy;
 use revmax_core::market::Market;
 use revmax_core::marketlog::{Event, MarketLog};
 use revmax_engine::{LiveEngine, ScaleSpec};
@@ -71,12 +73,17 @@ fn quiesce(stream: &mut TcpStream, events: u64) {
     }
 }
 
+/// The served menu is the first method's: a mixed menu, whose held-offer
+/// rows include bundles and the components under them.
+const MIXED_METHODS: [&str; 2] = ["mixed_greedy", "components"];
+
 #[test]
 fn served_state_is_bit_identical_to_a_cold_rebuild_across_hot_swaps() {
     let daemon = spawn_daemon(DaemonConfig {
         workers: 2,
         queue_cap: 64,
         coalesce: 8,
+        methods: MIXED_METHODS.iter().map(|m| m.to_string()).collect(),
         ..DaemonConfig::default()
     });
     let base = tiny_market();
@@ -138,9 +145,15 @@ fn served_state_is_bit_identical_to_a_cold_rebuild_across_hot_swaps() {
     // fresh compile — the daemon's answers must match it bit for bit.
     let churned = log.snapshot();
     let cold_market = churned.with_wtp(churned.wtp().compact());
-    let mut engine = LiveEngine::new(&["components"], 0).unwrap();
+    let mut engine = LiveEngine::new(&MIXED_METHODS, 0).unwrap();
     let report = engine.resolve(&cold_market).unwrap();
     let cold_index = MenuIndex::compile(&cold_market, &report.whole_cell().unwrap().outcome.config);
+    assert_eq!(cold_index.strategy(), Strategy::Mixed);
+    let held_below_a_root = cold_index
+        .assign_all()
+        .iter()
+        .any(|a| a.offers.iter().any(|o| !cold_index.roots().contains(o)));
+    assert!(held_below_a_root, "some consumer holds a component under a bundle");
 
     match proto::roundtrip(&mut stream, &Request::ExpectedRevenue(UserSel::All)).unwrap() {
         Response::Revenue(served) => assert_eq!(
@@ -151,8 +164,15 @@ fn served_state_is_bit_identical_to_a_cold_rebuild_across_hot_swaps() {
         other => panic!("expected Revenue, got {other:?}"),
     }
     match proto::roundtrip(&mut stream, &Request::Assign(UserSel::All)).unwrap() {
-        Response::Assignments(served) => assert_eq!(served, cold_index.assign_all()),
+        Response::Assignments(served) => assert_same_assignments(&served, &cold_index.assign_all()),
         other => panic!("expected Assignments, got {other:?}"),
+    }
+    // Point queries too: 16-id `Assign` / `ExpectedRevenue`, checked
+    // against the cold index's kernel.
+    for r in 0..32 {
+        let req = point_query(0, r, n_users);
+        let resp = proto::roundtrip(&mut stream, &req).unwrap();
+        check_answer(&cold_index, &req, resp);
     }
 
     // Clean wire-driven shutdown: Bye, then every thread joins.

@@ -21,6 +21,9 @@ use revmax_par::effective_chunk_size;
 use revmax_serve::{solver_user_revenue, KernelKind, MenuIndex};
 
 /// A random dense WTP matrix (entries 0 with ~3/8 probability) plus θ.
+/// An all-zero matrix has no menu to serve, so it is drawn again: the
+/// proptest macro runs every case in one function body, where a skipping
+/// `return` would end the whole test.
 fn arb_dense() -> impl Strategy<Value = (Vec<Vec<f64>>, f64)> {
     fn cell() -> impl Strategy<Value = f64> {
         (0u32..80u32).prop_map(|raw| if raw < 30 { 0.0 } else { raw as f64 * 0.25 })
@@ -30,15 +33,13 @@ fn arb_dense() -> impl Strategy<Value = (Vec<Vec<f64>>, f64)> {
         (proptest::collection::vec(proptest::collection::vec(cell(), n..=n), m..=m), -20i32..=20)
             .prop_map(|(rows, theta)| (rows, theta as f64 / 100.0))
     })
+    .prop_filter("a menu needs a rating", |(rows, _)| rows.iter().flatten().any(|&w| w != 0.0))
 }
 
-fn market_of(dense: &[Vec<f64>], theta: f64, gamma: f64) -> Option<Market> {
-    if dense.iter().all(|row| row.iter().all(|&w| w == 0.0)) {
-        return None; // empty markets have no menu to serve
-    }
+fn market_of(dense: &[Vec<f64>], theta: f64, gamma: f64) -> Market {
     let params =
         Params::default().with_theta(theta).with_gamma(gamma).with_threads(Threads::Fixed(1));
-    Some(Market::new(WtpMatrix::from_rows(dense.to_vec()), params))
+    Market::new(WtpMatrix::from_rows(dense.to_vec()), params)
 }
 
 /// The configurators exercised per case: a pure and a mixed method so
@@ -55,7 +56,7 @@ proptest! {
     ) {
         // Step regime by default; soft sigmoid on half the cases.
         let gamma = if sigmoid == 1 { 1.5 } else { 1e6 };
-        let Some(market) = market_of(&dense, theta, gamma) else { return };
+        let market = market_of(&dense, theta, gamma);
         for method in METHODS {
             let outcome = by_name(method).unwrap().run(&market);
             let index = MenuIndex::compile(&market, &outcome.config);
@@ -109,7 +110,7 @@ proptest! {
         (dense, theta) in arb_dense(),
         mask in 1u32..255,
     ) {
-        let Some(market) = market_of(&dense, theta, 1e6) else { return };
+        let market = market_of(&dense, theta, 1e6);
         let outcome = by_name("Mixed Greedy").unwrap().run(&market);
         let index = MenuIndex::compile(&market, &outcome.config);
         // An arbitrary (non-contiguous, possibly repeating) batch.
@@ -148,7 +149,7 @@ proptest! {
         sigmoid in 0u8..2,
     ) {
         let gamma = if sigmoid == 1 { 1.5 } else { 1e6 };
-        let Some(market) = market_of(&dense, theta, gamma) else { return };
+        let market = market_of(&dense, theta, gamma);
         let n = market.n_users();
         for (method, configurator) in registry() {
             let outcome = configurator.run(&market);
@@ -228,7 +229,7 @@ proptest! {
         pick in 0usize..64,
         dp in -40i32..=40,
     ) {
-        let Some(market) = market_of(&dense, theta, 1e6) else { return };
+        let market = market_of(&dense, theta, 1e6);
         let outcome = by_name("Mixed Greedy").unwrap().run(&market);
         let index = MenuIndex::compile(&market, &outcome.config);
         let users = index.all_users();
@@ -251,6 +252,7 @@ proptest! {
             .collect();
 
         let base = index.expected_revenue(&users);
+        // No early `return` (see `arb_dense`).
         if moved.is_empty() {
             // dprice == 0 (or clamped to 0): the query is still legal and
             // must report a bitwise no-op.
@@ -258,36 +260,36 @@ proptest! {
             prop_assert_eq!(m.base.to_bits(), base.to_bits());
             prop_assert_eq!(m.perturbed.to_bits(), base.to_bits());
             prop_assert_eq!(m.delta, 0.0);
-            return;
+        } else {
+            prop_assert_eq!(moved.len(), 1, "one offer moved ⇒ one node moved");
+            let offer = moved[0];
+
+            let m = index.try_marginal_revenue(offer, dprice, &users).unwrap();
+            prop_assert_eq!(m.base.to_bits(), base.to_bits());
+            let truth = perturbed_index.expected_revenue(&users);
+            prop_assert_eq!(
+                m.perturbed.to_bits(), truth.to_bits(),
+                "marginal perturbed {} vs recompiled {}", m.perturbed, truth
+            );
+            prop_assert_eq!(m.delta.to_bits(), (m.perturbed - m.base).to_bits());
+
+            // The `_all` path and any thread count answer identically.
+            let all = index.try_marginal_revenue_all(offer, dprice).unwrap();
+            prop_assert_eq!(all.perturbed.to_bits(), m.perturbed.to_bits());
+            prop_assert_eq!(all.base.to_bits(), m.base.to_bits());
+            for threads in [2usize, 8] {
+                let t = index.clone().with_threads(threads);
+                let mt = t.try_marginal_revenue(offer, dprice, &users).unwrap();
+                prop_assert_eq!(mt.perturbed.to_bits(), m.perturbed.to_bits());
+            }
+
+            // Out-of-range offers and price-invalidating nudges are typed
+            // errors, not panics.
+            prop_assert!(index.try_marginal_revenue(index.n_nodes() as u32, 0.1, &users).is_err());
+            prop_assert!(index
+                .try_marginal_revenue(offer, -(index.price(offer) + 1.0), &users)
+                .is_err());
         }
-        prop_assert_eq!(moved.len(), 1, "one offer moved ⇒ one node moved");
-        let offer = moved[0];
-
-        let m = index.try_marginal_revenue(offer, dprice, &users).unwrap();
-        prop_assert_eq!(m.base.to_bits(), base.to_bits());
-        let truth = perturbed_index.expected_revenue(&users);
-        prop_assert_eq!(
-            m.perturbed.to_bits(), truth.to_bits(),
-            "marginal perturbed {} vs recompiled {}", m.perturbed, truth
-        );
-        prop_assert_eq!(m.delta.to_bits(), (m.perturbed - m.base).to_bits());
-
-        // The `_all` path and any thread count answer identically.
-        let all = index.try_marginal_revenue_all(offer, dprice).unwrap();
-        prop_assert_eq!(all.perturbed.to_bits(), m.perturbed.to_bits());
-        prop_assert_eq!(all.base.to_bits(), m.base.to_bits());
-        for threads in [2usize, 8] {
-            let t = index.clone().with_threads(threads);
-            let mt = t.try_marginal_revenue(offer, dprice, &users).unwrap();
-            prop_assert_eq!(mt.perturbed.to_bits(), m.perturbed.to_bits());
-        }
-
-        // Out-of-range offers and price-invalidating nudges are typed
-        // errors, not panics.
-        prop_assert!(index.try_marginal_revenue(index.n_nodes() as u32, 0.1, &users).is_err());
-        prop_assert!(index
-            .try_marginal_revenue(offer, -(index.price(offer) + 1.0), &users)
-            .is_err());
     }
 }
 
