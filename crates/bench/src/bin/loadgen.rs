@@ -520,9 +520,8 @@ fn main() {
     }
     if let Some(s) = &stats {
         println!(
-            "churn:   generation {} after {} applied / {} rejected events \
-             ({} coalesced queries, {} shed)",
-            s.generation, s.mutations_applied, s.mutations_rejected, s.coalesced, s.shed
+            "churn:   generation {} after {} applied / {} rejected events ({} shed)",
+            s.generation, s.mutations_applied, s.mutations_rejected, s.shed
         );
         if applied_local > 0 && s.generation == 0 {
             violations.push("events applied but the served index never swapped".into());

@@ -10,11 +10,10 @@
 //! ephemeral port, which is printed), `scale` (tiny|small|medium),
 //! `seed`, `theta`, `methods` (CSV of registry names/aliases; the first
 //! method's whole-market cell is the served menu), `cohorts`, `workers`
-//! (how many queries may execute at once; connection threads run them,
-//! there are no worker threads), `queue` (bounded request-queue capacity
-//! — the admission-control knob; it also caps the mutation batches
-//! waiting for the churn thread), `coalesce` (max extra same-kind
-//! requests per drained run; 0 disables), `query_threads`
+//! (how many queries may execute at once; each connection thread runs
+//! its own, there are no worker threads), `queue` (how many connection
+//! threads may wait for a permit — the admission-control knob; it also
+//! caps the mutation batches waiting for the churn thread), `query_threads`
 //! (`revmax-par` threads per kernel call; results are bit-identical at
 //! any value), `compact_at` (`MarketLog` compaction threshold; 0
 //! disables).
@@ -35,7 +34,7 @@ struct Args {
     cfg: DaemonConfig,
 }
 
-const KEYS: [&str; 11] = [
+const KEYS: [&str; 10] = [
     "addr",
     "scale",
     "seed",
@@ -44,7 +43,6 @@ const KEYS: [&str; 11] = [
     "cohorts",
     "workers",
     "queue",
-    "coalesce",
     "query_threads",
     "compact_at",
 ];
@@ -62,7 +60,7 @@ fn parse_args() -> Args {
             eprintln!(
                 "usage: revmax-served [addr=127.0.0.1:0] [scale=tiny] [seed=2015] \
                  [theta=0.05] [methods=components] [cohorts=0] [workers=2] [queue=1024] \
-                 [coalesce=16] [query_threads=1] [compact_at=0.1]"
+                 [query_threads=1] [compact_at=0.1]"
             );
             std::process::exit(0);
         }
@@ -84,7 +82,6 @@ fn parse_args() -> Args {
             "cohorts" => args.cfg.cohorts = parse_num(key, value),
             "workers" => args.cfg.workers = parse_num::<usize>(key, value).max(1),
             "queue" => args.cfg.queue_cap = parse_num::<usize>(key, value).max(1),
-            "coalesce" => args.cfg.coalesce = parse_num(key, value),
             "query_threads" => args.cfg.query_threads = parse_num::<usize>(key, value).max(1),
             "compact_at" => args.cfg.compact_at = parse_num(key, value),
             other => fail(&unknown_key_msg(other, &KEYS)),
@@ -113,11 +110,10 @@ fn main() {
     let daemon =
         Daemon::spawn(args.addr.as_str(), market, args.cfg.clone()).unwrap_or_else(|e| fail(&e));
     println!(
-        "revmax-served: listening on {} ({} workers, queue {}, coalesce {})",
+        "revmax-served: listening on {} ({} workers, queue {})",
         daemon.addr(),
         args.cfg.workers,
-        args.cfg.queue_cap,
-        args.cfg.coalesce
+        args.cfg.queue_cap
     );
     daemon.join();
     println!("revmax-served: drained and stopped");

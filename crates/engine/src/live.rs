@@ -143,11 +143,6 @@ impl LiveEngine {
         self.cohorts
     }
 
-    /// Cumulative cache statistics across every resolve so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats
-    }
-
     /// Solved outcomes currently retained — at most the cell count of the
     /// latest resolve.
     pub fn cached_solves(&self) -> usize {

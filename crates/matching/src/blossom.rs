@@ -48,28 +48,11 @@ const NONE: isize = -1;
 ///
 /// Runs in O(V³). Panics on self-loops or out-of-range endpoints.
 pub fn max_weight_matching(n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-    solve_matching(n, edges, false)
-}
-
-/// Compute a **maximum-cardinality** matching that, among all matchings of
-/// maximum cardinality, has maximum weight. This is the classical
-/// `maxcardinality = true` variant of the same blossom algorithm (vertex
-/// duals are allowed to go negative, postponing the stage cut-off until no
-/// augmenting path exists at all).
-pub fn max_cardinality_matching(n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-    solve_matching(n, edges, true)
-}
-
-fn solve_matching(n: usize, edges: &[(usize, usize, i64)], maxcardinality: bool) -> Matching {
     for &(u, v, _) in edges {
         assert!(u != v, "self-loop {u}-{v}: use gain::GainGraph for self-loop semantics");
         assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} vertices");
     }
-    let mate = if edges.is_empty() {
-        vec![-1isize; n]
-    } else {
-        Solver::new(n, edges, maxcardinality).solve()
-    };
+    let mate = if edges.is_empty() { vec![-1isize; n] } else { Solver::new(n, edges).solve() };
     let mut out_mate = vec![None; n];
     let mut out_edges = Vec::new();
     let mut weight = 0i64;
@@ -117,8 +100,6 @@ pub fn max_weight_matching_f64(n: usize, edges: &[(usize, usize, f64)]) -> (Matc
 struct Solver {
     nvertex: usize,
     nedge: usize,
-    /// Prefer maximum cardinality over maximum weight.
-    maxcardinality: bool,
     /// (u, v) per edge; weights kept separately, pre-doubled, as f64.
     ends: Vec<(usize, usize)>,
     /// 2 × original weight, exact in f64.
@@ -145,7 +126,7 @@ struct Solver {
 }
 
 impl Solver {
-    fn new(n: usize, edges: &[(usize, usize, i64)], maxcardinality: bool) -> Self {
+    fn new(n: usize, edges: &[(usize, usize, i64)]) -> Self {
         let nedge = edges.len();
         let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
         let ends: Vec<(usize, usize)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
@@ -165,7 +146,6 @@ impl Solver {
         Solver {
             nvertex: n,
             nedge,
-            maxcardinality,
             ends,
             wt2,
             endpoint,
@@ -642,14 +622,12 @@ impl Solver {
                 if augmented {
                     break;
                 }
-                // Queue empty: compute the dual adjustment delta. In
-                // max-cardinality mode delta1 (cutting the stage when the
-                // cheapest vertex dual hits zero) is only a last resort —
-                // vertex duals may go negative to keep growing cardinality.
-                let min_dual =
+                // Queue empty: compute the dual adjustment delta, starting
+                // from delta1 (the cheapest vertex dual hitting zero ends
+                // the stage).
+                let mut deltatype = 1i8;
+                let mut delta =
                     self.dualvar[..nvertex].iter().copied().fold(f64::INFINITY, f64::min).max(0.0);
-                let (mut deltatype, mut delta) =
-                    if self.maxcardinality { (-1i8, f64::INFINITY) } else { (1i8, min_dual) };
                 let mut deltaedge = NONE;
                 let mut deltablossom = NONE;
                 for v in 0..nvertex {
@@ -685,13 +663,6 @@ impl Solver {
                         deltatype = 4;
                         deltablossom = b as isize;
                     }
-                }
-                if deltatype == -1 {
-                    // Max-cardinality mode: no structural move available;
-                    // end the stage (final delta keeps the optimum
-                    // verifiable, as in the reference implementation).
-                    deltatype = 1;
-                    delta = min_dual;
                 }
                 // Apply delta to the duals.
                 for v in 0..nvertex {
@@ -799,19 +770,13 @@ impl Solver {
                 return false;
             }
         }
-        // All vertex duals must be non-negative (after the uniform offset
-        // that max-cardinality mode permits), and unmatched vertices must
-        // sit at the offset (complementary slackness).
-        let offset = if self.maxcardinality {
-            (-self.dualvar[..self.nvertex].iter().copied().fold(f64::INFINITY, f64::min)).max(0.0)
-        } else {
-            0.0
-        };
+        // All vertex duals must be non-negative, and unmatched vertices
+        // must sit at zero (complementary slackness).
         for v in 0..self.nvertex {
-            if self.dualvar[v] + offset < 0.0 {
+            if self.dualvar[v] < 0.0 {
                 return false;
             }
-            if self.mate[v] == NONE && self.dualvar[v] + offset != 0.0 {
+            if self.mate[v] == NONE && self.dualvar[v] != 0.0 {
                 return false;
             }
         }
@@ -1045,39 +1010,6 @@ mod tests {
     fn parallel_edges_pick_best() {
         let m = max_weight_matching(2, &[(0, 1, 3), (0, 1, 9), (1, 0, 4)]);
         assert_eq!(m.weight, 9);
-    }
-
-    #[test]
-    fn max_cardinality_prefers_more_edges() {
-        // Weight-maximal matching takes the heavy middle edge (9 > 5+3=8
-        // is false here: 5+3=8 < 9 → weight picks middle; cardinality
-        // picks the two light ones).
-        let edges = [(0, 1, 5), (1, 2, 9), (2, 3, 3)];
-        let byweight = max_weight_matching(4, &edges);
-        assert_eq!(byweight.weight, 9);
-        assert_eq!(byweight.len(), 1);
-        let bycard = max_cardinality_matching(4, &edges);
-        assert_eq!(bycard.len(), 2);
-        assert_eq!(bycard.weight, 8);
-    }
-
-    #[test]
-    fn max_cardinality_matches_negative_edges_if_needed() {
-        // A matching need not avoid negative edges when cardinality rules.
-        let edges = [(0, 1, -4)];
-        assert_eq!(max_weight_matching(2, &edges).len(), 0);
-        let m = max_cardinality_matching(2, &edges);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.weight, -4);
-    }
-
-    #[test]
-    fn max_cardinality_breaks_ties_by_weight() {
-        // Two perfect matchings exist; the heavier one must win.
-        let edges = [(0, 1, 2), (2, 3, 2), (0, 2, 3), (1, 3, 3)];
-        let m = max_cardinality_matching(4, &edges);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.weight, 6);
     }
 
     #[test]

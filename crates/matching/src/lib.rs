@@ -46,9 +46,7 @@ mod blossom;
 pub mod gain;
 pub mod reference;
 
-pub use blossom::{
-    max_cardinality_matching, max_weight_matching, max_weight_matching_f64, Matching,
-};
+pub use blossom::{max_weight_matching, max_weight_matching_f64, Matching};
 
 /// Scale factor used by [`max_weight_matching_f64`]: weights are rounded to
 /// micro-units, so revenues agree with the exact integer optimum to 1e-6.

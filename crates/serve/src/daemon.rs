@@ -9,14 +9,11 @@
 //!   [`proto`] frames, decode them totally (a malformed
 //!   frame gets an error response, never a panic), and either answer
 //!   inline (`SwapStats`, `MutateMarket` enqueue, `Shutdown`) or run the
-//!   query themselves. A query first takes one of
-//!   [`DaemonConfig::workers`] **permits**. With a permit free and
-//!   nothing queued, the thread that read the query executes it: no
-//!   job, no channel, no thread handoff. Otherwise the query waits in the
-//!   **bounded request queue**, and whichever thread holds a permit
-//!   **drains** it before giving the permit back. Draining
-//!   **coalesces**: it pops a same-kind run of point queries and answers
-//!   them all against one snapshot of the served index.
+//!   query themselves. There are no worker threads: every query is
+//!   answered by the thread that decoded it, once it holds one of
+//!   [`DaemonConfig::workers`] **permits**. With a permit free the thread
+//!   runs at once; otherwise it joins the **wait line** and runs when a
+//!   freed permit passes to it, in admission order.
 //! * **The churn thread** owns the [`MarketLog`] and the retained
 //!   [`LiveEngine`]: mutation batches are applied off the request path,
 //!   re-solved incrementally, compiled, given their answer table, and
@@ -35,12 +32,12 @@
 //! [`MenuIndex::try_expected_revenue`] — so the tile kernel runs only for
 //! that fill and for `MarginalRevenue`.
 //!
-//! **Admission control:** the request queue and the churn channel are
+//! **Admission control:** the wait line and the churn channel are
 //! bounded ([`DaemonConfig::queue_cap`] each). When one is full the
 //! connection thread answers [`ErrorCode::Overloaded`] immediately
 //! instead of queueing unbounded latency or memory — the client retries;
 //! the daemon's tail stays flat.
-//! Per-endpoint latency (admission → reply) lands in a log₂-bucketed
+//! Per-endpoint latency (admission → answer) lands in a log₂-bucketed
 //! [`LatencyHistogram`] whose quantiles export through
 //! [`Request::SwapStats`] and, in the `loadgen` bin, BENCH_JSON.
 
@@ -55,7 +52,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 /// Tile block width of the daemon's indexes. Tiles are built only to
@@ -79,18 +76,15 @@ fn serving_index(market: &Market, config: &BundleConfig, cfg: &DaemonConfig) -> 
 /// the `revmax-served` bin maps its CLI keys onto these.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// How many queries may execute at once: the number of permits
-    /// connection threads take to run a query (their own, or a queued
-    /// run they drain). There are no worker threads.
+    /// How many queries may execute at once: the number of permits a
+    /// connection thread must hold to run its own query. There are no
+    /// worker threads.
     pub workers: usize,
-    /// Bounded request-queue capacity — the admission-control knob.
-    /// Requests that find every permit taken wait here; beyond the cap
-    /// they are shed with [`ErrorCode::Overloaded`]. It also caps the
-    /// mutation batches waiting for the churn thread.
+    /// Admission-control capacity: how many connection threads may wait
+    /// for a permit. A query that finds every permit taken and this many
+    /// threads already waiting is shed with [`ErrorCode::Overloaded`]. It
+    /// also caps the mutation batches waiting for the churn thread.
     pub queue_cap: usize,
-    /// Maximum number of *extra* same-kind requests a drain answers in
-    /// one run against one index snapshot (0 disables coalescing).
-    pub coalesce: usize,
     /// `revmax-par` threads per kernel call: the answer-table fill and
     /// marginal queries (the permits are the daemon's parallelism, so 1
     /// is the right default; results are bit-identical at any value).
@@ -112,7 +106,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             workers: 2,
             queue_cap: 1024,
-            coalesce: 16,
             query_threads: 1,
             methods: vec!["components".into()],
             cohorts: 0,
@@ -173,161 +166,116 @@ impl LatencyHistogram {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum QueryKind {
     Assign,
     Revenue,
-    /// A marginal what-if with its perturbation. Marginal jobs never
-    /// coalesce — two what-ifs rarely share a perturbation, and a mixed
-    /// batch would need one tile re-walk per distinct price table.
+    /// A marginal what-if with its perturbation.
     Marginal {
         offer: u32,
         dprice: f64,
     },
 }
 
-/// One admitted point query waiting in the queue for a permit holder.
-struct Job {
-    kind: QueryKind,
-    /// `None` = whole market (the `*_all` paths, which materialize no id
-    /// batch); `Some` = an explicit id batch.
-    ids: Option<Vec<u32>>,
-    reply: mpsc::Sender<Response>,
-    admitted: Instant,
-}
-
-impl Job {
-    /// Whether this job may join a coalesced run: explicit-id assign and
-    /// revenue queries only.
-    fn coalesces(&self) -> bool {
-        self.ids.is_some() && !matches!(self.kind, QueryKind::Marginal { .. })
-    }
-}
-
-/// What [`JobQueue`]'s lock guards.
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Permits held: queries executing (or runs being drained) right now.
+/// What [`Gate`]'s lock guards.
+struct GateState {
+    /// Permits held: queries executing right now.
     running: usize,
+    /// Threads waiting for a permit, in admission order.
+    waiting: VecDeque<Thread>,
+    /// Permits passed to waiting threads so far. Grants follow admission
+    /// order, so a thread that joined the line when `granted +
+    /// waiting.len()` read `t` holds its permit once `granted > t`.
+    granted: u64,
     /// Set by shutdown; admission refuses from then on.
     closed: bool,
 }
 
-/// The bounded request queue and the execution permits, under one lock.
+/// The execution permits and the bounded wait line, under one lock.
 ///
-/// Invariant: a job is only ever queued while some thread holds a
-/// permit, and a holder returns its permit only under the lock that sees
-/// the queue empty ([`JobQueue::drain`]). So no admitted job is left
-/// without a thread to run it.
-struct JobQueue {
-    state: Mutex<QueueState>,
-    /// Signalled when a closed queue goes idle ([`JobQueue::wait_idle`]).
+/// Invariant: a freed permit passes straight to the longest waiter, so a
+/// permit is free only while nobody waits, and `running > 0` whenever
+/// someone does. Each grant wakes exactly the thread it goes to.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled when a closed gate goes idle ([`Gate::wait_idle`]).
     idle: Condvar,
     cap: usize,
     permits: usize,
-    /// Extra same-kind jobs a drain folds into one run.
-    coalesce: usize,
 }
 
-/// The right to execute queries, taken at admission. Returned by
-/// [`JobQueue::drain`] once the queue is empty, or on drop — which only
-/// happens while a holder unwinds from a panicking query.
-struct Permit<'q> {
-    queue: &'q JobQueue,
+/// The right to execute one query. Dropping it — after the answer, or
+/// while its holder unwinds from a panicking query — passes it to the
+/// next waiter or returns it.
+struct Permit<'g> {
+    gate: &'g Gate,
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.queue.release(&mut self.queue.lock());
+        let mut st = self.gate.lock();
+        if let Some(next) = st.waiting.pop_front() {
+            st.granted += 1;
+            drop(st);
+            next.unpark();
+        } else {
+            st.running -= 1;
+            self.gate.notify_if_idle(&st);
+        }
     }
 }
 
-/// The outcome of [`JobQueue::admit`].
-enum Admission<'q> {
-    /// Nothing queued and a permit was free: run the query on this thread
-    /// (its ids handed back), then [`JobQueue::drain`].
-    Run(Permit<'q>, Option<Vec<u32>>),
-    /// The query was queued; its reply arrives on the receiver. With a
-    /// permit, this thread took a free one and drains (its own job
-    /// included) before it waits for the reply.
-    Queued(mpsc::Receiver<Response>, Option<Permit<'q>>),
-    /// The queue is at capacity.
-    Overloaded,
-    /// Shutdown has begun.
-    ShuttingDown,
-}
-
-impl JobQueue {
-    fn new(cap: usize, permits: usize, coalesce: usize) -> JobQueue {
-        JobQueue {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), running: 0, closed: false }),
+impl Gate {
+    fn new(cap: usize, permits: usize) -> Gate {
+        Gate {
+            state: Mutex::new(GateState {
+                running: 0,
+                waiting: VecDeque::new(),
+                granted: 0,
+                closed: false,
+            }),
             idle: Condvar::new(),
             cap: cap.max(1),
             permits: permits.max(1),
-            coalesce,
         }
     }
 
     /// The lock is never held while a query executes, so poisoning can
     /// only come from a panic inside this module's own bookkeeping; the
     /// state stays consistent either way.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The admission decision for one query, in one critical section.
-    fn admit(&self, kind: QueryKind, ids: Option<Vec<u32>>, admitted: Instant) -> Admission<'_> {
+    /// Take a permit for one query: at once if one is free, else after
+    /// waiting in line for it. Refuses with `ShuttingDown` once closed and
+    /// with `Overloaded` when `cap` threads already wait.
+    fn admit(&self) -> Result<Permit<'_>, ErrorCode> {
         let mut st = self.lock();
         if st.closed {
-            return Admission::ShuttingDown;
+            return Err(ErrorCode::ShuttingDown);
         }
-        let permit_free = st.running < self.permits;
-        if permit_free && st.jobs.is_empty() {
+        if st.running < self.permits {
             st.running += 1;
-            return Admission::Run(Permit { queue: self }, ids);
+            return Ok(Permit { gate: self });
         }
-        if st.jobs.len() >= self.cap {
-            return Admission::Overloaded;
+        if st.waiting.len() >= self.cap {
+            return Err(ErrorCode::Overloaded);
         }
-        let (reply, rx) = mpsc::channel();
-        st.jobs.push_back(Job { kind, ids, reply, admitted });
-        let permit = if permit_free {
-            st.running += 1;
-            Some(Permit { queue: self })
-        } else {
-            None
-        };
-        Admission::Queued(rx, permit)
-    }
-
-    /// Run queued work with `permit` until the queue is empty, then return
-    /// the permit under the same lock that saw it empty. Each run is the
-    /// front job plus up to `coalesce` directly-following jobs that can
-    /// join it: same kind, and only explicit-id batches coalesce (an
-    /// `All` or marginal query runs alone). Never blocks.
-    fn drain(&self, permit: Permit<'_>, mut run: impl FnMut(Vec<Job>)) {
-        loop {
-            let mut st = self.lock();
-            let Some(first) = st.jobs.pop_front() else {
-                std::mem::forget(permit);
-                self.release(&mut st);
-                return;
-            };
-            let mut batch = vec![first];
-            while batch[0].coalesces() && batch.len() <= self.coalesce {
-                match st.jobs.front() {
-                    Some(j) if j.kind == batch[0].kind && j.coalesces() => {
-                        batch.push(st.jobs.pop_front().expect("front just probed"));
-                    }
-                    _ => break,
-                }
-            }
+        let ticket = st.granted + st.waiting.len() as u64;
+        st.waiting.push_back(std::thread::current());
+        // The grant unparks this thread; a spurious or early wake-up
+        // just rechecks.
+        while st.granted <= ticket {
             drop(st);
-            run(batch);
+            std::thread::park();
+            st = self.lock();
         }
+        Ok(Permit { gate: self })
     }
 
-    /// Refuse admission from now on.
+    /// Refuse admission from now on. Threads already waiting keep their
+    /// place and still run.
     fn close(&self) {
         let mut st = self.lock();
         st.closed = true;
@@ -338,31 +286,19 @@ impl JobQueue {
         self.lock().closed
     }
 
-    /// Give one permit back under the lock.
-    fn release(&self, st: &mut QueueState) {
-        st.running -= 1;
-        if st.running == 0 {
-            // Empty unless the last holder unwound mid-drain: no thread is
-            // left to run these jobs, so drop them and let their connection
-            // threads see the reply channel close, not wait forever.
-            st.jobs.clear();
-        }
-        self.notify_if_idle(st);
-    }
-
-    /// Only [`JobQueue::wait_idle`] waits, and only on a closed queue, so
-    /// open queues skip the wake-up.
-    fn notify_if_idle(&self, st: &QueueState) {
-        if st.closed && st.running == 0 && st.jobs.is_empty() {
+    /// Only [`Gate::wait_idle`] waits, and only on a closed gate, so open
+    /// gates skip the wake-up.
+    fn notify_if_idle(&self, st: &GateState) {
+        if st.closed && st.running == 0 {
             self.idle.notify_all();
         }
     }
 
-    /// Block until the queue is closed, no permit is held and nothing is
-    /// queued: every admitted query has been executed.
+    /// Block until the gate is closed and no permit is held — so nobody
+    /// waits either: every admitted query has been executed.
     fn wait_idle(&self) {
         let mut st = self.lock();
-        while !st.closed || st.running > 0 || !st.jobs.is_empty() {
+        while !st.closed || st.running > 0 {
             st = self.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -375,7 +311,6 @@ struct Counters {
     served_assign: AtomicU64,
     served_revenue: AtomicU64,
     served_marginal: AtomicU64,
-    coalesced: AtomicU64,
     shed: AtomicU64,
     malformed: AtomicU64,
     mutations_applied: AtomicU64,
@@ -394,12 +329,12 @@ impl Counters {
 
 struct Shared {
     handle: ServeHandle,
-    queue: JobQueue,
+    gate: Gate,
     counters: Counters,
     assign_hist: LatencyHistogram,
     revenue_hist: LatencyHistogram,
     /// Mutation batches sent to the churn thread and not yet taken by it,
-    /// at most the queue's `cap`. Counting bounds the churn channel
+    /// at most the gate's `cap`. Counting bounds the churn channel
     /// without the `cap` slots per daemon a `sync_channel` preallocates.
     churn_backlog: AtomicUsize,
 }
@@ -424,7 +359,9 @@ impl Shared {
             served_assign: load(&c.served_assign),
             served_revenue: load(&c.served_revenue),
             served_marginal: load(&c.served_marginal),
-            coalesced: load(&c.coalesced),
+            // Every query runs alone; the 17-field frame keeps the field
+            // until named stat records retire it.
+            coalesced: 0,
             shed: load(&c.shed),
             malformed: load(&c.malformed),
             mutations_applied: load(&c.mutations_applied),
@@ -476,7 +413,7 @@ impl Daemon {
 
         let shared = Arc::new(Shared {
             handle: handle.clone(),
-            queue: JobQueue::new(cfg.queue_cap, cfg.workers, cfg.coalesce),
+            gate: Gate::new(cfg.queue_cap, cfg.workers),
             counters: Counters::default(),
             assign_hist: LatencyHistogram::new(),
             revenue_hist: LatencyHistogram::new(),
@@ -497,7 +434,7 @@ impl Daemon {
             let max_frame = cfg.max_frame;
             std::thread::spawn(move || {
                 for conn in listener.incoming() {
-                    if shared.queue.is_closed() {
+                    if shared.gate.is_closed() {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
@@ -541,21 +478,21 @@ impl Daemon {
 
     /// Block until the daemon has shut down (a [`Request::Shutdown`]
     /// frame arrived or [`Daemon::request_shutdown`] was called), every
-    /// admitted query has been executed — no permit is held and nothing
-    /// is queued — and the churn and accept threads have exited.
+    /// admitted query has been executed — no permit is held and nobody
+    /// waits — and the churn and accept threads have exited.
     pub fn join(self) {
         let _ = self.accept.join();
-        self.shared.queue.wait_idle();
+        self.shared.gate.wait_idle();
         let _ = self.churn.join();
     }
 }
 
 /// Close admission and unblock every parked thread: [`Daemon::join`] (via
-/// the queue's idle condvar), the churn thread (via a `Stop` message,
+/// the gate's idle condvar), the churn thread (via a `Stop` message,
 /// which the churn backlog bound never refuses), and the accept loop (via
 /// a wake-up connection to ourselves).
 fn initiate_shutdown(shared: &Shared, churn_tx: &mpsc::Sender<ChurnMsg>, addr: SocketAddr) {
-    shared.queue.close();
+    shared.gate.close();
     let _ = churn_tx.send(ChurnMsg::Stop);
     drop(TcpStream::connect(addr));
 }
@@ -644,10 +581,10 @@ fn enqueue_mutation(
 ) -> Response {
     let accepted = events.len() as u64;
     let generation = shared.handle.generation();
-    if shared.queue.is_closed() {
+    if shared.gate.is_closed() {
         return error(ErrorCode::ShuttingDown, SHUTTING_DOWN);
     }
-    if shared.churn_backlog.fetch_add(1, Ordering::AcqRel) >= shared.queue.cap {
+    if shared.churn_backlog.fetch_add(1, Ordering::AcqRel) >= shared.gate.cap {
         shared.churn_backlog.fetch_sub(1, Ordering::AcqRel);
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         return error(ErrorCode::Overloaded, "churn queue full, retry");
@@ -659,54 +596,45 @@ fn enqueue_mutation(
     Response::MutateAck { accepted, generation }
 }
 
-/// Admit one point query (or shed it), get its answer, and write it
-/// back. Returns false when the connection died.
+/// Admit one point query (or shed it), answer it on this thread, and
+/// write the answer back. Returns false when the connection died.
 ///
-/// No socket is written while a permit is held: the answer goes out
-/// after the drain has returned the permit, so a client that stops
-/// reading stalls only its own connection, never the daemon's capacity.
+/// No socket is written while a permit is held: the permit goes back
+/// before the write, so a client that stops reading stalls only its own
+/// connection, never the daemon's capacity.
 fn handle_query(stream: &mut TcpStream, shared: &Shared, kind: QueryKind, sel: UserSel) -> bool {
-    let ids = match sel {
+    let ids = match &sel {
         UserSel::All => None,
-        UserSel::Ids(ids) => Some(ids),
+        UserSel::Ids(ids) => Some(ids.as_slice()),
     };
-    // audit: allow(wall-clock) queue-latency histogram timestamp; responses never read it
+    // audit: allow(wall-clock) latency-histogram timestamp; responses never read it
     let admitted = Instant::now();
-    let drain = |permit| shared.queue.drain(permit, |jobs| execute_batch(shared, jobs));
-    let resp = match shared.queue.admit(kind, ids, admitted) {
-        Admission::Run(permit, ids) => {
-            let resp = answer(shared, &shared.handle.current(), kind, ids.as_deref());
+    let resp = match shared.gate.admit() {
+        Ok(permit) => {
+            let resp = answer(shared, kind, ids);
             record_latency(shared, kind, admitted);
-            drain(permit);
+            drop(permit);
             resp
         }
-        Admission::Queued(rx, permit) => {
-            if let Some(permit) = permit {
-                drain(permit);
-            }
-            match rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => return false, // its drain unwound from a panic
-            }
-        }
-        Admission::Overloaded => {
+        Err(ErrorCode::Overloaded) => {
             shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            error(ErrorCode::Overloaded, "request queue full, retry")
+            error(ErrorCode::Overloaded, "every permit busy and the wait line full, retry")
         }
-        Admission::ShuttingDown => error(ErrorCode::ShuttingDown, SHUTTING_DOWN),
+        Err(code) => error(code, SHUTTING_DOWN),
     };
     send(stream, &resp)
 }
 
 // ---------------------------------------------------------------------
-// Query execution (on whichever connection thread holds the permit)
+// Query execution (on the connection thread, under its permit)
 // ---------------------------------------------------------------------
 
-/// Answer one query against `index`: an id batch or the whole market,
-/// for any kind. The direct path and every drained job call this; a query
-/// error becomes a typed `Query` response. `Assign` and `ExpectedRevenue`
-/// read the index's answer table; `MarginalRevenue` runs the kernel.
-fn answer(shared: &Shared, index: &MenuIndex, kind: QueryKind, ids: Option<&[u32]>) -> Response {
+/// Answer one query against the served index: an id batch or the whole
+/// market, for any kind. A query error becomes a typed `Query` response.
+/// `Assign` and `ExpectedRevenue` read the index's answer table;
+/// `MarginalRevenue` runs the kernel.
+fn answer(shared: &Shared, kind: QueryKind, ids: Option<&[u32]>) -> Response {
+    let index = shared.handle.current();
     let result = match (kind, ids) {
         (QueryKind::Assign, ids) => index.serve_assign(ids).map(Response::Assignments),
         (QueryKind::Revenue, ids) => index.serve_revenue(ids).map(Response::Revenue),
@@ -726,19 +654,6 @@ fn answer(shared: &Shared, index: &MenuIndex, kind: QueryKind, ids: Option<&[u32
     }
 }
 
-/// Answer one drained run of same-kind jobs against a single snapshot of
-/// the served index, replying to each. Each job is answered exactly as
-/// it would be alone: its ids are validated on their own, so one bad
-/// request cannot spoil its run-mates.
-fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
-    let index = shared.handle.current();
-    shared.counters.coalesced.fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
-    for job in jobs {
-        let resp = answer(shared, &index, job.kind, job.ids.as_deref());
-        finish(shared, job, resp);
-    }
-}
-
 fn served(shared: &Shared, kind: QueryKind) {
     match kind {
         QueryKind::Assign => shared.counters.served_assign.fetch_add(1, Ordering::Relaxed),
@@ -749,13 +664,7 @@ fn served(shared: &Shared, kind: QueryKind) {
     };
 }
 
-/// Reply to one queued job and record its endpoint latency.
-fn finish(shared: &Shared, job: Job, resp: Response) {
-    record_latency(shared, job.kind, job.admitted);
-    let _ = job.reply.send(resp);
-}
-
-/// Record one query's endpoint latency (admission → reply). Marginal
+/// Record one query's endpoint latency (admission → answer). Marginal
 /// requests keep no exported histogram — the 17-field stats frame
 /// carries only the two steady-state endpoints' quantiles.
 fn record_latency(shared: &Shared, kind: QueryKind, admitted: Instant) {
@@ -868,139 +777,110 @@ mod tests {
         assert_eq!(h.quantile(1.0), u64::MAX);
     }
 
-    /// Admit a query on `q`, expecting it to run directly.
-    fn run_direct(q: &JobQueue) -> Permit<'_> {
-        match q.admit(QueryKind::Assign, Some(vec![0]), Instant::now()) {
-            Admission::Run(permit, _) => permit,
-            _ => panic!("expected the direct path"),
+    use std::sync::atomic::AtomicBool;
+
+    /// Poll `cond` until it holds; fail the test, rather than hang it,
+    /// after about ten seconds.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if cond() {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        panic!("timed out waiting until {what}");
     }
 
-    /// Admit a query on `q` while every permit is held, expecting it to
-    /// queue; returns its reply receiver.
-    fn queue(q: &JobQueue, kind: QueryKind, ids: Option<Vec<u32>>) -> mpsc::Receiver<Response> {
-        match q.admit(kind, ids, Instant::now()) {
-            Admission::Queued(rx, None) => rx,
-            _ => panic!("expected the job to queue behind a held permit"),
-        }
+    fn waiting(gate: &Gate) -> usize {
+        gate.lock().waiting.len()
     }
 
-    /// Drain `q` with `permit`, returning each run's `(kind, ids)` shape.
-    fn drained(q: &JobQueue, permit: Permit<'_>) -> Vec<Vec<(QueryKind, Option<Vec<u32>>)>> {
-        let mut runs = Vec::new();
-        q.drain(permit, |jobs| runs.push(jobs.into_iter().map(|j| (j.kind, j.ids)).collect()));
-        runs
+    /// Admit a query on `gate`, expecting a free permit.
+    fn run_direct(gate: &Gate) -> Permit<'_> {
+        gate.admit().expect("a free permit")
+    }
+
+    /// Spawn a thread that admits one query on `gate` and, while it holds
+    /// the permit, runs `query`; wait until it is in line behind `ahead`
+    /// others. Gates are shared by `Arc` so that a thread a broken gate
+    /// never wakes fails the test instead of hanging it.
+    fn spawn_waiter(
+        gate: &Arc<Gate>,
+        ahead: usize,
+        query: impl FnOnce() + Send + 'static,
+    ) -> JoinHandle<()> {
+        let g = Arc::clone(gate);
+        let waiter = std::thread::spawn(move || {
+            let _permit = g.admit().expect("a waiter below the cap is admitted");
+            query();
+        });
+        eventually("the waiter joins the line", || {
+            waiting(gate) == ahead + 1 || waiter.is_finished()
+        });
+        assert!(!waiter.is_finished(), "the waiter did not wait in line");
+        waiter
     }
 
     #[test]
     fn queue_sheds_beyond_capacity_and_pops_fifo() {
-        let q = JobQueue::new(2, 1, 0); // coalescing off
-        let permit = run_direct(&q);
-        let _ra = queue(&q, QueryKind::Assign, Some(vec![1]));
-        let _rb = queue(&q, QueryKind::Assign, Some(vec![2]));
-        // Admission control: the third is refused, not queued.
-        assert!(matches!(
-            q.admit(QueryKind::Assign, Some(vec![3]), Instant::now()),
-            Admission::Overloaded
-        ));
-        // One job per run, front to back.
-        let runs = drained(&q, permit);
-        let ids: Vec<_> = runs.iter().map(|r| r[0].1.clone()).collect();
-        assert_eq!(ids, [Some(vec![1]), Some(vec![2])]);
-        // The drain found the queue empty and gave the permit back: the
-        // next query runs directly again.
-        drop(run_direct(&q));
-        // Closed: admission refuses, and the idle queue does not block.
-        q.close();
-        assert!(matches!(
-            q.admit(QueryKind::Revenue, None, Instant::now()),
-            Admission::ShuttingDown
-        ));
-        q.wait_idle();
-    }
-
-    #[test]
-    fn queue_coalesces_same_kind_id_runs_only() {
-        let q = JobQueue::new(16, 1, 16);
-        let permit = run_direct(&q);
-        let _keep: Vec<_> = [
-            (QueryKind::Revenue, Some(vec![1u32])),
-            (QueryKind::Revenue, Some(vec![2])),
-            (QueryKind::Revenue, Some(vec![3])),
-            (QueryKind::Assign, Some(vec![4])), // kind change breaks the run
-            (QueryKind::Assign, None),          // All never joins a batch
-            (QueryKind::Assign, Some(vec![5])),
-        ]
-        .into_iter()
-        .map(|(kind, ids)| queue(&q, kind, ids))
-        .collect();
-
-        let runs = drained(&q, permit);
-        let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
-        assert_eq!(lens, [3, 1, 1, 1], "three revenue id-jobs coalesce; All runs alone");
-        assert!(runs[0].iter().all(|(k, _)| *k == QueryKind::Revenue));
-        assert_eq!(runs[1][0].1, Some(vec![4]), "assign job stops at the All job");
-        assert!(runs[2][0].1.is_none());
-        assert_eq!(runs[3][0].1, Some(vec![5]));
-    }
-
-    #[test]
-    fn coalesce_budget_caps_the_run() {
-        let q = JobQueue::new(16, 1, 2);
-        let permit = run_direct(&q);
-        let _keep: Vec<_> = (0..5).map(|k| queue(&q, QueryKind::Assign, Some(vec![k]))).collect();
-        let lens: Vec<usize> = drained(&q, permit).iter().map(Vec::len).collect();
-        assert_eq!(lens, [3, 2], "1 + coalesce, then the rest");
-    }
-
-    #[test]
-    fn a_free_permit_is_taken_by_the_thread_that_queues() {
-        // Two permits, one held. A job queued behind the held one (only
-        // possible once a holder has unwound) takes the free permit in the
-        // same critical section and drains its own job.
-        let q = JobQueue::new(4, 2, 16);
-        let held = run_direct(&q);
-        let second = run_direct(&q);
-        let rx = queue(&q, QueryKind::Revenue, Some(vec![7]));
-        drop(second); // as if unwound: one permit free, one job queued
-        let Admission::Queued(_rx, Some(permit)) =
-            q.admit(QueryKind::Revenue, Some(vec![8]), Instant::now())
-        else {
-            panic!("expected to queue and take the free permit");
-        };
-        let runs = drained(&q, permit);
-        assert_eq!(runs.len(), 1);
-        assert_eq!(
-            runs[0].iter().map(|(_, ids)| ids.clone()).collect::<Vec<_>>(),
-            [Some(vec![7]), Some(vec![8])]
-        );
-        drop(rx);
+        const CAP: usize = 6;
+        let gate = Arc::new(Gate::new(CAP, 1));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let held = run_direct(&gate);
+        // One waiter at a time, so admission order is known, and none is
+        // shed below the cap.
+        let waiters: Vec<_> = (0..CAP)
+            .map(|k| {
+                let order = Arc::clone(&order);
+                spawn_waiter(&gate, k, move || order.lock().unwrap().push(k))
+            })
+            .collect();
+        // Admission control: the line is full, so the next is refused (on
+        // its own thread, so that a gate that lets it wait fails the test).
+        let over = std::thread::spawn({
+            let gate = Arc::clone(&gate);
+            move || gate.admit().err()
+        });
+        eventually("the query past the cap is answered", || over.is_finished());
+        assert_eq!(over.join().expect("thread"), Some(ErrorCode::Overloaded));
         drop(held);
+        for w in waiters {
+            w.join().expect("waiter thread");
+        }
+        assert_eq!(*order.lock().unwrap(), (0..CAP).collect::<Vec<_>>(), "grants out of order");
+        // Every permit came back: the next query runs at once.
+        drop(run_direct(&gate));
+    }
+
+    #[test]
+    fn a_closed_gate_refuses_with_shutting_down() {
+        let gate = Gate::new(4, 2);
+        let held = run_direct(&gate);
+        gate.close();
+        // A permit is free, yet admission refuses.
+        assert!(matches!(gate.admit(), Err(ErrorCode::ShuttingDown)));
+        drop(held);
+        assert!(matches!(gate.admit(), Err(ErrorCode::ShuttingDown)));
+        // An idle closed gate does not block.
+        gate.wait_idle();
     }
 
     #[test]
     fn permit_comes_back_when_its_holder_panics() {
-        let q = JobQueue::new(4, 1, 16);
-        let permit = run_direct(&q);
-        let rx = queue(&q, QueryKind::Assign, Some(vec![1]));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.drain(permit, |_| panic!("query panicked"));
-        }));
-        assert!(unwound.is_err());
-        // The permit is back, and the job that panicked was dropped, so
-        // its connection thread sees the reply channel close.
-        assert!(rx.recv().is_err());
-        let permit = run_direct(&q);
-        // A job still queued when the last holder unwinds is dropped too,
-        // rather than waiting for a thread that will never come.
-        let rx = queue(&q, QueryKind::Revenue, Some(vec![2]));
+        let gate = Arc::new(Gate::new(4, 1));
+        let answered = Arc::new(AtomicBool::new(false));
+        let held = run_direct(&gate);
+        let flag = Arc::clone(&answered);
+        let waiter = spawn_waiter(&gate, 0, move || flag.store(true, Ordering::SeqCst));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _held = permit;
+            let _held = held;
             panic!("query panicked");
         }));
         assert!(unwound.is_err());
-        assert!(rx.recv().is_err());
-        drop(run_direct(&q));
+        // The unwinding holder passed its permit on: the waiter ran.
+        eventually("the waiter runs its query", || answered.load(Ordering::SeqCst));
+        waiter.join().expect("waiter thread");
+        drop(run_direct(&gate));
     }
 
     #[test]
@@ -1022,7 +902,7 @@ mod tests {
         };
         let shared = Shared {
             handle: ServeHandle::new(MenuIndex::compile(&market, &config)),
-            queue: JobQueue::new(1, 1, 0),
+            gate: Gate::new(1, 1),
             counters: Counters::default(),
             assign_hist: LatencyHistogram::new(),
             revenue_hist: LatencyHistogram::new(),
@@ -1045,7 +925,7 @@ mod tests {
         // Once the churn thread takes a batch, the next one is accepted.
         shared.churn_took(&taken);
         assert!(matches!(enqueue_mutation(&shared, &tx, batch()), Response::MutateAck { .. }));
-        // A gone churn thread, or a closed queue, answers ShuttingDown.
+        // A gone churn thread, or a closed gate, answers ShuttingDown.
         shared.churn_took(&rx.try_recv().expect("the accepted batch"));
         drop(rx);
         match enqueue_mutation(&shared, &tx, batch()) {
@@ -1053,7 +933,7 @@ mod tests {
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
         assert_eq!(shared.churn_backlog.load(Ordering::Acquire), 0, "a failed send is not queued");
-        shared.queue.close();
+        shared.gate.close();
         let (tx, _rx) = mpsc::channel();
         match enqueue_mutation(&shared, &tx, batch()) {
             Response::Error { code: ErrorCode::ShuttingDown, .. } => {}
@@ -1064,20 +944,21 @@ mod tests {
 
     #[test]
     fn wait_idle_returns_only_after_the_last_permit() {
-        let q = JobQueue::new(4, 1, 16);
-        let released = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let permit = run_direct(&q);
-            q.close();
-            s.spawn(|| {
-                // The sleep only makes it likely that `wait_idle` is
-                // already blocked; the check below holds either way.
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                released.store(true, Ordering::SeqCst);
-                q.drain(permit, |_| {});
-            });
-            q.wait_idle();
-            assert!(released.load(Ordering::SeqCst), "wait_idle returned while a permit was held");
+        let gate = Arc::new(Gate::new(4, 1));
+        let ran = Arc::new(AtomicBool::new(false));
+        let held = run_direct(&gate);
+        let flag = Arc::clone(&ran);
+        let waiter = spawn_waiter(&gate, 0, move || {
+            // The sleep only makes it likely that `wait_idle` is already
+            // blocked; the check below holds either way.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
         });
+        // The waiter was admitted before the close: it keeps its place.
+        gate.close();
+        drop(held);
+        gate.wait_idle();
+        assert!(ran.load(Ordering::SeqCst), "wait_idle returned before the waiter ran");
+        waiter.join().expect("waiter thread");
     }
 }

@@ -113,8 +113,8 @@ pub enum ErrorCode {
     Query = 2,
     /// A mutation event was rejected by the `MarketLog`.
     Mutation = 3,
-    /// Admission control shed the request (queue full). Retry later;
-    /// nothing was executed.
+    /// Admission control shed the request (wait line or churn backlog
+    /// full). Retry later; nothing was executed.
     Overloaded = 4,
     /// The daemon is shutting down.
     ShuttingDown = 5,
@@ -149,9 +149,11 @@ pub struct DaemonStats {
     pub served_revenue: u64,
     /// Marginal-revenue requests answered.
     pub served_marginal: u64,
-    /// Requests that rode along in another request's coalesced run.
+    /// Always 0: every query runs alone, on the connection thread that
+    /// read it (`DESIGN.md` §11.2). The field stays on the 17-field frame
+    /// until named stat records (ROADMAP item 4) retire it.
     pub coalesced: u64,
-    /// Requests refused by admission control (request queue or churn
+    /// Requests refused by admission control (permit wait line or churn
     /// backlog full).
     pub shed: u64,
     /// Frames that failed to decode.

@@ -11,8 +11,8 @@
 //! * malformed frames and out-of-range ids answer typed errors and never
 //!   kill the process,
 //! * `Shutdown` drains and `Daemon::join` returns, with queries in flight,
-//! * with one permit and eight connections, queued and coalesced queries
-//!   answer bit-identically to direct in-process calls.
+//! * with one permit and eight connections, queries that wait their turn
+//!   for the permit answer bit-identically to direct in-process calls.
 
 use revmax_core::config::Strategy;
 use revmax_core::market::Market;
@@ -82,7 +82,6 @@ fn served_state_is_bit_identical_to_a_cold_rebuild_across_hot_swaps() {
     let daemon = spawn_daemon(DaemonConfig {
         workers: 2,
         queue_cap: 64,
-        coalesce: 8,
         methods: MIXED_METHODS.iter().map(|m| m.to_string()).collect(),
         ..DaemonConfig::default()
     });
@@ -332,10 +331,10 @@ fn point_query(c: u32, r: u32, n_users: u32) -> Request {
 }
 
 #[test]
-fn one_permit_eight_connections_queue_drain_and_coalesce_bit_exactly() {
+fn one_permit_eight_connections_wait_their_turn_bit_exactly() {
     // One permit, eight closed-loop connections: many queries find the
-    // permit held, queue, and are answered by whichever connection thread
-    // holds it, often coalesced with their neighbours.
+    // permit held, wait in line for it, and are then answered by the
+    // connection thread that read them.
     const CONNS: u32 = 8;
     const QUERIES: u32 = 150;
     let daemon = spawn_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
@@ -360,6 +359,7 @@ fn one_permit_eight_connections_queue_drain_and_coalesce_bit_exactly() {
     let stats = daemon.stats();
     assert_eq!(stats.generation, 0, "no churn: every answer came from one index");
     assert_eq!(stats.shed, 0);
+    assert_eq!(stats.coalesced, 0, "no query rides along in another's run");
     assert_eq!(
         stats.served_assign + stats.served_revenue,
         u64::from(CONNS * QUERIES),
@@ -373,7 +373,8 @@ fn one_permit_eight_connections_queue_drain_and_coalesce_bit_exactly() {
 fn process_side_shutdown_drains_and_joins() {
     // Four connections keep queries in flight on a one-permit daemon
     // while shutdown is requested: every query gets its correct answer
-    // or ShuttingDown, and `join` returns only once the queue is idle.
+    // or ShuttingDown, and `join` returns only once no permit is held
+    // and nobody waits for one.
     const CONNS: u32 = 4;
     let daemon = spawn_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
     let index = daemon.handle().current();
