@@ -31,6 +31,7 @@ pub const RULES: &[&str] = &[
     "fingerprint-coverage",
     "opcode-totality",
     "event-totality",
+    "dead-pub",
     "waiver",
 ];
 

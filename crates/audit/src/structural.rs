@@ -15,11 +15,18 @@
 //!   handled by `MarketLog::apply` and by the wire codec
 //!   (`encode_event`/`decode_event`), so churn events can neither be
 //!   silently unapplied nor undecodable.
+//! * `dead-pub` — a bare-`pub` item of a library crate whose name no
+//!   non-test code anywhere in the tree names: public surface nothing
+//!   calls. Names match as text, so a dead item whose name collides with
+//!   a live one is missed, but a live item is never flagged.
 //!
 //! Parse failures are findings, not skips: renaming `Params` or moving
 //! `fn fingerprint` without updating the audit fails the run instead of
 //! silently disabling the gate.
 
+use std::collections::HashMap;
+
+use crate::context::FileCtx;
 use crate::rules::Finding;
 
 /// The files a structural rule wants, matched by path suffix against the
@@ -88,6 +95,7 @@ pub fn scan_structural(targets: &Targets<'_>) -> Vec<Finding> {
         &mut out,
         opcode_totality,
     );
+    dead_pub(targets, &mut out);
 
     out
 }
@@ -426,4 +434,111 @@ fn opcode_consts(masked: &str, prefix: &str) -> Vec<(usize, String, u32)> {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------
+// dead-pub
+
+/// Files only the real workspace carries. Single-file fixtures and the
+/// `crates/audit` self-scan, full of unnamed `pub fn f`, lack them.
+const DEAD_PUB_MARKERS: [&str; 2] = ["crates/core/src/lib.rs", "crates/serve/src/lib.rs"];
+
+/// Every bare-`pub` item under `crates/*/src` (bins excluded) must be
+/// named by non-test code besides its own declaration. Test code is what
+/// the textual rules exempt — `tests/`, `benches/`, `#[cfg(test)]` spans
+/// — plus the files of modules declared under `#[cfg(test)]`.
+fn dead_pub(targets: &Targets<'_>, out: &mut Vec<Finding>) {
+    if !DEAD_PUB_MARKERS.iter().all(|m| targets.have(m)) {
+        return;
+    }
+    let test_mods = cfg_test_modules(targets.files);
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    let mut decls = Vec::new();
+    for (path, masked) in targets.files {
+        let ctx = FileCtx::classify(path, masked);
+        let in_test_mod = |m: &String| {
+            path.strip_prefix(m.as_str()).is_some_and(|r| r == ".rs" || r.starts_with('/'))
+        };
+        if test_mods.iter().any(in_test_mod) {
+            continue;
+        }
+        for (line, text) in (1..).zip(masked.lines()).filter(|(k, _)| !ctx.is_test_line(*k)) {
+            idents(text).for_each(|id| *uses.entry(id).or_default() += 1);
+            if let Some(name) = pub_item(text).filter(|_| library_source(path)) {
+                decls.push((path, line, name));
+            }
+        }
+    }
+    for (path, line, name) in decls {
+        // The declaration itself is one use.
+        if uses[name] == 1 {
+            out.push(Finding {
+                path: path.clone(),
+                line,
+                rule: "dead-pub",
+                message: format!(
+                    "pub item `{name}` is named by no non-test code — delete it, make it \
+                     #[cfg(test)], or waive it with the test oracle it serves"
+                ),
+                waived: false,
+            });
+        }
+    }
+}
+
+/// `crates/<name>/src/…` outside `src/bin/` and `src/main.rs`.
+fn library_source(path: &str) -> bool {
+    let Some((_, rest)) = path.split_once("crates/") else { return false };
+    let mut comps = rest.split('/').skip(1);
+    comps.next() == Some("src") && !matches!(comps.next(), None | Some("bin" | "main.rs"))
+}
+
+/// Path stems (`…/src/m`) of the modules declared `#[cfg(test)]` then
+/// `mod m;` on the next non-attribute line.
+fn cfg_test_modules(files: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (path, masked) in files {
+        let mut lines = masked.lines().map(str::trim);
+        while let Some(line) = lines.next() {
+            if line != "#[cfg(test)]" {
+                continue;
+            }
+            let decl = lines.find(|l| !l.starts_with("#[")).unwrap_or("");
+            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+            let Some(name) = decl.strip_prefix("mod ").and_then(|d| d.strip_suffix(';')) else {
+                continue;
+            };
+            // `lib.rs`, `main.rs` and `mod.rs` own their directory; `x.rs` owns `x/`.
+            let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+            let owner = match file {
+                "lib.rs" | "main.rs" | "mod.rs" => dir,
+                _ => path.trim_end_matches(".rs"),
+            };
+            out.push(format!("{owner}/{}", name.trim()));
+        }
+    }
+    out
+}
+
+/// Identifiers in a masked line (number literals skipped).
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+}
+
+/// The name of a bare-`pub` fn/struct/enum/trait/type/const/static
+/// declared on `line`; `pub(crate)`, `pub mod` and `pub use` are not items
+/// of this rule.
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = idents(rest).skip_while(|w| matches!(*w, "unsafe" | "async" | "extern"));
+    match words.next()? {
+        "fn" | "struct" | "enum" | "trait" | "type" => words.next(),
+        // `const fn f`, `const unsafe fn f`, `const N`, `static mut S`.
+        "const" | "static" => match words.find(|w| !matches!(*w, "unsafe" | "mut"))? {
+            "fn" => words.next(),
+            name => Some(name),
+        },
+        _ => None,
+    }
 }

@@ -241,3 +241,75 @@ fn rule_filter_restricts_the_report() {
     assert!(only.findings.iter().all(|f| f.rule == "wall-clock"));
     assert_eq!(only.unwaived().count(), 1);
 }
+
+/// A tree carrying the real workspace's marker files (`dead-pub` runs
+/// only there) plus `extra`.
+fn marked_tree(extra: &[(&str, &str)]) -> Vec<(String, String)> {
+    let mut files = vec![
+        ("crates/core/src/lib.rs".to_string(), "pub mod x;\n".to_string()),
+        ("crates/serve/src/lib.rs".to_string(), "fn main_loop() {}\n".to_string()),
+    ];
+    files.extend(extra.iter().map(|(p, s)| (p.to_string(), s.to_string())));
+    files
+}
+
+fn dead_pub_names(files: &[(String, String)]) -> Vec<String> {
+    audit_sources(files, Some("dead-pub"))
+        .unwaived()
+        .map(|f| format!("{}:{}", f.path, f.line))
+        .collect()
+}
+
+#[test]
+fn dead_pub_fires_only_when_no_non_test_code_names_the_item() {
+    let item = ("crates/core/src/x.rs", "pub fn live_one() {}\n\npub fn orphan() {}\n");
+    let caller = "fn main() {\n    revmax_core::x::live_one();\n}\n";
+
+    // Nothing names either item: both fire, at their declaration lines.
+    let got = dead_pub_names(&marked_tree(&[item]));
+    assert_eq!(got, ["crates/core/src/x.rs:1", "crates/core/src/x.rs:3"]);
+
+    // A bin, an example or the benchmark naming it keeps it live.
+    for user in ["crates/bench/src/bin/b.rs", "examples/e.rs", "perfbench/bench/src/main.rs"] {
+        let got = dead_pub_names(&marked_tree(&[item, (user, caller)]));
+        assert_eq!(got, ["crates/core/src/x.rs:3"], "named from {user}");
+    }
+
+    // Test code does not: `tests/`, a `#[cfg(test)]` module, and a file
+    // whose `mod` is declared under `#[cfg(test)]`.
+    let cfg_test = "pub fn helper() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {\n        super::live_one();\n    }\n}\n";
+    let test_mod_decl = "#[cfg(test)]\nmod oracle;\n";
+    let test_mod_file = "fn t() {\n    crate::x::live_one();\n}\n";
+    for extra in [
+        vec![("crates/core/tests/t.rs", caller)],
+        vec![("crates/core/src/y.rs", cfg_test)],
+        vec![
+            ("crates/core/src/y.rs", test_mod_decl),
+            ("crates/core/src/y/oracle.rs", test_mod_file),
+        ],
+    ] {
+        let mut files = vec![item];
+        files.extend(extra.iter().copied());
+        let got = dead_pub_names(&marked_tree(&files));
+        assert!(got.contains(&"crates/core/src/x.rs:1".to_string()), "{extra:?}: {got:?}");
+    }
+
+    // A reasoned waiver suppresses it; bins and `pub(crate)` are out of scope.
+    let waived =
+        "// audit: allow(dead-pub) fixture oracle for the waiver path\npub fn orphan() {}\n";
+    let bin = "pub fn in_a_bin() {}\n";
+    let private = "pub(crate) fn in_crate() {}\n";
+    let files = marked_tree(&[
+        ("crates/core/src/x.rs", waived),
+        ("crates/bench/src/bin/b.rs", bin),
+        ("crates/core/src/z.rs", private),
+    ]);
+    let report = audit_sources(&files, None);
+    assert_eq!(report.unwaived().count(), 0, "{:?}", report.findings);
+    assert!(report.findings.iter().any(|f| f.rule == "dead-pub" && f.waived));
+
+    // Without the marker files (fixture trees, the audit's self-scan) the
+    // rule stays silent.
+    let bare = [(item.0.to_string(), item.1.to_string())];
+    assert!(dead_pub_names(&bare).is_empty());
+}

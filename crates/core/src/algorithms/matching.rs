@@ -280,7 +280,7 @@ mod tests {
     fn trace_is_recorded() {
         let out = PureMatching::default().run(&table1());
         assert_eq!(out.trace.iterations(), 1);
-        assert!((out.trace.final_revenue() - 30.4).abs() < 1e-9);
+        assert!((out.trace.points()[0].revenue - 30.4).abs() < 1e-9);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Bundle {
         false
     }
 
-    /// True for single-item "bundles".
-    pub fn is_single(&self) -> bool {
-        self.items.len() == 1
-    }
-
     /// Membership test (binary search).
     pub fn contains(&self, item: u32) -> bool {
         self.items.binary_search(&item).is_ok()
@@ -130,7 +125,6 @@ mod tests {
         let b = Bundle::new(vec![3, 1, 3, 2]);
         assert_eq!(b.items(), &[1, 2, 3]);
         assert_eq!(b.len(), 3);
-        assert!(!b.is_single());
     }
 
     #[test]

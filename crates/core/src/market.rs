@@ -9,7 +9,6 @@
 //! per-shard restriction) answers the very same queries over the very same
 //! arena without rebuilding anything.
 
-use crate::bundle::Bundle;
 use crate::params::Params;
 use crate::pricing::{self, Candidates, PriceMode, PricedOutcome, PricingCtx};
 use crate::wtp::WtpMatrix;
@@ -188,11 +187,6 @@ impl Market {
     pub fn price_pure(&self, items: &[u32], scratch: &mut Scratch) -> PricedOutcome {
         self.bundle_wtps(items, scratch);
         pricing::optimize(&scratch.values, &self.pricing)
-    }
-
-    /// Convenience wrapper for a [`Bundle`].
-    pub fn price_bundle(&self, bundle: &Bundle, scratch: &mut Scratch) -> PricedOutcome {
-        self.price_pure(bundle.items(), scratch)
     }
 
     /// Outcome of selling `item` at its listed price (the "Amazon's

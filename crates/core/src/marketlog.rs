@@ -3,11 +3,12 @@
 //!
 //! A live market is not rebuilt, it *drifts*: users arrive, ratings
 //! change, items launch and retire. [`MarketLog`] captures that drift as
-//! an append-only log of typed [`Event`]s over a **base** market whose
-//! WTP matrix is a pristine dual-CSR arena, and reduces the log to a
-//! **canonical net overlay** — a `BTreeMap` of per-cell overrides plus
-//! grown dimensions and retirement tombstones. Two consequences fall out
-//! of keeping the overlay canonical rather than replaying raw events:
+//! typed [`Event`]s over a **base** market whose WTP matrix is a pristine
+//! dual-CSR arena, and folds each accepted event into a **canonical net
+//! overlay** — a `BTreeMap` of per-cell overrides plus grown dimensions
+//! and retirement tombstones. The events themselves are not kept: the
+//! log's memory depends on the overlay, never on how many events built
+//! it. Two consequences fall out of keeping the overlay canonical:
 //!
 //! * [`MarketLog::snapshot`] materializes a [`Market`] whose matrix
 //!   layers the overlay over the shared arena without copying it
@@ -57,16 +58,13 @@ pub enum Event {
     RetireItem { item: u32 },
 }
 
-/// Append-only churn log over a base [`Market`] (module docs). Cheap to
-/// clone (the base arena is shared).
+/// Churn overlay over a base [`Market`] (module docs). Cheap to clone
+/// (the base arena is shared).
 #[derive(Debug, Clone)]
 pub struct MarketLog {
     /// Base market; its matrix is always a pristine arena (no view, no
     /// overlay) — [`MarketLog::new`] compacts anything else.
     base: Market,
-    /// Full event history since construction (kept across compaction).
-    // audit: allow(fingerprint-coverage) history is not state: equivalent histories must share one fingerprint (module docs)
-    events: Vec<Event>,
     /// Canonical net per-cell overrides vs the base arena:
     /// `Some(w)` = upsert, `None` = delete. An override equal to the base
     /// content is removed, so equivalent histories share one overlay.
@@ -125,7 +123,6 @@ impl MarketLog {
         let n_items = base.n_items();
         MarketLog {
             base,
-            events: Vec::new(),
             overrides: BTreeMap::new(),
             n_users,
             n_items,
@@ -135,22 +132,9 @@ impl MarketLog {
         }
     }
 
-    /// Rebuild a log by applying `events` in order over `base` — the
-    /// from-scratch path the replay proptests compare against.
-    pub fn replay(base: Market, events: &[Event]) -> Result<Self, String> {
-        let mut log = MarketLog::new(base);
-        log.apply_batch(events.iter().copied())?;
-        Ok(log)
-    }
-
     /// The (compacted) base market the overlay layers over.
     pub fn base(&self) -> &Market {
         &self.base
-    }
-
-    /// Full event history since construction.
-    pub fn events(&self) -> &[Event] {
-        &self.events
     }
 
     /// Post-churn consumer count.
@@ -161,22 +145,6 @@ impl MarketLog {
     /// Post-churn item count.
     pub fn n_items(&self) -> usize {
         self.n_items
-    }
-
-    /// Net overrides currently pending vs the base arena (0 right after
-    /// construction or compaction).
-    pub fn pending_overrides(&self) -> usize {
-        self.overrides.len()
-    }
-
-    /// True when the id is retired (tombstoned).
-    pub fn is_user_retired(&self, user: u32) -> bool {
-        self.retired_users.contains(&user)
-    }
-
-    /// True when the id is retired (tombstoned).
-    pub fn is_item_retired(&self, item: u32) -> bool {
-        self.retired_items.contains(&item)
     }
 
     /// Base-arena content of one cell (0.0 when absent or beyond the
@@ -236,9 +204,8 @@ impl MarketLog {
         merge_axis(base, &ovr)
     }
 
-    /// Apply one event; on success it is appended to the history. Errors
-    /// (out-of-range or retired ids, invalid WTP/price) leave the log
-    /// untouched.
+    /// Apply one event to the overlay. Errors (out-of-range or retired
+    /// ids, invalid WTP/price) leave the log untouched.
     pub fn apply(&mut self, event: Event) -> Result<(), String> {
         match event {
             Event::UpsertWtp { user, item, wtp } => {
@@ -310,7 +277,6 @@ impl MarketLog {
                 }
             }
         }
-        self.events.push(event);
         Ok(())
     }
 
@@ -321,18 +287,6 @@ impl MarketLog {
             self.apply(e)?;
         }
         Ok(())
-    }
-
-    /// Append a consumer and return its id.
-    pub fn add_user(&mut self) -> u32 {
-        self.apply(Event::AddUser).expect("AddUser cannot fail");
-        (self.n_users - 1) as u32
-    }
-
-    /// Append an item and return its id.
-    pub fn add_item(&mut self, listed_price: Option<f64>) -> Result<u32, String> {
-        self.apply(Event::AddItem { listed_price })?;
-        Ok((self.n_items - 1) as u32)
     }
 
     fn check_user(&self, user: u32) -> Result<(), String> {
@@ -349,22 +303,6 @@ impl MarketLog {
         } else {
             Err(format!("item {item} out of range ({} items)", self.n_items))
         }
-    }
-
-    /// Users whose post-churn row differs from the base arena (plus every
-    /// grown id), ascending.
-    pub fn touched_users(&self) -> Vec<u32> {
-        let mut set: BTreeSet<u32> = self.overrides.keys().map(|&(u, _)| u).collect();
-        set.extend(self.base.n_users() as u32..self.n_users as u32);
-        set.into_iter().collect()
-    }
-
-    /// Items whose post-churn column differs from the base arena (plus
-    /// every grown id), ascending.
-    pub fn touched_items(&self) -> Vec<u32> {
-        let mut set: BTreeSet<u32> = self.overrides.keys().map(|&(_, i)| i).collect();
-        set.extend(self.base.n_items() as u32..self.n_items as u32);
-        set.into_iter().collect()
     }
 
     /// Materialize the post-churn market: the base arena plus a merged
@@ -446,8 +384,8 @@ impl MarketLog {
 
     /// Fold the pending overlay into a fresh arena. Reads are unchanged
     /// (bit-identical before and after); the `(base, delta)` fingerprint
-    /// moves churn from the delta half into the base half. The event
-    /// history and retirement tombstones are kept.
+    /// moves churn from the delta half into the base half. The retirement
+    /// tombstones are kept.
     pub fn compact(&mut self) {
         let snap = self.snapshot();
         let compacted = snap.wtp().compact();
@@ -559,7 +497,7 @@ mod tests {
         let fp_before = log.fingerprint();
         log.compact();
         let after = log.snapshot();
-        assert_eq!(log.pending_overrides(), 0);
+        assert!(log.overrides.is_empty());
         assert!(!after.wtp().has_delta(), "compacted snapshot has no overlay");
         assert_eq!(before.wtp(), after.wtp());
         assert_eq!(before.fingerprint(), after.fingerprint());
@@ -624,16 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn touched_sets_cover_overrides_and_growth() {
-        let mut log = MarketLog::new(table1());
-        log.apply(Event::UpsertWtp { user: 2, item: 1, wtp: 1.5 }).unwrap();
-        log.add_user();
-        log.add_item(None).unwrap();
-        assert_eq!(log.touched_users(), vec![2, 3]);
-        assert_eq!(log.touched_items(), vec![1, 2]);
-    }
-
-    #[test]
     fn replay_equals_incremental_application() {
         let events = [
             Event::AddUser,
@@ -642,8 +570,11 @@ mod tests {
             Event::RetireItem { item: 1 },
         ];
         let mut a = MarketLog::new(table1());
-        a.apply_batch(events).unwrap();
-        let b = MarketLog::replay(table1(), &events).unwrap();
+        for e in events {
+            a.apply(e).unwrap();
+        }
+        let mut b = MarketLog::new(table1());
+        b.apply_batch(events).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.snapshot().wtp(), b.snapshot().wtp());
     }
@@ -652,14 +583,14 @@ mod tests {
     fn priced_base_requires_priced_additions() {
         let w = WtpMatrix::from_ratings(2, 1, vec![(0u32, 0u32, 5u8), (1, 0, 3)], &[10.0], 1.25);
         let mut log = MarketLog::new(Market::new(w, Params::default()));
-        assert!(log.add_item(None).is_err());
-        let id = log.add_item(Some(19.99)).unwrap();
-        assert_eq!(id, 1);
+        assert!(log.apply(Event::AddItem { listed_price: None }).is_err());
+        log.apply(Event::AddItem { listed_price: Some(19.99) }).unwrap();
+        assert_eq!(log.n_items(), 2);
         let snap = log.snapshot();
         assert_eq!(snap.wtp().listed_price(1), Some(19.99));
 
         let mut unpriced = MarketLog::new(table1());
-        assert!(unpriced.add_item(Some(1.0)).is_err());
+        assert!(unpriced.apply(Event::AddItem { listed_price: Some(1.0) }).is_err());
     }
 
     #[test]
@@ -674,7 +605,6 @@ mod tests {
         assert!(log.apply(Event::RetireUser { user: 9 }).is_err());
         assert!(log.apply(Event::RetireItem { item: 9 }).is_err());
         assert_eq!(log.fingerprint(), fp);
-        assert!(log.events().is_empty());
     }
 
     #[test]
@@ -685,6 +615,6 @@ mod tests {
         log.apply(Event::UpsertWtp { user: 1, item: 1, wtp: 1.0 }).unwrap();
         log.apply(Event::UpsertWtp { user: 2, item: 0, wtp: 1.0 }).unwrap();
         assert!(log.maybe_compact(0.5), "3 of 6 reaches 50%");
-        assert_eq!(log.pending_overrides(), 0);
+        assert!(log.overrides.is_empty());
     }
 }

@@ -138,25 +138,22 @@ impl Params {
         self
     }
 
-    /// Builder-style override for adoption bias α.
-    pub fn with_adoption_bias(mut self, alpha: f64) -> Self {
-        self.adoption_bias = alpha;
-        self
-    }
-
     /// Builder-style override for the size cap k.
+    // audit: allow(dead-pub) test-only member of the documented Params builder family; tests build configs through it
     pub fn with_size_cap(mut self, cap: SizeCap) -> Self {
         self.size_cap = cap;
         self
     }
 
     /// Builder-style override for λ.
+    // audit: allow(dead-pub) test-only member of the documented Params builder family; tests build configs through it
     pub fn with_lambda(mut self, lambda: f64) -> Self {
         self.lambda = lambda;
         self
     }
 
     /// Builder-style override for the number of price levels T.
+    // audit: allow(dead-pub) test-only member of the documented Params builder family; tests build configs through it
     pub fn with_price_levels(mut self, t: usize) -> Self {
         self.price_levels = t;
         self
@@ -169,6 +166,7 @@ impl Params {
     }
 
     /// Builder-style override for the pricing objective.
+    // audit: allow(dead-pub) test-only member of the documented Params builder family; tests build configs through it
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
@@ -178,11 +176,6 @@ impl Params {
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// True when γ is in the deterministic step regime.
-    pub fn is_step(&self) -> bool {
-        self.gamma >= Self::STEP_GAMMA
     }
 
     /// Stable 64-bit fingerprint of every **solve-relevant** parameter —
@@ -243,7 +236,7 @@ mod tests {
         assert_eq!(p.theta, 0.0);
         assert_eq!(p.size_cap, SizeCap::Unlimited);
         assert_eq!(p.gamma, 1e6);
-        assert!(p.is_step());
+        assert!(p.gamma >= Params::STEP_GAMMA, "the default is the step regime");
         assert_eq!(p.adoption_bias, 1.0);
         assert_eq!(p.epsilon, 1e-6);
         assert_eq!(p.price_levels, 100);

@@ -108,11 +108,6 @@ impl PricingCtx {
         }
     }
 
-    /// Same but with the paper's grid discretization.
-    pub fn grid_from_params(p: &crate::params::Params) -> Self {
-        PricingCtx { mode: PriceMode::Grid, ..Self::from_params(p) }
-    }
-
     /// The scored utility of one candidate price. `m` is the count of
     /// interested users (finite positive WTP); the objective pools the
     /// two-point per-user payment distribution (`buyers` pay `price`,

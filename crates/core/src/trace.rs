@@ -53,11 +53,6 @@ impl IterationTrace {
     pub fn total_time(&self) -> Duration {
         self.points.last().map_or(Duration::ZERO, |p| p.elapsed)
     }
-
-    /// Final revenue.
-    pub fn final_revenue(&self) -> f64 {
-        self.points.last().map_or(0.0, |p| p.revenue)
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,7 @@ mod tests {
         assert_eq!(t.iterations(), 2);
         assert_eq!(t.points()[0].iteration, 1);
         assert_eq!(t.points()[1].iteration, 2);
-        assert_eq!(t.final_revenue(), 12.0);
+        assert_eq!(t.points()[1].revenue, 12.0);
         assert_eq!(t.total_time(), Duration::from_millis(9));
     }
 
@@ -80,7 +75,6 @@ mod tests {
     fn empty_trace() {
         let t = IterationTrace::new();
         assert_eq!(t.iterations(), 0);
-        assert_eq!(t.final_revenue(), 0.0);
         assert_eq!(t.total_time(), Duration::ZERO);
     }
 }

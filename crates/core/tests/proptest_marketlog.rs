@@ -3,8 +3,9 @@
 //! 1. **Replay ≡ rebuild**: a random event stream applied through a
 //!    [`MarketLog`] reads bit-for-bit like a `Market` rebuilt from scratch
 //!    on the stream's net content — every row, every column, the totals,
-//!    and the content fingerprint. Replaying the recorded history onto the
-//!    same base reproduces the log exactly (both fingerprint halves).
+//!    and the content fingerprint. Re-applying the events the test
+//!    recorded onto the same base reproduces the log exactly (both
+//!    fingerprint halves).
 //! 2. **Compaction identity**: folding the pending deltas into a fresh
 //!    arena changes no read and no content fingerprint.
 //! 3. **Fingerprint separation/collision**: every event type moves the
@@ -54,11 +55,13 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 0..12)
 }
 
-/// Dense reference model mirroring what the log's snapshot must read.
+/// Dense reference model mirroring what the log's snapshot must read,
+/// plus the events it applied, in order (the log keeps no history).
 struct Model {
     rows: Vec<Vec<f64>>,
     retired_users: Vec<bool>,
     retired_items: Vec<bool>,
+    applied: Vec<Event>,
 }
 
 impl Model {
@@ -67,52 +70,56 @@ impl Model {
             retired_users: vec![false; rows.len()],
             retired_items: vec![false; rows[0].len()],
             rows: rows.to_vec(),
+            applied: Vec::new(),
         }
     }
 
-    /// Apply `op` to both the model and the log; returns false if the op
-    /// had no valid target (retired id) and was skipped.
+    /// Apply `op` to both the model and the log, recording the event;
+    /// returns false if the op had no valid target (retired id) and was
+    /// skipped.
     fn step(&mut self, log: &mut MarketLog, op: Op) -> Result<bool, String> {
         let (nu, ni) = (self.rows.len(), self.rows[0].len());
-        match op {
+        let event = match op {
             Op::Upsert { u, i, w } => {
                 let (u, i) = (u % nu, i % ni);
                 if self.retired_users[u] || self.retired_items[i] {
                     return Ok(false);
                 }
-                log.apply(Event::UpsertWtp { user: u as u32, item: i as u32, wtp: w })?;
                 self.rows[u][i] = w;
+                Event::UpsertWtp { user: u as u32, item: i as u32, wtp: w }
             }
             Op::Delete { u, i } => {
                 let (u, i) = (u % nu, i % ni);
-                log.apply(Event::DeleteWtp { user: u as u32, item: i as u32 })?;
                 self.rows[u][i] = 0.0;
+                Event::DeleteWtp { user: u as u32, item: i as u32 }
             }
             Op::AddUser => {
-                log.apply(Event::AddUser)?;
                 self.rows.push(vec![0.0; ni]);
                 self.retired_users.push(false);
+                Event::AddUser
             }
             Op::AddItem => {
-                log.apply(Event::AddItem { listed_price: None })?;
                 for r in &mut self.rows {
                     r.push(0.0);
                 }
                 self.retired_items.push(false);
+                Event::AddItem { listed_price: None }
             }
             Op::RetireUser { u } => {
                 let u = u % nu;
-                log.apply(Event::RetireUser { user: u as u32 })?;
                 self.rows[u].iter_mut().for_each(|w| *w = 0.0);
                 self.retired_users[u] = true;
+                Event::RetireUser { user: u as u32 }
             }
             Op::RetireItem { i } => {
                 let i = i % ni;
-                log.apply(Event::RetireItem { item: i as u32 })?;
                 self.rows.iter_mut().for_each(|r| r[i] = 0.0);
                 self.retired_items[i] = true;
+                Event::RetireItem { item: i as u32 }
             }
-        }
+        };
+        log.apply(event)?;
+        self.applied.push(event);
         Ok(true)
     }
 }
@@ -167,9 +174,10 @@ proptest! {
         );
         assert_reads_identical(&snapshot, &rebuilt);
 
-        // Replaying the recorded history onto the same base reproduces the
-        // log exactly: same reads, same (base, delta) fingerprint.
-        let replayed = MarketLog::replay(base, log.events()).unwrap();
+        // Re-applying the recorded events onto the same base reproduces
+        // the log exactly: same reads, same (base, delta) fingerprint.
+        let mut replayed = MarketLog::new(base);
+        replayed.apply_batch(model.applied.iter().copied()).unwrap();
         assert_reads_identical(&replayed.snapshot(), &snapshot);
         prop_assert_eq!(replayed.fingerprint(), log.fingerprint());
     }
@@ -184,7 +192,6 @@ proptest! {
         }
         let before = log.snapshot();
         log.compact();
-        prop_assert_eq!(log.pending_overrides(), 0);
         let after = log.snapshot();
         prop_assert!(!after.wtp().has_delta(), "compaction must leave a pristine arena");
         assert_reads_identical(&after, &before);
@@ -238,14 +245,19 @@ proptest! {
         let base = Market::new(WtpMatrix::from_rows(rows.clone()), Params::default().with_theta(theta));
         let (w1, w2) = (w1 as f64 * 0.5, w2 as f64 * 0.5);
 
-        // Overwriting an override ≡ writing the final value directly.
+        // Overwriting an override ≡ writing the final value directly: the
+        // histories differ, the content agrees.
+        let history_a = [
+            Event::UpsertWtp { user: 0, item: 0, wtp: w1 },
+            Event::UpsertWtp { user: 0, item: 0, wtp: w2 },
+        ];
+        let history_b = [Event::UpsertWtp { user: 0, item: 0, wtp: w2 }];
         let mut a = MarketLog::new(base.clone());
-        a.apply(Event::UpsertWtp { user: 0, item: 0, wtp: w1 }).unwrap();
-        a.apply(Event::UpsertWtp { user: 0, item: 0, wtp: w2 }).unwrap();
+        a.apply_batch(history_a).unwrap();
         let mut b = MarketLog::new(base.clone());
-        b.apply(Event::UpsertWtp { user: 0, item: 0, wtp: w2 }).unwrap();
+        b.apply_batch(history_b).unwrap();
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
-        prop_assert_ne!(a.events().len(), b.events().len(), "histories differ, content agrees");
+        prop_assert_ne!(history_a.len(), history_b.len(), "histories differ, content agrees");
 
         // Upserting the base's own content (bit-equal) cancels: ≡ untouched.
         if rows[0][0] > 0.0 {

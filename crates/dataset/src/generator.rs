@@ -88,24 +88,6 @@ impl AmazonBooksConfig {
         }
     }
 
-    /// Override the number of users (pre-trim).
-    pub fn with_users(mut self, n: usize) -> Self {
-        self.n_users = n;
-        self
-    }
-
-    /// Override the number of items (pre-trim).
-    pub fn with_items(mut self, n: usize) -> Self {
-        self.n_items = n;
-        self
-    }
-
-    /// Override the rating heterogeneity (Dirichlet concentration).
-    pub fn with_concentration(mut self, c: f64) -> Self {
-        self.rating_concentration = c;
-        self
-    }
-
     /// Generate a dataset. Deterministic in (config, seed).
     pub fn generate(&self, seed: u64) -> RatingsData {
         assert!(self.n_users > 0 && self.n_items > 0, "empty config");

@@ -14,6 +14,7 @@ pub struct TransactionDb {
 impl TransactionDb {
     /// Build from horizontal transactions (each a list of item ids).
     /// Duplicate items within one transaction are tolerated.
+    // audit: allow(dead-pub) test oracle: the fim proptests, bench_fim and the crate example build reference databases with it
     pub fn from_transactions(n_items: usize, transactions: &[Vec<u32>]) -> Self {
         let n_transactions = transactions.len();
         let mut bitmaps = vec![Bitmap::zeros(n_transactions); n_items];

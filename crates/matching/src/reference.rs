@@ -9,6 +9,7 @@
 /// Exact maximum-weight matching by subset DP. Panics if `n > 24` (memory).
 ///
 /// Returns `(weight, mate)` where `mate[v]` is `Some(w)` for matched pairs.
+// audit: allow(dead-pub) test oracle: the blossom proptests compare the solver against it
 pub fn brute_force_max_weight(
     n: usize,
     edges: &[(usize, usize, i64)],

@@ -56,10 +56,10 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 /// Tile block width of the daemon's indexes. Tiles are built only to
-/// fill a generation's answer table and for `MarginalRevenue` queries,
-/// which may run on many connection threads at once. Sixteen lanes kept
-/// the fleet's peak RSS down when every point query built a tile; wider
-/// tiles bought no throughput then (`DESIGN.md` §9.3).
+/// fill a generation's answer table and for `MarginalRevenue` queries;
+/// both can run at once across a fleet of daemons and their many
+/// connection threads, each holding its own tile, so a narrow tile keeps
+/// peak RSS low (`DESIGN.md` §9.3).
 const QUERY_BLOCK: usize = 16;
 
 /// The daemon's index over a solved menu: its per-query thread fan-out,

@@ -36,13 +36,11 @@ use revmax_core::params::Params;
 use revmax_core::wtp::WtpMatrix;
 use std::sync::Arc;
 
-/// The market-independent half of a compiled menu: the flattened offer
-/// forest and its postings, a pure function of the [`BundleConfig`] and
-/// the item universe. Rebinding the same menu to a churned market
-/// ([`MenuIndex::rebind`]) shares this whole structure by `Arc` and only
-/// swaps the market half.
+/// The frozen read-side state shared by every clone of a [`MenuIndex`]:
+/// the flattened offer forest and its postings, plus the market they
+/// were compiled against.
 #[derive(Debug)]
-pub(crate) struct MenuShape {
+pub(crate) struct MenuStore {
     pub(crate) strategy: Strategy,
     pub(crate) n_items: usize,
     /// Node `n`'s items are `node_items[node_indptr[n]..node_indptr[n+1]]`,
@@ -62,13 +60,6 @@ pub(crate) struct MenuShape {
     /// `post_nodes[post_indptr[i]..post_indptr[i+1]]`, ascending node ids.
     pub(crate) post_indptr: Vec<usize>,
     pub(crate) post_nodes: Vec<u32>,
-}
-
-/// The frozen read-side state shared by every clone of a [`MenuIndex`]:
-/// the config-derived `MenuShape` plus the market half it is bound to.
-#[derive(Debug)]
-pub(crate) struct MenuStore {
-    pub(crate) shape: Arc<MenuShape>,
     pub(crate) n_users: usize,
     /// Solve parameters (θ for set WTPs; everything else rides along).
     pub(crate) params: Params,
@@ -96,8 +87,8 @@ pub struct MenuIndex {
     /// Never affects results, only cache behavior.
     pub(crate) block: usize,
     /// Every consumer's answer, filled by the daemon's serving index only
-    /// (`DESIGN.md` §11.6); `compile` and `rebind` leave it `None`, and
-    /// the public query methods never read it.
+    /// (`DESIGN.md` §11.6); `compile` leaves it `None`, and the public
+    /// query methods never read it.
     pub(crate) answers: Option<Arc<AnswerTable>>,
 }
 
@@ -109,7 +100,7 @@ impl MenuIndex {
     pub fn compile(market: &Market, config: &BundleConfig) -> MenuIndex {
         config.validate(market.n_items());
         let n_items = market.n_items();
-        let mut shape = MenuShape {
+        let mut store = MenuStore {
             strategy: config.strategy,
             n_items,
             node_indptr: vec![0],
@@ -120,11 +111,15 @@ impl MenuIndex {
             roots: Vec::new(),
             post_indptr: vec![0; n_items + 1],
             post_nodes: Vec::new(),
+            n_users: market.n_users(),
+            params: *market.params(),
+            adoption: market.pricing_ctx().adoption,
+            wtp: market.wtp().clone(),
         };
 
         // Flatten post-order per root (children before parents, original
         // child order preserved).
-        fn flatten(node: &OfferNode, s: &mut MenuShape) -> u32 {
+        fn flatten(node: &OfferNode, s: &mut MenuStore) -> u32 {
             let start = s.prices.len() as u32;
             for c in &node.children {
                 flatten(c, s);
@@ -137,13 +132,13 @@ impl MenuIndex {
             s.prices.len() as u32 - 1
         }
         for r in &config.roots {
-            let root = flatten(r, &mut shape);
-            shape.roots.push(root);
+            let root = flatten(r, &mut store);
+            store.roots.push(root);
         }
 
         // Item → containing nodes, counting scatter. Nodes are visited in
         // ascending id order, so each item's posting list is ascending.
-        let MenuShape { node_indptr, node_items, post_indptr, post_nodes, .. } = &mut shape;
+        let MenuStore { node_indptr, node_items, post_indptr, post_nodes, .. } = &mut store;
         for &i in node_items.iter() {
             post_indptr[i as usize + 1] += 1;
         }
@@ -159,38 +154,12 @@ impl MenuIndex {
                 *slot += 1;
             }
         }
-        MenuIndex::bind(Arc::new(shape), market, KernelKind::Tiled, 0)
-    }
-
-    /// Re-bind this compiled menu to a churned market with the **same item
-    /// universe** (same items, any consumers): the flattened offer forest
-    /// and postings (`MenuShape`) are shared by `Arc`, only the market
-    /// half (consumers, params, adoption, WTP matrix) is replaced. This is
-    /// the cheap serve-side path after a churn batch whose re-solve kept
-    /// the menu configuration unchanged.
-    pub fn rebind(&self, market: &Market) -> MenuIndex {
-        assert_eq!(
-            market.n_items(),
-            self.store.shape.n_items,
-            "rebind requires the compiled item universe"
-        );
-        MenuIndex::bind(Arc::clone(&self.store.shape), market, self.kernel, self.block)
-    }
-
-    /// A menu shape bound to `market`'s half of the store.
-    fn bind(shape: Arc<MenuShape>, market: &Market, kernel: KernelKind, block: usize) -> MenuIndex {
         MenuIndex {
             threads: market.threads(),
-            kernel,
-            block,
+            kernel: KernelKind::Tiled,
+            block: 0,
             answers: None,
-            store: Arc::new(MenuStore {
-                shape,
-                n_users: market.n_users(),
-                params: *market.params(),
-                adoption: market.pricing_ctx().adoption,
-                wtp: market.wtp().clone(),
-            }),
+            store: Arc::new(store),
         }
     }
 
@@ -202,11 +171,6 @@ impl MenuIndex {
         self
     }
 
-    /// Resolved worker-thread count for batched queries.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Select the batched-query evaluation kernel (`DESIGN.md` §12).
     /// Results are bit-identical for any choice — [`KernelKind::Rows`] is
     /// the row-at-a-time reference, [`KernelKind::Tiled`] (the default)
@@ -214,11 +178,6 @@ impl MenuIndex {
     pub fn with_kernel(mut self, kernel: KernelKind) -> MenuIndex {
         self.kernel = kernel;
         self
-    }
-
-    /// The active evaluation kernel.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Override the tile kernel's user-block width (0 restores
@@ -242,7 +201,7 @@ impl MenuIndex {
 
     /// The compiled configuration's strategy.
     pub fn strategy(&self) -> Strategy {
-        self.store.shape.strategy
+        self.store.strategy
     }
 
     /// Number of consumers in the compiled market.
@@ -252,41 +211,39 @@ impl MenuIndex {
 
     /// Number of items in the compiled market.
     pub fn n_items(&self) -> usize {
-        self.store.shape.n_items
+        self.store.n_items
     }
 
     /// Total number of offer nodes (all tree nodes; under pure bundling
     /// every node is a root).
     pub fn n_nodes(&self) -> usize {
-        self.store.shape.prices.len()
+        self.store.prices.len()
     }
 
     /// Number of offers actually on sale: roots under pure bundling,
     /// every node under mixed bundling.
     pub fn n_offers(&self) -> usize {
-        match self.store.shape.strategy {
-            Strategy::Pure => self.store.shape.roots.len(),
+        match self.store.strategy {
+            Strategy::Pure => self.store.roots.len(),
             Strategy::Mixed => self.n_nodes(),
         }
     }
 
     /// Top-level offer node ids, in configuration root order.
     pub fn roots(&self) -> &[u32] {
-        &self.store.shape.roots
+        &self.store.roots
     }
 
     /// Item ids of offer node `node`, strictly ascending.
     pub fn items(&self, node: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.store.shape.node_indptr[node as usize],
-            self.store.shape.node_indptr[node as usize + 1],
-        );
-        &self.store.shape.node_items[lo..hi]
+        let (lo, hi) =
+            (self.store.node_indptr[node as usize], self.store.node_indptr[node as usize + 1]);
+        &self.store.node_items[lo..hi]
     }
 
     /// Price of offer node `node`.
     pub fn price(&self, node: u32) -> f64 {
-        self.store.shape.prices[node as usize]
+        self.store.prices[node as usize]
     }
 
     /// Every user id of the compiled market, ascending — the canonical
@@ -333,8 +290,8 @@ mod tests {
         assert_eq!(idx.price(0), 8.0);
         assert_eq!(idx.price(1), 11.0);
         assert_eq!(idx.price(2), 12.0);
-        assert_eq!(idx.store.shape.subtree_start, vec![0, 1, 0]);
-        assert_eq!(idx.store.shape.n_children, vec![0, 0, 2]);
+        assert_eq!(idx.store.subtree_start, vec![0, 1, 0]);
+        assert_eq!(idx.store.n_children, vec![0, 0, 2]);
         assert_eq!(idx.n_offers(), 3); // mixed: every node on sale
     }
 
@@ -343,8 +300,7 @@ mod tests {
         let m = table1();
         let idx = MenuIndex::compile(&m, &mixed_config());
         let post = |i: usize| {
-            &idx.store.shape.post_nodes
-                [idx.store.shape.post_indptr[i]..idx.store.shape.post_indptr[i + 1]]
+            &idx.store.post_nodes[idx.store.post_indptr[i]..idx.store.post_indptr[i + 1]]
         };
         assert_eq!(post(0), &[0, 2]); // item 0 ∈ leaf 0 and the bundle
         assert_eq!(post(1), &[1, 2]);
@@ -385,7 +341,7 @@ mod tests {
         let idx = MenuIndex::compile(&m, &mixed_config());
         let clone = idx.clone().with_threads(7);
         assert!(Arc::ptr_eq(&idx.store, &clone.store));
-        assert_eq!(clone.threads(), 7);
-        assert_eq!(MenuIndex::compile(&m, &mixed_config()).with_threads(0).threads(), 1);
+        assert_eq!(clone.threads, 7);
+        assert_eq!(MenuIndex::compile(&m, &mixed_config()).with_threads(0).threads, 1);
     }
 }

@@ -210,7 +210,7 @@ impl TileScratch {
         if (stride / 8).is_multiple_of(2) {
             stride += 8;
         }
-        let n_nodes = store.shape.prices.len();
+        let n_nodes = store.prices.len();
         let words = block.div_ceil(64);
         TileScratch {
             block,
@@ -244,7 +244,6 @@ impl TileScratch {
     /// itself for free instead of paying a `n_nodes × block` memset per
     /// block.
     pub(crate) fn scatter_block(&mut self, store: &MenuStore, users: &[u32]) {
-        let shape = &store.shape;
         let stride = self.stride;
         debug_assert!(users.len() <= self.block);
         debug_assert!(self.acc.iter().all(|&x| x == 0.0), "tile not consumed by prior walk");
@@ -252,8 +251,8 @@ impl TileScratch {
             debug_assert!((u as usize) < store.n_users);
             let row = store.wtp.row(u);
             for (i, w) in row.iter() {
-                let (lo, hi) = (shape.post_indptr[i as usize], shape.post_indptr[i as usize + 1]);
-                for &n in &shape.post_nodes[lo..hi] {
+                let (lo, hi) = (store.post_indptr[i as usize], store.post_indptr[i as usize + 1]);
+                for &n in &store.post_nodes[lo..hi] {
                     self.acc[n as usize * stride + lane] += w;
                 }
             }
@@ -261,7 +260,7 @@ impl TileScratch {
     }
 
     /// Walk the already-scattered tile against a price table (the
-    /// compiled `shape.prices`, or a perturbed copy for marginal-revenue
+    /// compiled `store.prices`, or a perturbed copy for marginal-revenue
     /// queries — same code path, so perturbed results are bit-identical
     /// to a recompile at the perturbed price). Fills `payments[..b]` and,
     /// with `collect`, the held-offer lists behind [`BlockEval::offers`].
@@ -327,20 +326,19 @@ impl TileScratch {
         } = self;
         let (block, stride, words) = (*block, *stride, *words);
         debug_assert!(b <= block);
-        let shape = &store.shape;
         let adoption = &store.adoption;
         let alpha = adoption.alpha;
         let eps = adoption.epsilon;
         let bundle_factor = 1.0 + store.params.theta;
-        let node_size = |n: u32| shape.node_indptr[n as usize + 1] - shape.node_indptr[n as usize];
+        let node_size = |n: u32| store.node_indptr[n as usize + 1] - store.node_indptr[n as usize];
         let flags = &mut flags[..b];
         payments[..b].fill(0.0);
         visited.clear();
 
-        match shape.strategy {
+        match store.strategy {
             Strategy::Pure => {
                 let step = adoption.is_step();
-                for &root in shape.roots.iter() {
+                for &root in store.roots.iter() {
                     let rbase = root as usize * stride;
                     active.clear();
                     for l in 0..b {
@@ -407,7 +405,7 @@ impl TileScratch {
                 }
             }
             Strategy::Mixed => {
-                for &root in shape.roots.iter() {
+                for &root in store.roots.iter() {
                     let rbase = root as usize * stride;
                     // Compact the lanes interested in this tree. For any
                     // *validated* menu, child bundles nest in their
@@ -430,13 +428,13 @@ impl TileScratch {
                     // a sparse block the compacted ones. Pure perf
                     // dispatch — both run the same body.
                     let dense = active.len() * 2 >= b;
-                    let first = shape.subtree_start[root as usize];
+                    let first = store.subtree_start[root as usize];
                     if COLLECT {
                         visited.push((first, root));
                     }
                     debug_assert_eq!(*sp, 0);
                     for n in first..=root {
-                        let k = shape.n_children[n as usize] as usize;
+                        let k = store.n_children[n as usize] as usize;
                         let price = prices[n as usize];
                         let size = node_size(n);
                         let nbase = n as usize * stride;
@@ -576,21 +574,20 @@ impl TileScratch {
         let TileScratch { words, adopt, cov, visited, offer_ptr, offers, .. } = self;
         let words = *words;
         let used = b.div_ceil(64);
-        let shape = &store.shape;
         for &(first, root) in visited.iter() {
             cov[root as usize * words..][..used].fill(0);
             for p in (first as usize..=root as usize).rev() {
                 // `p`'s children are the subtrees ending right below it,
                 // last child first.
                 let mut end = p;
-                for _ in 0..shape.n_children[p] {
+                for _ in 0..store.n_children[p] {
                     let n = end - 1;
                     for w in 0..used {
                         let c = cov[p * words + w] | adopt[p * words + w];
                         cov[n * words + w] = c;
                         adopt[n * words + w] &= !c;
                     }
-                    end = shape.subtree_start[n] as usize;
+                    end = store.subtree_start[n] as usize;
                 }
             }
         }
@@ -661,7 +658,7 @@ impl BlockEval for TileScratch {
     /// its compiled prices, consuming the tile.
     fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool) {
         self.scatter_block(store, users);
-        self.walk_block(store, &store.shape.prices, users.len(), collect, true);
+        self.walk_block(store, &store.prices, users.len(), collect, true);
     }
 
     fn payments(&self) -> &[f64] {
@@ -714,7 +711,7 @@ mod profiling {
         let market = Market::new(WtpMatrix::from_rows(gen_rows(n_users)), Params::default());
         let index = crate::MenuIndex::compile(&market, &outcome.config);
         let store = &index.store;
-        println!("menu: {} nodes, {} roots", store.shape.prices.len(), store.shape.roots.len());
+        println!("menu: {} nodes, {} roots", store.prices.len(), store.roots.len());
         let users: Vec<u32> = (0..n_users as u32).collect();
         for &block in &[64usize, 128, 256] {
             let mut tile = TileScratch::new(store, block);

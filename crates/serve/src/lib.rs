@@ -15,9 +15,8 @@
 //!   fanned out on [`revmax_par`] under the §6 determinism contract:
 //!   fixed chunks, ordered reduction, **bit-identical at any thread
 //!   count** — and per-user bit-identical to solver-side evaluation.
-//! * [`MenuIndex::rebind`] / [`ServeHandle`] — the churn path
-//!   (`DESIGN.md` §10): re-bind a compiled menu to a churned market
-//!   (sharing the flattened offer forest by `Arc`) and hot-swap it under
+//! * [`ServeHandle`] — the churn path (`DESIGN.md` §10): compile the
+//!   re-solved menu against the churned market and hot-swap it under
 //!   live traffic without tearing in-flight query batches.
 //! * [`compile_sweep_cell`] — one call from any sweep cell of a
 //!   [`SweepReport`] (whole-market or

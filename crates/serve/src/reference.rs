@@ -41,7 +41,7 @@ impl RowScratch {
     /// Scratch for `store`, evaluating blocks of up to `width` users.
     pub(crate) fn new(store: &MenuStore, width: usize) -> Self {
         RowScratch {
-            acc: vec![0.0; store.shape.prices.len()],
+            acc: vec![0.0; store.prices.len()],
             touched: Vec::new(),
             stack: Vec::new(),
             payments: vec![0.0; width],
@@ -65,9 +65,8 @@ impl RowScratch {
         // matching the solver's column scatter exactly.
         let row = store.wtp.row(user);
         for (i, w) in row.iter() {
-            let (lo, hi) =
-                (store.shape.post_indptr[i as usize], store.shape.post_indptr[i as usize + 1]);
-            for &n in &store.shape.post_nodes[lo..hi] {
+            let (lo, hi) = (store.post_indptr[i as usize], store.post_indptr[i as usize + 1]);
+            for &n in &store.post_nodes[lo..hi] {
                 let slot = &mut self.acc[n as usize];
                 if *slot == 0.0 {
                     self.touched.push(n);
@@ -78,11 +77,10 @@ impl RowScratch {
 
         let adoption = &store.adoption;
         let params = &store.params;
-        let node_size =
-            |n: u32| store.shape.node_indptr[n as usize + 1] - store.shape.node_indptr[n as usize];
+        let node_size = |n: u32| store.node_indptr[n as usize + 1] - store.node_indptr[n as usize];
         let mut payment = 0.0f64;
         let mut offers: Vec<u32> = Vec::new();
-        match store.shape.strategy {
+        match store.strategy {
             Strategy::Pure => {
                 // Independent take-it-or-leave-it offers. The zero-sum skip
                 // is bit-safe because the solver never sees zero-sum users
@@ -92,12 +90,12 @@ impl RowScratch {
                 // probability, not 0.0), and a single-user view of an
                 // uninterested consumer yields `price * 0.0 = +0.0`, which
                 // `x + 0.0 = x` makes equivalent to skipping.
-                for &root in &store.shape.roots {
+                for &root in &store.roots {
                     let s = self.acc[root as usize];
                     if s == 0.0 {
                         continue;
                     }
-                    let price = store.shape.prices[root as usize];
+                    let price = store.prices[root as usize];
                     let w = params.set_wtp(s, node_size(root));
                     payment += price * adoption.probability(w, price);
                     if collect && adoption.margin(w, price) >= 0.0 {
@@ -109,14 +107,14 @@ impl RowScratch {
                 // Bottom-up incremental-upgrade walk of each interested tree.
                 // Post-order layout: one forward scan per subtree range, the
                 // stack holding each node's (holdings, held-offer) state.
-                for &root in &store.shape.roots {
+                for &root in &store.roots {
                     if self.acc[root as usize] == 0.0 {
                         continue; // no WTP on any item of this tree
                     }
                     debug_assert!(self.stack.is_empty());
-                    for n in store.shape.subtree_start[root as usize]..=root {
-                        let k = store.shape.n_children[n as usize] as usize;
-                        let price = store.shape.prices[n as usize];
+                    for n in store.subtree_start[root as usize]..=root {
+                        let k = store.n_children[n as usize] as usize;
+                        let price = store.prices[n as usize];
                         let size = node_size(n);
                         let state = if k == 0 {
                             let s = self.acc[n as usize];

@@ -1,8 +1,8 @@
 //! Hot-swapping the serving index under live traffic (`DESIGN.md` §10).
 //!
 //! A [`MenuIndex`] is immutable once compiled; churn produces a *new*
-//! index (via [`MenuIndex::rebind`] when only the market moved, or a full
-//! [`MenuIndex::compile`] when the re-solve changed the menu). The
+//! index, a fresh [`MenuIndex::compile`] of the re-solved menu against
+//! the churned market. The
 //! [`ServeHandle`] is the indirection serving threads read through: they
 //! grab an `Arc` snapshot per batch ([`ServeHandle::current`]) and keep
 //! serving it even while a writer [`ServeHandle::swap`]s in the successor

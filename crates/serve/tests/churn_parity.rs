@@ -1,7 +1,7 @@
 //! End-to-end churn parity (`DESIGN.md` §10, the PR's tentpole guarantee):
 //! apply a ~1% churn batch through the `MarketLog`, re-solve incrementally
-//! (`LiveEngine` over the delta-overlay snapshot), re-bind/compile the
-//! serving index and hot-swap it — and get **bit-identical** serving
+//! (`LiveEngine` over the delta-overlay snapshot), compile the serving
+//! index and hot-swap it — and get **bit-identical** serving
 //! results to the cold path (compact to a fresh arena, solve everything
 //! from scratch, compile a fresh index).
 
@@ -94,35 +94,4 @@ fn incremental_churn_serves_bit_identical_to_cold_rebuild() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(format!("{x:?}"), format!("{y:?}"));
     }
-}
-
-#[test]
-fn rebind_shares_the_shape_and_matches_a_fresh_compile() {
-    let market = tiny_market();
-    let solved = Components::default().run(&market);
-    let index = MenuIndex::compile(&market, &solved.config);
-
-    // Churn values only — the menu configuration is re-used, so the serve
-    // layer may rebind instead of recompiling.
-    let mut log = MarketLog::new(market);
-    log.apply_batch(churn_batch(log.base())).unwrap();
-    let churned = log.snapshot();
-
-    let rebound = index.rebind(&churned);
-    let fresh = MenuIndex::compile(&churned, &solved.config);
-    assert_eq!(rebound.expected_revenue_all().to_bits(), fresh.expected_revenue_all().to_bits());
-    assert_eq!(rebound.n_items(), fresh.n_items());
-    assert_eq!(rebound.n_users(), fresh.n_users());
-}
-
-#[test]
-#[should_panic(expected = "item universe")]
-fn rebind_rejects_a_different_item_universe() {
-    let market = tiny_market();
-    let solved = Components::default().run(&market);
-    let index = MenuIndex::compile(&market, &solved.config);
-
-    let mut log = MarketLog::new(market);
-    log.apply(Event::AddItem { listed_price: Some(1.0) }).unwrap();
-    index.rebind(&log.snapshot());
 }
