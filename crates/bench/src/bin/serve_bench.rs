@@ -26,8 +26,10 @@
 //! * **clone linearity** — cloned consumers are identical, so the scaled
 //!   revenue must equal `factor ×` the base-market revenue (up to
 //!   summation reassociation);
-//! * **solver parity** — the served total must match core's solver-side
-//!   menu evaluation on the scaled market (up to reassociation).
+//! * **solver parity** — core's solver-side menu evaluation on the
+//!   scaled market runs the same evaluator, so it must equal the served
+//!   total (itself bit-identical across the requested thread counts) to
+//!   the bit.
 //!
 //! Timings export in the `BENCH_JSON` interchange format with ids
 //! `serve_<scale>/x<factor>/{expected_revenue_t<N>, assign_t<N>,
@@ -320,16 +322,16 @@ fn main() {
 
     // Solver parity: core's menu evaluation on the full scaled market
     // (repeated like the serve queries — a single-rep minimum is too
-    // noisy for the perf gate).
+    // noisy for the perf gate). One evaluator, so the bits must match.
     let (solver, min, mean, max) = timed(args.repeat, || outcome.config.expected_revenue(&market));
     entries.push(entry(format!("{prefix}/solver_eval"), min, mean, max, args.repeat as u64));
     println!(
-        "solver-side evaluation: {:.2} in {:.1} ms — serving matches within {:.1e}",
+        "solver-side evaluation: {:.2} in {:.1} ms — bit-identical to serving: {}",
         solver,
         min as f64 / 1e6,
-        (served - solver).abs()
+        solver.to_bits() == served.to_bits()
     );
-    if (served - solver).abs() > 1e-8 * solver.abs().max(1.0) {
+    if solver.to_bits() != served.to_bits() {
         eprintln!("FAIL: solver parity: served {served} vs solver-side {solver}");
         failures += 1;
     }

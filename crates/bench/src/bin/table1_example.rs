@@ -6,8 +6,27 @@
 //! then sums to $38.40 — see DESIGN.md §2.7). Under the paper's own §4.2
 //! upgrade policy the same menu nets $31.20 and the *optimal* mixed menu
 //! nets $32.00. All four numbers are printed.
+//!
+//! The paper reads "which offer does a consumer buy from a mixed menu" in
+//! three ways. The library evaluates §4.2's incremental-upgrade rule
+//! everywhere ([`BundleConfig::expected_revenue`]); this binary carries
+//! the other two readings, [`ChoicePolicy`], to compare them on Table 1:
+//!
+//! * [`ChoicePolicy::NaiveAffordable`] — the intro/Table 1 reading: a
+//!   consumer buys an offer whenever their WTP covers its price,
+//!   preferring the largest (topmost) affordable offer. Over-sells
+//!   relative to rational behaviour; kept for reproducing Table 1's $38.40.
+//! * [`ChoicePolicy::SurplusMax`] — the Adams–Yellen textbook rule: each
+//!   consumer picks the feasible combination of disjoint offers maximizing
+//!   their total surplus `Σ (w − p)` (ties broken toward the bundle). On
+//!   an offer tree this is a simple bottom-up dynamic program.
+//!
+//! All three coincide for pure bundling (a single offer per tree).
 
 use revmax_bench::report::Table;
+use revmax_core::bundle::Bundle;
+use revmax_core::config::{BundleConfig, OfferNode, Strategy};
+use revmax_core::market::Scratch;
 use revmax_core::prelude::*;
 
 fn main() {
@@ -19,23 +38,10 @@ fn main() {
     let mixed = MixedMatching::default().run(&market);
 
     // The paper's published mixed menu (pA=8, pB=11, pAB=15.20), evaluated
-    // under each consumer-choice reading (see core::policy).
-    use revmax_core::bundle::Bundle;
-    use revmax_core::config::{BundleConfig, OfferNode, Strategy};
-    use revmax_core::policy::ChoicePolicy;
-    let paper_menu = BundleConfig {
-        strategy: Strategy::Mixed,
-        roots: vec![OfferNode {
-            bundle: Bundle::new(vec![0, 1]),
-            price: 15.2,
-            children: vec![
-                OfferNode::leaf(Bundle::single(0), 8.0),
-                OfferNode::leaf(Bundle::single(1), 11.0),
-            ],
-        }],
-    };
-    let naive = paper_menu.expected_revenue_with_policy(&market, ChoicePolicy::NaiveAffordable);
-    let surplus_max = paper_menu.expected_revenue_with_policy(&market, ChoicePolicy::SurplusMax);
+    // under each alternative consumer-choice reading.
+    let paper_menu = paper_menu(15.2);
+    let naive = ChoicePolicy::NaiveAffordable.revenue(&paper_menu, &market);
+    let surplus_max = ChoicePolicy::SurplusMax.revenue(&paper_menu, &market);
 
     let mut t = Table::new(
         "Table 1 — positive example of bundling (theta = -0.05)",
@@ -83,5 +89,199 @@ fn main() {
     let args = revmax_bench::args::BenchArgs::parse(revmax_bench::args::Scale::Small);
     if let Ok(p) = t.save_csv(&args.out_dir, "table1_example") {
         println!("saved {}", p.display());
+    }
+}
+
+/// Table 1's mixed menu: components at pA=8 and pB=11 under the bundle
+/// {A,B} at `bundle_price` (the paper publishes $15.20).
+fn paper_menu(bundle_price: f64) -> BundleConfig {
+    BundleConfig {
+        strategy: Strategy::Mixed,
+        roots: vec![OfferNode {
+            bundle: Bundle::new(vec![0, 1]),
+            price: bundle_price,
+            children: vec![
+                OfferNode::leaf(Bundle::single(0), 8.0),
+                OfferNode::leaf(Bundle::single(1), 11.0),
+            ],
+        }],
+    }
+}
+
+/// A consumer-choice reading of a mixed menu other than §4.2's
+/// incremental upgrade (see the module docs). Step adoption only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChoicePolicy {
+    /// Buy the largest affordable offer (intro/Table-1 reading).
+    NaiveAffordable,
+    /// Adams–Yellen surplus-maximizing choice.
+    SurplusMax,
+}
+
+impl ChoicePolicy {
+    /// Revenue of `config` on `market` when every consumer chooses by this
+    /// policy, summed over the menu's trees in root order.
+    fn revenue(self, config: &BundleConfig, market: &Market) -> f64 {
+        let mut scratch = market.scratch();
+        config
+            .roots
+            .iter()
+            .map(|r| self.tree_revenue(market, r, &mut scratch))
+            .fold(0.0, |a, x| a + x)
+    }
+
+    fn tree_revenue(self, market: &Market, root: &OfferNode, scratch: &mut Scratch) -> f64 {
+        let nw = NodeWtps::new(market, root, scratch);
+        let adoption = market.pricing_ctx().adoption;
+        let mut revenue = 0.0;
+        for &(user, _) in &nw.wtps[0] {
+            match self {
+                ChoicePolicy::NaiveAffordable => {
+                    // Walk top-down; buy the first affordable offer on each branch.
+                    let mut stack = vec![0usize];
+                    while let Some(idx) = stack.pop() {
+                        let w = nw.wtp_of(idx, user);
+                        if adoption.margin(w, nw.prices[idx]) >= 0.0 && nw.prices[idx] > 0.0 {
+                            revenue += nw.prices[idx];
+                        } else {
+                            stack.extend(nw.children[idx].iter());
+                        }
+                    }
+                }
+                ChoicePolicy::SurplusMax => revenue += nw.best_choice(0, user).1,
+            }
+        }
+        revenue
+    }
+}
+
+/// Flattened per-node WTP view of one offer tree: for every node, the
+/// θ-adjusted bundle WTP of each interested user (sorted by user id).
+struct NodeWtps {
+    /// Preorder-flattened nodes: price and children indices.
+    prices: Vec<f64>,
+    children: Vec<Vec<usize>>,
+    /// Per node: (user, w_{u,b}) sorted by user.
+    wtps: Vec<Vec<(u32, f64)>>,
+}
+
+impl NodeWtps {
+    fn new(market: &Market, root: &OfferNode, scratch: &mut Scratch) -> NodeWtps {
+        fn rec(
+            market: &Market,
+            node: &OfferNode,
+            scratch: &mut Scratch,
+            out: &mut NodeWtps,
+        ) -> usize {
+            let idx = out.prices.len();
+            out.prices.push(node.price);
+            out.children.push(Vec::new());
+            let size = node.bundle.len();
+            let params = *market.params();
+            let wtps: Vec<(u32, f64)> = market
+                .bundle_user_sums(node.bundle.items(), scratch)
+                .iter()
+                .map(|&(u, s)| (u, params.set_wtp(s, size)))
+                .collect();
+            out.wtps.push(wtps);
+            let kids = node.children.iter().map(|c| rec(market, c, scratch, out)).collect();
+            out.children[idx] = kids;
+            idx
+        }
+        let mut out = NodeWtps { prices: Vec::new(), children: Vec::new(), wtps: Vec::new() };
+        rec(market, root, scratch, &mut out);
+        out
+    }
+
+    /// WTP of `user` for node `idx` (0 when the user has no interest).
+    fn wtp_of(&self, idx: usize, user: u32) -> f64 {
+        let row = &self.wtps[idx];
+        row.binary_search_by_key(&user, |e| e.0).map(|k| row[k].1).unwrap_or(0.0)
+    }
+
+    /// Bottom-up DP: best (surplus, seller revenue) for `user` within the
+    /// subtree of `idx`. Buying nothing is always available (0, 0); ties
+    /// between "buy here" and "compose from children" go to the bundle
+    /// (Adams–Yellen convention).
+    fn best_choice(&self, idx: usize, user: u32) -> (f64, f64) {
+        let here_surplus = self.wtp_of(idx, user) - self.prices[idx];
+        let here = if here_surplus >= 0.0 { (here_surplus, self.prices[idx]) } else { (0.0, 0.0) };
+        let mut compose = (0.0, 0.0);
+        for &c in &self.children[idx] {
+            let (s, r) = self.best_choice(c, user);
+            compose.0 += s;
+            compose.1 += r;
+        }
+        // Prefer the bundle on surplus ties iff it actually buys something.
+        if here_surplus >= 0.0 && here.0 >= compose.0 {
+            here
+        } else if compose.1 > 0.0 {
+            compose
+        } else {
+            (0.0, 0.0)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Table 1's market (θ = −0.05).
+    fn market() -> Market {
+        let w = WtpMatrix::from_rows(vec![vec![12.0, 4.0], vec![8.0, 2.0], vec![5.0, 11.0]]);
+        Market::new(w, Params::default().with_theta(-0.05))
+    }
+
+    #[test]
+    fn naive_reproduces_table1s_38_40() {
+        let rev = ChoicePolicy::NaiveAffordable.revenue(&paper_menu(15.2), &market());
+        // u1 affords the bundle (15.2), u2 only A (8), u3 the bundle (15.2).
+        assert!((rev - 38.4).abs() < 1e-9, "revenue {rev}");
+    }
+
+    #[test]
+    fn surplus_max_is_rational() {
+        let rev = ChoicePolicy::SurplusMax.revenue(&paper_menu(15.2), &market());
+        // u1: surplus(A)=4 beats bundle's 0 → 8; u2: A at 0 surplus → 8;
+        // u3: B and bundle tie at surplus 0 → bundle (A-Y tie rule) → 15.2.
+        assert!((rev - 31.2).abs() < 1e-9, "revenue {rev}");
+    }
+
+    #[test]
+    fn incremental_upgrade_matches_surplus_max_on_the_paper_menu() {
+        // §4.2's rule is the library's evaluator; for this menu it
+        // coincides with surplus-max.
+        let m = market();
+        let incremental = paper_menu(15.2).expected_revenue(&m);
+        assert!((incremental - 31.2).abs() < 1e-9, "revenue {incremental}");
+        let surplus_max = ChoicePolicy::SurplusMax.revenue(&paper_menu(15.2), &m);
+        assert!((incremental - surplus_max).abs() < 1e-9);
+    }
+
+    #[test]
+    fn policies_coincide_on_pure_offers() {
+        let m = market();
+        let pure = BundleConfig {
+            strategy: Strategy::Pure,
+            roots: vec![OfferNode::leaf(Bundle::new(vec![0, 1]), 15.2)],
+        };
+        let incremental = pure.expected_revenue(&m);
+        assert!((incremental - 30.4).abs() < 1e-9);
+        for policy in [ChoicePolicy::NaiveAffordable, ChoicePolicy::SurplusMax] {
+            assert!((policy.revenue(&pure, &m) - incremental).abs() < 1e-9, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn naive_never_undersells_surplus_max() {
+        // Naive ignores rational substitution, so it can only oversell.
+        let m = market();
+        for price in [12.0, 13.5, 15.2, 18.0] {
+            let menu = paper_menu(price);
+            let naive = ChoicePolicy::NaiveAffordable.revenue(&menu, &m);
+            let rational = ChoicePolicy::SurplusMax.revenue(&menu, &m);
+            assert!(naive >= rational - 1e-9, "price {price}: {naive} < {rational}");
+        }
     }
 }

@@ -75,19 +75,6 @@ impl Bundle {
         self.items.binary_search(&item).is_ok()
     }
 
-    /// Do the two bundles share any item?
-    pub fn intersects(&self, other: &Bundle) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
     /// Is `self` a subset of `other`?
     pub fn is_subset_of(&self, other: &Bundle) -> bool {
         let mut j = 0;
@@ -139,8 +126,9 @@ mod tests {
         let a = Bundle::new(vec![1, 3]);
         let b = Bundle::new(vec![3, 4]);
         let c = Bundle::new(vec![4, 5]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
+        // Intersecting bundles union to fewer items than their sizes add to.
+        assert_eq!(a.union(&b).len(), 3);
+        assert_eq!(a.union(&c).len(), 4);
         assert!(Bundle::single(3).is_subset_of(&a));
         assert!(!a.is_subset_of(&b));
         assert!(a.is_subset_of(&Bundle::new(vec![1, 2, 3])));

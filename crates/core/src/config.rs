@@ -8,9 +8,9 @@
 //! held sub-offers to an ancestor bundle.
 
 use crate::bundle::Bundle;
+use crate::eval::{CompiledMenu, KernelKind, Users, DEFAULT_BLOCK};
 use crate::market::Market;
 use crate::mixed;
-use crate::objective::Objective;
 use crate::trace::IterationTrace;
 use rand::Rng;
 
@@ -126,132 +126,23 @@ impl BundleConfig {
         self.roots.iter().map(|r| r.bundle.len()).max().unwrap_or(0)
     }
 
-    /// Expected total revenue at the stored prices — the mean-objective
-    /// score; delegates to [`BundleConfig::revenue`] with
-    /// [`Objective::Mean`].
+    /// Expected total revenue at the stored prices: the menu compiled and
+    /// evaluated by [`crate::eval`] over every consumer — the same block
+    /// loop, kernel and §6 fold the serving layer runs, so this is
+    /// bit-identical to a served whole-market total at any thread count.
+    /// Panics when the configuration does not [`BundleConfig::validate`]
+    /// against `market`.
     ///
     /// Exact for pure bundling (any adoption model) and for mixed bundling
     /// under step adoption. For mixed bundling with a soft sigmoid the
     /// consumers' sequential upgrade decisions make the exact expectation
-    /// exponential — use [`BundleConfig::sampled_revenue`] there (as the
-    /// paper does: "we average revenues across ten runs").
+    /// exponential; this evaluates the modal (threshold) outcome — use
+    /// [`BundleConfig::sampled_revenue`] there (as the paper does: "we
+    /// average revenues across ten runs").
     pub fn expected_revenue(&self, market: &Market) -> f64 {
-        self.revenue(market, Objective::Mean)
-    }
-
-    /// Objective-scored total revenue of this configuration: the chosen
-    /// statistic of the per-user revenue distribution, summed over roots
-    /// in root order (`DESIGN.md` §13).
-    ///
-    /// * [`Objective::Mean`] (and its bitwise twin `Cvar(1.0)`) runs the
-    ///   historical mean-revenue fold — bit-identical to the pre-objective
-    ///   `expected_revenue`.
-    /// * Robust objectives score each root against its per-user payment
-    ///   distribution: pure roots via the pooled two-point closed form
-    ///   ([`Objective::base_buyers`]), mixed roots via the empirical
-    ///   per-user payments of a deterministic tree evaluation
-    ///   ([`crate::mixed::evaluate_tree_states`] +
-    ///   [`Objective::score_payments`]). In both cases the interested-user
-    ///   count `m` is the number of users with a positive WTP sum on the
-    ///   root's bundle.
-    pub fn revenue(&self, market: &Market, objective: Objective) -> f64 {
-        // Cvar(1.0) must coincide with Mean *bit for bit*; dispatching to
-        // the literal mean fold (rather than the empirical sorted path,
-        // whose summation order differs) makes that an identity.
-        let robust = !matches!(objective, Objective::Mean | Objective::Cvar(1.0));
-        let mut scratch = market.scratch();
-        if !robust {
-            return self
-                .roots
-                .iter()
-                .map(|r| self.root_revenue(market, r, &mut scratch))
-                .fold(0.0, |a, r| a + r);
-        }
-        self.roots
-            .iter()
-            .map(|r| self.root_revenue_robust(market, r, objective, &mut scratch))
-            .fold(0.0, |a, r| a + r)
-    }
-
-    /// Expected revenue of one root subtree.
-    ///
-    /// Explicit `fold(0.0, ..)` rather than `Iterator::sum`: std's f64
-    /// sum starts from -0.0, so an *empty* sum (an offer nobody is
-    /// interested in) would evaluate to -0.0 and `price * -0.0` would
-    /// leak a negative-zero revenue — observable once the serving
-    /// layer compares per-consumer evaluations bit for bit. For
-    /// non-empty sums the two folds are bit-identical.
-    fn root_revenue(
-        &self,
-        market: &Market,
-        root: &OfferNode,
-        scratch: &mut crate::market::Scratch,
-    ) -> f64 {
-        match self.strategy {
-            Strategy::Pure => {
-                let wtps = market.bundle_wtps(root.bundle.items(), scratch);
-                let adoption = market.pricing_ctx().adoption;
-                let buyers: f64 = wtps
-                    .iter()
-                    .map(|&w| adoption.probability(w, root.price))
-                    .fold(0.0, |a, p| a + p);
-                root.price * buyers
-            }
-            Strategy::Mixed => mixed::evaluate_tree_deterministic(market, root, scratch),
-        }
-    }
-
-    /// Robust-objective score of one root subtree (see
-    /// [`BundleConfig::revenue`]); `objective` is `Quantile` or
-    /// `Cvar(q<1)` here.
-    fn root_revenue_robust(
-        &self,
-        market: &Market,
-        root: &OfferNode,
-        objective: Objective,
-        scratch: &mut crate::market::Scratch,
-    ) -> f64 {
-        match self.strategy {
-            Strategy::Pure => {
-                let wtps = market.bundle_wtps(root.bundle.items(), scratch);
-                let m = wtps.len() as f64;
-                let adoption = market.pricing_ctx().adoption;
-                let buyers: f64 = wtps
-                    .iter()
-                    .map(|&w| adoption.probability(w, root.price))
-                    .fold(0.0, |a, p| a + p);
-                root.price * objective.base_buyers(buyers, m)
-            }
-            Strategy::Mixed => {
-                let states = mixed::evaluate_tree_states(market, root, scratch);
-                let paid: Vec<f64> = states.iter().map(|s| s.paid).collect();
-                // Interested users of this tree: positive WTP sum on the
-                // root's full bundle (every payer necessarily is one).
-                let m = market.bundle_user_sums(root.bundle.items(), scratch).len().max(paid.len());
-                objective.score_payments(&paid, m)
-            }
-        }
-    }
-
-    /// Expected revenue under an explicit consumer-choice policy (step
-    /// adoption). [`crate::policy::ChoicePolicy::IncrementalUpgrade`]
-    /// reproduces [`BundleConfig::expected_revenue`]; the other policies
-    /// exist to compare the paper's §1 vs §4.2 readings of mixed bundling.
-    pub fn expected_revenue_with_policy(
-        &self,
-        market: &Market,
-        policy: crate::policy::ChoicePolicy,
-    ) -> f64 {
-        match self.strategy {
-            Strategy::Pure => self.expected_revenue(market),
-            Strategy::Mixed => {
-                let mut scratch = market.scratch();
-                self.roots
-                    .iter()
-                    .map(|r| crate::policy::evaluate_tree(market, r, &mut scratch, policy))
-                    .fold(0.0, |a, x| a + x)
-            }
-        }
+        let menu = CompiledMenu::compile(market, self);
+        let all = Users::All(menu.n_users());
+        menu.revenue(market.threads(), DEFAULT_BLOCK, KernelKind::Tiled, all)
     }
 
     /// Monte-Carlo revenue: draw every adoption decision, sum the payments,
@@ -474,84 +365,13 @@ mod tests {
     #[test]
     fn uninterested_market_evaluates_to_positive_zero() {
         // Regression: `Iterator::sum` for f64 folds from -0.0, so a menu
-        // nobody is interested in evaluated to -0.0 (and so did every
-        // uninterested consumer's single-user-view evaluation) — a sign
-        // wart the serving layer's bitwise parity checks exposed.
+        // nobody is interested in once evaluated to -0.0 — a sign wart
+        // bitwise parity checks exposed. Every fold starts from +0.0.
         let m = Market::new(WtpMatrix::from_rows(vec![vec![0.0], vec![0.0]]), Params::default());
         for strategy in [Strategy::Pure, Strategy::Mixed] {
             let c = BundleConfig { strategy, roots: vec![OfferNode::leaf(Bundle::single(0), 9.0)] };
             let r = c.expected_revenue(&m);
             assert_eq!(r.to_bits(), 0.0f64.to_bits(), "{strategy:?} yielded {r:?} (-0.0 wart)");
-        }
-    }
-
-    #[test]
-    fn objective_scored_revenue_pure() {
-        // Components at pA=8, pB=11 on Table 1: per root, 3 interested
-        // users. Root A: 2 buyers → CVaR(2/3) takes the lowest 2 of
-        // {0, 8, 8} → 8/(2/3) = 12. Root B: 1 buyer → lowest 2 are zeros
-        // → 0. Total 12.
-        let m = market();
-        let c = pure_components();
-        let q = 2.0 / 3.0;
-        let r = c.revenue(&m, Objective::Cvar(q));
-        assert!((r - 8.0 / q).abs() < 1e-9, "cvar revenue {r}");
-        // Quantile 0.5: root A's rank-2 payment (of {0,8,8}) is 8 → 3·8;
-        // root B's rank-2 is 0.
-        let r = c.revenue(&m, Objective::Quantile(0.5));
-        assert!((r - 24.0).abs() < 1e-9, "quantile revenue {r}");
-        // Mean delegates unchanged.
-        assert_eq!(c.revenue(&m, Objective::Mean).to_bits(), c.expected_revenue(&m).to_bits());
-    }
-
-    #[test]
-    fn objective_scored_revenue_mixed_uses_payment_distribution() {
-        // Mixed tree from Table 1 at pA=8, pB=11, pAB=12: u1 and u3 both
-        // upgrade to the bundle (add-on margins +ε and +4), u2 keeps A →
-        // payments {12, 8, 12}; all 3 users interested.
-        let m = market();
-        let c = BundleConfig {
-            strategy: Strategy::Mixed,
-            roots: vec![OfferNode {
-                bundle: Bundle::new(vec![0, 1]),
-                price: 12.0,
-                children: vec![
-                    OfferNode::leaf(Bundle::single(0), 8.0),
-                    OfferNode::leaf(Bundle::single(1), 11.0),
-                ],
-            }],
-        };
-        c.validate(2);
-        assert!((c.expected_revenue(&m) - 32.0).abs() < 1e-9);
-        // CVaR(1/3): lowest payment 8 → 8/(1/3) = 24.
-        let r = c.revenue(&m, Objective::Cvar(1.0 / 3.0));
-        assert!((r - 24.0).abs() < 1e-9, "cvar {r}");
-        // Quantile(0.5): rank-2 of {8, 12, 12} is 12 → 3·12 = 36.
-        let r = c.revenue(&m, Objective::Quantile(0.5));
-        assert!((r - 36.0).abs() < 1e-9, "quantile {r}");
-    }
-
-    #[test]
-    fn cvar_one_is_expected_revenue_bitwise() {
-        let m = market();
-        for c in [
-            pure_components(),
-            BundleConfig {
-                strategy: Strategy::Mixed,
-                roots: vec![OfferNode {
-                    bundle: Bundle::new(vec![0, 1]),
-                    price: 12.0,
-                    children: vec![
-                        OfferNode::leaf(Bundle::single(0), 8.0),
-                        OfferNode::leaf(Bundle::single(1), 11.0),
-                    ],
-                }],
-            },
-        ] {
-            assert_eq!(
-                c.revenue(&m, Objective::Cvar(1.0)).to_bits(),
-                c.expected_revenue(&m).to_bits()
-            );
         }
     }
 

@@ -1,8 +1,9 @@
 //! The cache-blocked user×offer tile kernel (`DESIGN.md` §12).
 //!
-//! The reference evaluation (`serve/src/reference.rs`) is row-at-a-time: scatter one
-//! consumer's WTP row into a per-node accumulator, walk the offer tables,
-//! reset, repeat. Every node's metadata (price, size, child count,
+//! The reference evaluation (`rows.rs`, [`KernelKind::Rows`]) is
+//! row-at-a-time: scatter one consumer's WTP row into a per-node
+//! accumulator, walk the offer tables, reset, repeat. Every node's
+//! metadata (price, size, child count,
 //! subtree range) is re-loaded per user, the mixed walk allocates a
 //! holdings `Vec` per adopted node, and nothing vectorizes. This module
 //! evaluates a **block** of users at once instead:
@@ -52,11 +53,12 @@
 //! same scattered tile under a perturbed price without re-scattering —
 //! the scatter is the only part that touches the WTP matrix.
 
-use crate::index::MenuStore;
-use revmax_core::config::Strategy;
+use super::rows::RowScratch;
+use super::CompiledMenu;
+use crate::config::Strategy;
 
-/// Which batched-query evaluation the index uses. Results are
-/// bit-identical either way (pinned by the proptest parity suite and the
+/// Which block evaluator a menu evaluation uses. Results are
+/// bit-identical either way (pinned by the proptest parity suites and the
 /// `serve_bench kernel=both` CI leg); the knob exists for A/B timing and
 /// as a reference implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,17 +86,27 @@ impl KernelKind {
             other => Err(format!("unknown kernel '{other}' (rows|tiled)")),
         }
     }
+
+    /// A block evaluator of this kind for `store`, `width` lanes wide —
+    /// the one place an evaluation dispatches on the kernel.
+    pub fn evaluator(self, store: &CompiledMenu, width: usize) -> Box<dyn BlockEval> {
+        match self {
+            KernelKind::Rows => Box::new(RowScratch::new(store, width)),
+            KernelKind::Tiled => Box::new(TileScratch::new(store, width)),
+        }
+    }
 }
 
-/// A block evaluator: the unit [`crate::query`]'s driver builds once per
-/// worker and hands every user block of a query to. Implemented by the
-/// tile kernel ([`TileScratch`]) and the row-walk reference
-/// ([`crate::reference::RowScratch`]); both give every lane the same bits.
-pub(crate) trait BlockEval {
+/// A block evaluator: the unit the block loop
+/// ([`CompiledMenu::drive`]) builds once per worker and hands every user
+/// block of an evaluation to. Implemented by the tile kernel
+/// ([`TileScratch`]) and the row-walk reference ([`KernelKind::Rows`]);
+/// both give every lane the same bits.
+pub trait BlockEval {
     /// Evaluate one block of users (no wider than the evaluator was built
     /// for). Per-lane payments land in `payments()[..users.len()]`; with
     /// `collect`, per-lane held offers are readable via `offers`.
-    fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool);
+    fn eval_block(&mut self, store: &CompiledMenu, users: &[u32], collect: bool);
     /// Per-lane expected payments of the last evaluated block.
     fn payments(&self) -> &[f64];
     /// One lane's held offer node ids (menu order) from the last collect
@@ -158,7 +170,7 @@ macro_rules! for_lanes {
 /// a worker evaluates during a query, since every consuming walk leaves
 /// the tile all-zero again. Nothing here escapes; results are read out
 /// through [`BlockEval`].
-pub(crate) struct TileScratch {
+pub struct TileScratch {
     /// Lane capacity (the block width).
     block: usize,
     /// Row pitch of `acc` in `f64`s: `block` rounded up so each node row
@@ -203,7 +215,7 @@ pub(crate) struct TileScratch {
 
 impl TileScratch {
     /// Scratch for `store` at block width `block` (≥ 1).
-    pub(crate) fn new(store: &MenuStore, block: usize) -> Self {
+    pub fn new(store: &CompiledMenu, block: usize) -> Self {
         // Odd number of 64-byte lines per row (see `stride`): round up to
         // a whole line, then pad one more if the line count came out even.
         let mut stride = block.next_multiple_of(8);
@@ -243,7 +255,7 @@ impl TileScratch {
     /// child bundles nest in their parents) — so the tile re-zeroes
     /// itself for free instead of paying a `n_nodes × block` memset per
     /// block.
-    pub(crate) fn scatter_block(&mut self, store: &MenuStore, users: &[u32]) {
+    pub fn scatter_block(&mut self, store: &CompiledMenu, users: &[u32]) {
         let stride = self.stride;
         debug_assert!(users.len() <= self.block);
         debug_assert!(self.acc.iter().all(|&x| x == 0.0), "tile not consumed by prior walk");
@@ -251,8 +263,7 @@ impl TileScratch {
             debug_assert!((u as usize) < store.n_users);
             let row = store.wtp.row(u);
             for (i, w) in row.iter() {
-                let (lo, hi) = (store.post_indptr[i as usize], store.post_indptr[i as usize + 1]);
-                for &n in &store.post_nodes[lo..hi] {
+                for &n in store.postings(i) {
                     self.acc[n as usize * stride + lane] += w;
                 }
             }
@@ -269,9 +280,9 @@ impl TileScratch {
     /// it, restoring the all-zero tile for the next scatter (see
     /// [`TileScratch::scatter_block`]); pass `false` to keep the tile for
     /// a second walk at a different price table (marginal queries).
-    pub(crate) fn walk_block(
+    pub fn walk_block(
         &mut self,
-        store: &MenuStore,
+        store: &CompiledMenu,
         prices: &[f64],
         b: usize,
         collect: bool,
@@ -305,7 +316,7 @@ impl TileScratch {
     /// offers), so compaction never shows up in results.
     fn walk<const COLLECT: bool, const COUNT: bool>(
         &mut self,
-        store: &MenuStore,
+        store: &CompiledMenu,
         prices: &[f64],
         b: usize,
         consume: bool,
@@ -570,7 +581,7 @@ impl TileScratch {
     /// Two passes over the held bits then count and place each lane's
     /// offers; nodes are visited in ascending id order, which is menu
     /// order.
-    fn read_offers(&mut self, store: &MenuStore, b: usize) {
+    fn read_offers(&mut self, store: &CompiledMenu, b: usize) {
         let TileScratch { words, adopt, cov, visited, offer_ptr, offers, .. } = self;
         let words = *words;
         let used = b.div_ceil(64);
@@ -656,7 +667,7 @@ fn pack_flags(flags: &[u8], bits: &mut [u64]) {
 impl BlockEval for TileScratch {
     /// Scatter the lanes' WTP rows into the tile, then walk the menu at
     /// its compiled prices, consuming the tile.
-    fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool) {
+    fn eval_block(&mut self, store: &CompiledMenu, users: &[u32], collect: bool) {
         self.scatter_block(store, users);
         self.walk_block(store, &store.prices, users.len(), collect, true);
     }
@@ -675,14 +686,14 @@ impl BlockEval for TileScratch {
 #[cfg(test)]
 mod profiling {
     use super::*;
-    use revmax_core::algorithms::MixedGreedy;
-    use revmax_core::market::Market;
-    use revmax_core::params::Params;
-    use revmax_core::wtp::WtpMatrix;
+    use crate::algorithms::MixedGreedy;
+    use crate::market::Market;
+    use crate::params::Params;
+    use crate::wtp::WtpMatrix;
 
     /// Scatter-vs-walk phase split on a bench-shaped market. Not a test of
     /// behavior — run on demand with
-    /// `cargo test --release -p revmax-serve -- --ignored profile_tile --nocapture`.
+    /// `cargo test --release -p revmax-core -- --ignored profile_tile --nocapture`.
     #[test]
     #[ignore]
     fn profile_tile_phases() {
@@ -707,10 +718,9 @@ mod profiling {
         // Solve the menu on a small base market (like serve_bench does),
         // then serve a large independently-drawn consumer population.
         let base = Market::new(WtpMatrix::from_rows(gen_rows(120)), Params::default());
-        let outcome = revmax_core::algorithms::Configurator::run(&MixedGreedy::default(), &base);
+        let outcome = crate::algorithms::Configurator::run(&MixedGreedy::default(), &base);
         let market = Market::new(WtpMatrix::from_rows(gen_rows(n_users)), Params::default());
-        let index = crate::MenuIndex::compile(&market, &outcome.config);
-        let store = &index.store;
+        let store = &CompiledMenu::compile(&market, &outcome.config);
         println!("menu: {} nodes, {} roots", store.prices.len(), store.roots.len());
         let users: Vec<u32> = (0..n_users as u32).collect();
         for &block in &[64usize, 128, 256] {

@@ -1,21 +1,19 @@
 //! The row-at-a-time reference evaluator (`DESIGN.md` §12): one consumer
 //! per pass — scatter their WTP row into a per-node accumulator, walk the
 //! offer tables, reset. It is the oracle the tile kernel
-//! ([`crate::kernel`]) is bit-compared against by the proptests,
+//! ([`super::TileScratch`]) is bit-compared against by the proptests,
 //! `serve_bench kernel=both` and the benchmark's kernel-parity check, and
-//! it answers queries when an index is built with
-//! [`crate::KernelKind::Rows`].
+//! it answers evaluations run with [`super::KernelKind::Rows`].
 //!
-//! The arithmetic mirrors the solver evaluation operation for operation
-//! (see [`crate::query`]'s module docs for why that yields bit-identical
-//! results).
+//! The arithmetic mirrors the per-user tree walk of [`crate::mixed`]
+//! operation for operation (see [`super`]'s module docs for why that
+//! yields bit-identical results).
 
-use crate::index::MenuStore;
-use crate::kernel::BlockEval;
-use revmax_core::config::Strategy;
+use super::{BlockEval, CompiledMenu};
+use crate::config::Strategy;
 
 /// One consumer's holdings while walking a mixed offer tree — the
-/// single-user mirror of [`revmax_core::mixed::UserState`].
+/// single-user mirror of [`crate::mixed::UserState`].
 #[derive(Debug, Clone, Copy)]
 struct Hold {
     /// Raw Σ of item WTPs over held items.
@@ -39,7 +37,7 @@ pub(crate) struct RowScratch {
 
 impl RowScratch {
     /// Scratch for `store`, evaluating blocks of up to `width` users.
-    pub(crate) fn new(store: &MenuStore, width: usize) -> Self {
+    pub(crate) fn new(store: &CompiledMenu, width: usize) -> Self {
         RowScratch {
             acc: vec![0.0; store.prices.len()],
             touched: Vec::new(),
@@ -52,7 +50,7 @@ impl RowScratch {
     /// Evaluate one consumer against the menu. Returns their expected
     /// payment and (when `collect` is set) the threshold-held offer node
     /// ids.
-    fn eval_user(&mut self, store: &MenuStore, user: u32, collect: bool) -> (f64, Vec<u32>) {
+    fn eval_user(&mut self, store: &CompiledMenu, user: u32, collect: bool) -> (f64, Vec<u32>) {
         // Public entry points validate the batch up front (`validate_users`),
         // so the hot loop carries no per-user bounds branch in release builds.
         debug_assert!(
@@ -65,8 +63,7 @@ impl RowScratch {
         // matching the solver's column scatter exactly.
         let row = store.wtp.row(user);
         for (i, w) in row.iter() {
-            let (lo, hi) = (store.post_indptr[i as usize], store.post_indptr[i as usize + 1]);
-            for &n in &store.post_nodes[lo..hi] {
+            for &n in store.postings(i) {
                 let slot = &mut self.acc[n as usize];
                 if *slot == 0.0 {
                     self.touched.push(n);
@@ -185,7 +182,7 @@ impl RowScratch {
 }
 
 impl BlockEval for RowScratch {
-    fn eval_block(&mut self, store: &MenuStore, users: &[u32], collect: bool) {
+    fn eval_block(&mut self, store: &CompiledMenu, users: &[u32], collect: bool) {
         for (lane, &u) in users.iter().enumerate() {
             (self.payments[lane], self.offers[lane]) = self.eval_user(store, u, collect);
         }

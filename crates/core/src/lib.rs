@@ -25,6 +25,11 @@
 //!   first, a bundle's price is confined to
 //!   `(max component price, Σ component prices)` and consumers upgrade only
 //!   when the implicit price of the add-on does not exceed its WTP.
+//! * **Evaluation**: [`eval`] compiles a priced menu into flat node
+//!   tables and evaluates what every consumer pays, block by block under
+//!   the §6 determinism contract. It is the one menu evaluator:
+//!   [`config::BundleConfig::expected_revenue`] and every serving query
+//!   run it, so their revenues agree to the bit.
 //!
 //! ## Algorithms (Section 5)
 //!
@@ -69,6 +74,7 @@ pub mod adoption;
 pub mod algorithms;
 pub mod bundle;
 pub mod config;
+pub mod eval;
 pub mod fingerprint;
 pub mod market;
 pub mod marketlog;
@@ -76,7 +82,6 @@ pub mod metrics;
 pub mod mixed;
 pub mod objective;
 pub mod params;
-pub mod policy;
 pub mod pricing;
 pub mod trace;
 pub mod wsp;

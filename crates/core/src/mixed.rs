@@ -278,27 +278,16 @@ pub fn commit_merge(
 }
 
 /// Deterministic (threshold) bottom-up evaluation of a mixed offer tree:
-/// exact under step adoption; the modal outcome under a soft sigmoid.
-pub fn evaluate_tree_deterministic(
+/// exact under step adoption; the modal outcome under a soft sigmoid. A
+/// test oracle: production evaluates menus through [`crate::eval`], whose
+/// per-user payments the eval tests compare against this walk bit for bit.
+#[cfg(test)]
+pub(crate) fn evaluate_tree_deterministic(
     market: &Market,
     root: &OfferNode,
     scratch: &mut Scratch,
 ) -> f64 {
     paid(&eval_node(market, root, scratch, &mut Decide::Threshold))
-}
-
-/// Deterministic bottom-up evaluation returning the **per-user** final
-/// holdings (payment, held items) instead of the summed revenue — the raw
-/// material for scoring a mixed tree under a robust
-/// [`crate::objective::Objective`] (quantile/CVaR need the payment
-/// distribution, not its sum). Same traversal as
-/// [`evaluate_tree_deterministic`]; states arrive sorted by user id.
-pub fn evaluate_tree_states(
-    market: &Market,
-    root: &OfferNode,
-    scratch: &mut Scratch,
-) -> Vec<UserState> {
-    eval_node(market, root, scratch, &mut Decide::Threshold)
 }
 
 /// Monte-Carlo evaluation: every adoption decision is drawn from the

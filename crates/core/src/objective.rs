@@ -7,8 +7,7 @@
 //! by a handful of extreme consumers, so a robust seller may prefer a
 //! lower **quantile** or **CVaR** of revenue instead. [`Objective`] makes
 //! that choice a first-class parameter threaded through pricing
-//! ([`crate::pricing::optimize_with`]), config evaluation
-//! ([`crate::config::BundleConfig::revenue`]), and — as a field of
+//! ([`crate::pricing::optimize_with`]) and — as a field of
 //! [`crate::params::Params`], hence of
 //! [`crate::params::Params::fingerprint`] — every configurator's market
 //! and every solve-cache key.
@@ -171,53 +170,6 @@ impl Objective {
             }
         }
     }
-
-    /// Score a list of realized per-user payments (the `paid` column of a
-    /// mixed-config evaluation). `nonzero` holds the payments of users who
-    /// bought something; the remaining `m − nonzero.len()` interested
-    /// users paid 0. Uses the same fractional-mass definitions as
-    /// [`Objective::base_buyers`], so on a two-point payment list the two
-    /// scorers agree exactly.
-    pub fn score_payments(&self, nonzero: &[f64], m: usize) -> f64 {
-        if m == 0 {
-            return 0.0;
-        }
-        match *self {
-            // Plain sum; callers on hot mean paths should keep their own
-            // fold (this entry exists so the robust arms have a home).
-            Objective::Mean => nonzero.iter().fold(0.0, |acc, &p| acc + p),
-            Objective::Cvar(q) => {
-                // Average of the lowest q·m units of payment mass, scaled
-                // back to revenue by m: total_of_lowest(q·m) / q.
-                let mut sorted = nonzero.to_vec();
-                sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-                let zeros = (m - nonzero.len()) as f64;
-                let mut mass = q * m as f64 - zeros; // units left after zeros
-                let mut total = 0.0;
-                for &p in &sorted {
-                    if mass <= 0.0 {
-                        break;
-                    }
-                    total += p * mass.min(1.0);
-                    mass -= 1.0;
-                }
-                total / q
-            }
-            Objective::Quantile(q) => {
-                // Lower q-quantile of the m-user payment distribution,
-                // scaled by m. Rank ceil(q·m) (1-based, ascending).
-                let rank = (q * m as f64).ceil().max(1.0) as usize;
-                let zeros = m - nonzero.len();
-                if rank <= zeros {
-                    return 0.0;
-                }
-                let mut sorted = nonzero.to_vec();
-                sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-                let idx = (rank - zeros - 1).min(sorted.len().saturating_sub(1));
-                m as f64 * sorted[idx]
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,43 +213,6 @@ mod tests {
         assert_eq!(Objective::Quantile(0.7).base_buyers(4.0, 10.0), 10.0);
         // Quantile 0.6: rank 6 is still a zero → 0.
         assert_eq!(Objective::Quantile(0.6).base_buyers(4.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn score_payments_matches_base_on_two_point_lists() {
-        // 7 interested users, 3 paid 5.0 — compare the empirical scorer
-        // against the closed form across objectives and levels.
-        let paid = [5.0, 5.0, 5.0];
-        for obj in [
-            Objective::Mean,
-            Objective::Cvar(0.3),
-            Objective::Cvar(0.6),
-            Objective::Cvar(0.95),
-            Objective::Cvar(1.0),
-            Objective::Quantile(0.5),
-            Objective::Quantile(0.6),
-            Objective::Quantile(0.99),
-        ] {
-            let closed = 5.0 * obj.base_buyers(3.0, 7.0);
-            let empirical = obj.score_payments(&paid, 7);
-            assert!(
-                (closed - empirical).abs() < 1e-9,
-                "{obj:?}: closed {closed} vs empirical {empirical}"
-            );
-        }
-    }
-
-    #[test]
-    fn score_payments_heterogeneous() {
-        // 4 interested: payments {0, 1, 2, 4}. CVaR 0.5 → lowest 2 units
-        // = {0, 1} → (0+1)/0.5 = 2. Quantile 0.75 → rank 3 value 2 → 8.
-        let paid = [4.0, 1.0, 2.0];
-        assert!((Objective::Cvar(0.5).score_payments(&paid, 4) - 2.0).abs() < 1e-12);
-        assert!((Objective::Quantile(0.75).score_payments(&paid, 4) - 8.0).abs() < 1e-12);
-        // Mean is the plain sum.
-        assert_eq!(Objective::Mean.score_payments(&paid, 4), 7.0);
-        // CVaR 1.0 covers all mass → the sum, like mean.
-        assert!((Objective::Cvar(1.0).score_payments(&paid, 4) - 7.0).abs() < 1e-12);
     }
 
     #[test]

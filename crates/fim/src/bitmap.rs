@@ -32,8 +32,10 @@ impl Bitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Read bit `i`.
-    pub fn get(&self, i: usize) -> bool {
+    /// Read bit `i` (the unit tests' view of a bitmap; the miners only
+    /// combine and count whole bitmaps).
+    #[cfg(test)]
+    pub(crate) fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
@@ -72,12 +74,6 @@ impl Bitmap {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// True iff every set bit of `self` is set in `other`.
-    pub fn is_subset_of(&self, other: &Bitmap) -> bool {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
     /// Iterate over the indices of set bits, ascending.
@@ -154,8 +150,9 @@ mod tests {
         b.set(3);
         b.set(65);
         b.set(10);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
+        // `a ⊆ b` iff `a & b == a`.
+        assert_eq!(a.and(&b), a);
+        assert_ne!(b.and(&a), b);
     }
 
     #[test]

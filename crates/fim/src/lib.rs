@@ -54,13 +54,6 @@ pub struct Itemset {
     pub support: u32,
 }
 
-impl Itemset {
-    /// True if `self`'s items are a subset of `other`'s.
-    pub fn is_subset_of(&self, other: &Itemset) -> bool {
-        is_subset(&self.items, &other.items)
-    }
-}
-
 /// Subset test on strictly-increasing id slices (merge scan).
 pub(crate) fn is_subset(a: &[u32], b: &[u32]) -> bool {
     let mut it = b.iter();

@@ -260,7 +260,10 @@ mod tests {
         let all = apriori(db, minsup);
         let mut out: Vec<Itemset> = all
             .iter()
-            .filter(|s| !all.iter().any(|t| t.items.len() > s.items.len() && s.is_subset_of(t)))
+            .filter(|s| {
+                !all.iter()
+                    .any(|t| t.items.len() > s.items.len() && crate::is_subset(&s.items, &t.items))
+            })
             .cloned()
             .collect();
         out.sort_by(|a, b| a.items.cmp(&b.items));

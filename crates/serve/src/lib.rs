@@ -3,18 +3,25 @@
 //! The solvers end at a priced bundle *menu*; production starts at the
 //! question "given this consumer, which menu entry do they adopt and at
 //! what expected revenue?" asked millions of times. This crate answers it
-//! (`DESIGN.md` §9):
+//! (`DESIGN.md` §9) on top of core's one menu evaluator,
+//! [`revmax_core::eval`]:
 //!
-//! * [`MenuIndex`] — a read-optimized, `Arc`-shared **compiled menu**:
-//!   the solved [`BundleConfig`](revmax_core::config::BundleConfig)
-//!   flattened into structure-of-arrays node tables plus per-item → offer
-//!   postings, next to the market's zero-copy dual-CSR WTP store.
+//! * [`MenuIndex`] — an `Arc`-shared **compiled menu**
+//!   ([`CompiledMenu`](revmax_core::eval::CompiledMenu): the solved
+//!   [`BundleConfig`](revmax_core::config::BundleConfig) flattened into
+//!   structure-of-arrays node tables plus per-item → offer postings, next
+//!   to the market's zero-copy dual-CSR WTP store) with the query
+//!   settings — worker threads, kernel, block width — and, on the
+//!   daemon's serving index, an answer table.
 //! * [`MenuIndex::assign`] / [`MenuIndex::expected_revenue`] — batched
 //!   queries evaluating the §4.1 adoption model (step and sigmoid γ)
 //!   user-major from [`SparseSlice`](revmax_core::wtp::SparseSlice) rows,
 //!   fanned out on [`revmax_par`] under the §6 determinism contract:
 //!   fixed chunks, ordered reduction, **bit-identical at any thread
-//!   count** — and per-user bit-identical to solver-side evaluation.
+//!   count**. A whole-market total is the solver-side
+//!   `BundleConfig::expected_revenue` to the bit (the same evaluator), and
+//!   each consumer's payment equals core's per-user tree walk, the test
+//!   oracle of core's eval proptests.
 //! * [`ServeHandle`] — the churn path (`DESIGN.md` §10): compile the
 //!   re-solved menu against the churned market and hot-swap it under
 //!   live traffic without tearing in-flight query batches.
@@ -42,23 +49,26 @@
 //! assert_eq!(assignments.len(), 3);
 //! let revenue = index.expected_revenue_all();
 //! assert!((revenue - solved.revenue).abs() < 1e-9);
+//! assert_eq!(revenue.to_bits(), solved.config.expected_revenue(&market).to_bits());
 //! ```
 
 pub mod daemon;
 pub mod index;
-pub mod kernel;
 pub mod proto;
 pub mod query;
-mod reference;
 pub mod swap;
+
+/// The block evaluators, re-exported from [`revmax_core::eval`], where
+/// they moved with the rest of the menu evaluator.
+pub mod kernel {
+    pub use revmax_core::eval::{KernelKind, DEFAULT_BLOCK, LANES};
+}
 
 pub use daemon::{Daemon, DaemonConfig, LatencyHistogram};
 pub use index::MenuIndex;
 pub use kernel::{KernelKind, DEFAULT_BLOCK};
 pub use proto::{DaemonStats, ErrorCode, ProtoError, Request, Response, UserSel};
-pub use query::{
-    chunked_payment_fold, solver_user_revenue, Assignment, MarginalRevenue, QueryError,
-};
+pub use query::{chunked_payment_fold, Assignment, MarginalRevenue, QueryError};
 pub use swap::ServeHandle;
 
 use revmax_core::market::Market;

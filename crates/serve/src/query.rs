@@ -1,51 +1,27 @@
 //! Batched menu queries: per-user adoption assignment and expected
 //! revenue, evaluated user-major against the compiled [`MenuIndex`].
 //!
-//! ## Semantics (`DESIGN.md` §9)
+//! ## Semantics and determinism (`DESIGN.md` §9)
 //!
-//! Every query evaluates the §4.1 adoption model exactly as the solver
-//! does, per user:
-//!
-//! * **Pure** menus: a consumer considers each top-level offer
-//!   independently; their expected payment for offer `r` is
-//!   `p_r · P(adopt | w_{u,r}, p_r)` — exact under step adoption, the
-//!   expectation under a soft sigmoid. The reported offer set is the
-//!   threshold (modal) adoption set `{r : α·w − p + ε ≥ 0}`.
-//! * **Mixed** menus: the solver's incremental-upgrade policy
-//!   ([`revmax_core::mixed`]): leaves adopt bottom-up, holdings combine in
-//!   child order, and a consumer upgrades to a parent exactly when the
-//!   implicit add-on price does not exceed the add-on WTP. This is the
-//!   same deterministic (threshold) evaluation
-//!   [`revmax_core::config::BundleConfig::expected_revenue`] uses — exact
-//!   under step adoption, the modal outcome under a soft sigmoid.
-//!
-//! ## Determinism
-//!
-//! Per-user results are **bit-identical to solver-side evaluation**: the
-//! postings scatter accumulates each offer's bundle sum in the same
-//! (ascending-item) order as [`Market::bundle_user_sums`], and the tree
-//! walk reproduces the solver's fold order, so
-//! `assign(&[u])[0].payment` equals
-//! `config.expected_revenue(&market.view(None, Some(&[u])))` to the bit
-//! (pinned by `crates/serve/tests/proptest_serve.rs`).
-//!
-//! Batched totals follow the §6 contract: users are split at **fixed
-//! chunk boundaries** (a pure function of the batch length, via
-//! [`revmax_par::effective_chunk_size`]) and chunk partials reduce **in
-//! chunk order** on the calling thread — so `expected_revenue` is
-//! bit-identical at any thread count, equal to the sequential chunked
-//! fold of the per-user payments.
+//! Every query evaluates the §4.1 adoption model with §4.2's upgrade rule
+//! through [`revmax_core::eval`], the one menu evaluator: the same
+//! compiled menu, block loop, kernels and §6 fold
+//! [`revmax_core::config::BundleConfig::expected_revenue`] runs. So a
+//! whole-market query total equals the solver-side evaluation to the bit,
+//! at any thread count, block width and kernel; each consumer's payment
+//! equals core's per-user tree walk, the test oracle core's eval
+//! proptests compare both kernels against bit for bit.
 //!
 //! ## One driver (`DESIGN.md` §9.3)
 //!
 //! Every batch method is validate → drive → ordered fold or flatten. The
-//! private driver takes a user source (an id batch, or the whole market
-//! with block ids generated on the fly), cuts it into tasks of whole §6
-//! chunks, fans them out with one block evaluator per worker, and hands
-//! each block — which may straddle chunk boundaries — to the method's
-//! sink with its chunk cut points; the sink decides what a block
-//! contributes (payments, assignments, per-chunk revenue folds, a
-//! marginal double walk).
+//! driver ([`revmax_core::eval::CompiledMenu::drive`]) takes a user
+//! source (an id batch, or the whole market with block ids generated on
+//! the fly), cuts it into tasks of whole §6 chunks, fans them out with
+//! one block evaluator per worker, and hands each block — which may
+//! straddle chunk boundaries — to the method's sink with its chunk cut
+//! points; the sink decides what a block contributes (payments,
+//! assignments, per-chunk revenue folds, a marginal double walk).
 //!
 //! ## The answer table (`DESIGN.md` §11.6)
 //!
@@ -56,11 +32,9 @@
 //! public query methods never read it: they stay kernel evaluations, so
 //! every benchmark and oracle built on them still measures the kernel.
 
-use crate::index::{MenuIndex, MenuStore};
-use crate::kernel::{BlockEval, KernelKind, TileScratch};
-use crate::reference::RowScratch;
-use revmax_core::market::Market;
-use revmax_par::effective_chunk_size;
+use crate::index::MenuIndex;
+pub use revmax_core::eval::chunked_payment_fold;
+use revmax_core::eval::{fold_chunks, BlockEval, CompiledMenu, TileScratch, Users};
 use std::sync::Arc;
 
 /// A query rejected before evaluation. The serving daemon turns these
@@ -132,7 +106,8 @@ pub struct Assignment {
     /// expectation for pure / modal outcome for mixed under a sigmoid).
     pub payment: f64,
     /// Offer node ids held under the threshold (modal) outcome, in menu
-    /// order. Resolve them via [`MenuIndex::items`] / [`MenuIndex::price`].
+    /// order. Resolve them via the compiled menu's
+    /// [`CompiledMenu::items`] / [`CompiledMenu::prices`].
     pub offers: Vec<u32>,
 }
 
@@ -158,25 +133,6 @@ impl AnswerTable {
     }
 }
 
-/// The consumers a query evaluates.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// An explicit, already validated id batch.
-    Ids(&'a [u32]),
-    /// Every consumer `0..n`: block ids are generated on the fly into a
-    /// per-worker buffer, so no id batch is ever materialized.
-    All(usize),
-}
-
-impl Source<'_> {
-    fn len(&self) -> usize {
-        match *self {
-            Source::Ids(ids) => ids.len(),
-            Source::All(n) => n,
-        }
-    }
-}
-
 impl MenuIndex {
     /// Reject any queried id that is not a consumer of the compiled
     /// market, naming the first offender. The scan is separate from the
@@ -184,7 +140,7 @@ impl MenuIndex {
     /// single branch-free max-fold over the batch, and only on failure a
     /// second pass to find the first offending id for the error.
     pub fn validate_users(&self, users: &[u32]) -> Result<(), QueryError> {
-        let n_users = self.store.n_users;
+        let n_users = self.n_users();
         let max = users.iter().copied().fold(0u32, u32::max);
         if users.is_empty() || (max as usize) < n_users {
             return Ok(());
@@ -202,7 +158,7 @@ impl MenuIndex {
     /// [`QueryError`] — a malformed batch never panics the serving path.
     pub fn try_assign(&self, users: &[u32]) -> Result<Vec<Assignment>, QueryError> {
         self.validate_users(users)?;
-        Ok(self.assignments(Source::Ids(users)))
+        Ok(self.assignments(Users::Ids(users)))
     }
 
     /// [`MenuIndex::try_assign`], panicking on an invalid batch. Prefer
@@ -219,14 +175,11 @@ impl MenuIndex {
     /// §11.6).
     pub fn try_payments(&self, users: &[u32]) -> Result<Vec<f64>, QueryError> {
         self.validate_users(users)?;
-        let parts = self.drive(
-            Source::Ids(users),
-            self.evaluator(),
-            |store, eval, blk, _, out: &mut Vec<f64>| {
+        let parts =
+            self.query_blocks(Users::Ids(users), |store, eval, blk, _, out: &mut Vec<f64>| {
                 eval.eval_block(store, blk, false);
                 out.extend_from_slice(&eval.payments()[..blk.len()]);
-            },
-        );
+            });
         Ok(parts.concat())
     }
 
@@ -237,7 +190,7 @@ impl MenuIndex {
     /// out-of-range ids as a typed [`QueryError`] instead of panicking.
     pub fn try_expected_revenue(&self, users: &[u32]) -> Result<f64, QueryError> {
         self.validate_users(users)?;
-        Ok(self.revenue(Source::Ids(users)))
+        Ok(self.revenue(Users::Ids(users)))
     }
 
     /// [`MenuIndex::try_expected_revenue`], panicking on an invalid
@@ -252,14 +205,14 @@ impl MenuIndex {
     /// chunk boundaries and fold are those of `expected_revenue` over the
     /// `0..n_users` batch, so the result matches it bit for bit.
     pub fn expected_revenue_all(&self) -> f64 {
-        self.revenue(Source::All(self.store.n_users))
+        self.revenue(Users::All(self.n_users()))
     }
 
     /// [`MenuIndex::assign`] over every consumer of the compiled market,
     /// without materializing the id batch (same boundary/fold identity as
     /// [`MenuIndex::expected_revenue_all`]).
     pub fn assign_all(&self) -> Vec<Assignment> {
-        self.assignments(Source::All(self.store.n_users))
+        self.assignments(Users::All(self.n_users()))
     }
 
     /// Marginal revenue of moving offer node `offer`'s price by `dprice`,
@@ -278,7 +231,7 @@ impl MenuIndex {
         users: &[u32],
     ) -> Result<MarginalRevenue, QueryError> {
         self.validate_users(users)?;
-        self.marginal(offer, dprice, Source::Ids(users))
+        self.marginal(offer, dprice, Users::Ids(users))
     }
 
     /// [`MenuIndex::try_marginal_revenue`] over every consumer of the
@@ -290,7 +243,7 @@ impl MenuIndex {
         offer: u32,
         dprice: f64,
     ) -> Result<MarginalRevenue, QueryError> {
-        self.marginal(offer, dprice, Source::All(self.store.n_users))
+        self.marginal(offer, dprice, Users::All(self.n_users()))
     }
 
     /// This index with its [`AnswerTable`] filled — the daemon's serving
@@ -305,19 +258,16 @@ impl MenuIndex {
     /// rows' offer ends relative to its own `offers`; the partials are
     /// then stitched in task order, which is consumer order.
     fn answer_table(&self) -> AnswerTable {
-        let n = self.store.n_users;
-        let parts = self.drive(
-            Source::All(n),
-            self.evaluator(),
-            |store, eval, blk, _, part: &mut AnswerTable| {
+        let n = self.n_users();
+        let parts =
+            self.query_blocks(Users::All(n), |store, eval, blk, _, part: &mut AnswerTable| {
                 eval.eval_block(store, blk, true);
                 part.payments.extend_from_slice(&eval.payments()[..blk.len()]);
                 for lane in 0..blk.len() {
                     part.offers.extend_from_slice(eval.offers(lane));
                     part.offer_ptr.push(part.offers.len());
                 }
-            },
-        );
+            });
         let mut table = AnswerTable {
             payments: Vec::with_capacity(n),
             offer_ptr: Vec::with_capacity(n + 1),
@@ -348,7 +298,7 @@ impl MenuIndex {
                 self.validate_users(ids)?;
                 ids.iter().map(|&u| table.assignment(u)).collect()
             }
-            None => (0..self.store.n_users as u32).map(|u| table.assignment(u)).collect(),
+            None => (0..self.n_users() as u32).map(|u| table.assignment(u)).collect(),
         })
     }
 
@@ -374,54 +324,48 @@ impl MenuIndex {
     }
 
     /// Assignments of a validated source, in source order.
-    fn assignments(&self, users: Source<'_>) -> Vec<Assignment> {
-        let parts = self.drive(users, self.evaluator(), |store, eval, blk, _, out: &mut Vec<_>| {
+    fn assignments(&self, users: Users<'_>) -> Vec<Assignment> {
+        let parts = self.query_blocks(users, |store, eval, blk, _, out: &mut Vec<_>| {
             eval.eval_block(store, blk, true);
             for (lane, &user) in blk.iter().enumerate() {
                 let offers = eval.offers(lane).to_vec();
                 out.push(Assignment { user, payment: eval.payments()[lane], offers });
             }
         });
-        let mut out = Vec::with_capacity(users.len());
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
         for part in parts {
             out.extend(part);
         }
         out
     }
 
-    /// Expected revenue of a validated source: per chunk, the payments
-    /// summed left to right from `+0.0` (lanes are in user order, blocks
-    /// run front to back, and a chunk never spans two tasks), then the
-    /// chunk partials folded in chunk order — the sequential chunked
-    /// fold, at any thread count and block width.
-    fn revenue(&self, users: Source<'_>) -> f64 {
-        let parts =
-            self.drive(users, self.evaluator(), |store, eval, blk, cuts, parts: &mut Vec<f64>| {
-                eval.eval_block(store, blk, false);
-                fold_chunks(parts, &eval.payments()[..blk.len()], cuts);
-            });
-        parts.into_iter().flatten().fold(0.0f64, |a, s| a + s)
+    /// Expected revenue of a validated source: [`CompiledMenu::revenue`]
+    /// with this index's threads, block width and kernel.
+    fn revenue(&self, users: Users<'_>) -> f64 {
+        self.store.revenue(self.threads, self.block(), self.kernel, users)
     }
 
     /// Marginal revenue over a validated source. The sink always uses the
     /// tile evaluator: per block it scatters once, walks the compiled
     /// prices keeping the tile, then walks the perturbed table consuming
-    /// it. Both totals fold exactly as [`MenuIndex::revenue`] does, each
-    /// into its own list of chunk partials.
+    /// it. Both totals fold exactly as [`CompiledMenu::revenue`] does,
+    /// each into its own list of chunk partials.
     fn marginal(
         &self,
         offer: u32,
         dprice: f64,
-        users: Source<'_>,
+        users: Users<'_>,
     ) -> Result<MarginalRevenue, QueryError> {
         let perturbed = self.perturbed_prices(offer, dprice)?;
-        let parts = self.drive(
+        let parts = self.store.drive(
+            self.threads,
+            self.block(),
             users,
             TileScratch::new,
             |store, tile, blk, cuts, (base, pert): &mut (Vec<f64>, Vec<f64>)| {
                 let b = blk.len();
                 tile.scatter_block(store, blk);
-                tile.walk_block(store, &store.prices, b, false, false);
+                tile.walk_block(store, store.prices(), b, false, false);
                 fold_chunks(base, &tile.payments()[..b], cuts);
                 tile.walk_block(store, &perturbed, b, false, true);
                 fold_chunks(pert, &tile.payments()[..b], cuts);
@@ -432,130 +376,33 @@ impl MenuIndex {
         Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
     }
 
-    /// The production evaluator for this index's kernel knob — the one
-    /// place the query path dispatches on it.
-    fn evaluator(&self) -> impl Fn(&MenuStore, usize) -> Box<dyn BlockEval> + Sync {
-        let kernel = self.kernel;
-        move |store: &MenuStore, width| -> Box<dyn BlockEval> {
-            match kernel {
-                KernelKind::Rows => Box::new(RowScratch::new(store, width)),
-                KernelKind::Tiled => Box::new(TileScratch::new(store, width)),
-            }
-        }
-    }
-
-    /// The query loop every batch method runs. The block width is the
-    /// index's block capped at the batch length (a 16-id point query runs
-    /// one 16-lane block). The batch is cut into **tasks** — each the
-    /// shortest run of whole §6 chunks (`effective_chunk_size(len, 0)`)
-    /// at least one block wide — fanned out once; each worker builds one
-    /// evaluator, `make(store, width)`, and hands every block of its
-    /// tasks, front to back, to `sink` along with the task's partial and
-    /// the block's **cuts**: the lane offsets at which a new chunk starts
-    /// inside the block (a task's first block always opens with `0`).
-    /// Blocks are independent of chunks, so one block may end a chunk and
-    /// open the next; a chunk never spans two tasks, so a sink that folds
-    /// lanes into per-chunk partials ([`fold_chunks`]) sees every chunk's
-    /// lanes in order. Partials return in task order. Reusing one
-    /// evaluator across tasks is bit-safe: block width never changes a
-    /// lane's bits, and every evaluation overwrites the lanes it reports
-    /// (the tile consumes itself back to all-zero).
-    fn drive<E, P: Default + Send>(
+    /// [`CompiledMenu::drive`] with this index's threads, block width and
+    /// kernel — the one place the query path dispatches on the kernel.
+    fn query_blocks<P: Default + Send>(
         &self,
-        users: Source<'_>,
-        make: impl Fn(&MenuStore, usize) -> E + Sync,
-        sink: impl Fn(&MenuStore, &mut E, &[u32], &[usize], &mut P) + Sync,
+        users: Users<'_>,
+        sink: impl Fn(&CompiledMenu, &mut Box<dyn BlockEval>, &[u32], &[usize], &mut P) + Sync,
     ) -> Vec<P> {
-        let store = &*self.store;
-        let len = users.len();
-        let chunk = effective_chunk_size(len, 0);
-        let width = self.block().min(len).max(1);
-        let task = width.div_ceil(chunk) * chunk;
-        let init = || (make(store, width), Vec::new(), Vec::new());
-        let run = |(eval, buf, cuts): &mut (E, Vec<u32>, Vec<usize>), t: usize| {
-            let (lo, hi) = (t * task, (t * task + task).min(len));
-            let mut part = P::default();
-            for start in (lo..hi).step_by(width) {
-                let end = (start + width).min(hi);
-                cuts.clear();
-                cuts.extend((start.next_multiple_of(chunk)..end).step_by(chunk).map(|c| c - start));
-                let blk = match users {
-                    Source::Ids(ids) => &ids[start..end],
-                    Source::All(_) => {
-                        buf.clear();
-                        buf.extend(start as u32..end as u32);
-                        &buf[..]
-                    }
-                };
-                sink(store, eval, blk, cuts, &mut part);
-            }
-            part
-        };
-        revmax_par::par_index_map_with(self.threads, len.div_ceil(task), init, run)
+        let kernel = self.kernel;
+        let make = move |store: &CompiledMenu, width| kernel.evaluator(store, width);
+        self.store.drive(self.threads, self.block(), users, make, sink)
     }
 
     /// The perturbed price table of a marginal-revenue query, or the
     /// typed error when the offer id or resulting price is out of domain.
     fn perturbed_prices(&self, offer: u32, dprice: f64) -> Result<Vec<f64>, QueryError> {
-        let n_nodes = self.store.prices.len();
+        let n_nodes = self.n_nodes();
         if offer as usize >= n_nodes {
             return Err(QueryError::OfferOutOfRange { offer, n_nodes });
         }
-        let moved = self.store.prices[offer as usize] + dprice;
+        let moved = self.prices()[offer as usize] + dprice;
         if !(moved.is_finite() && moved >= 0.0) {
             return Err(QueryError::PerturbedPriceInvalid);
         }
-        let mut prices = self.store.prices.clone();
+        let mut prices = self.prices().to_vec();
         prices[offer as usize] = moved;
         Ok(prices)
     }
-}
-
-/// Fold a block's per-lane values, in order, into a task's per-chunk
-/// partials: lanes before the first cut continue the open partial, and
-/// every cut opens a fresh one from `+0.0`.
-fn fold_chunks(parts: &mut Vec<f64>, lanes: &[f64], cuts: &[usize]) {
-    let mut lo = 0;
-    for &cut in cuts.iter().chain([&lanes.len()]) {
-        if lo < cut {
-            let open = parts.last_mut().expect("a task's first block opens a chunk");
-            *open = lanes[lo..cut].iter().fold(*open, |a, &p| a + p);
-        }
-        if cut < lanes.len() {
-            parts.push(0.0);
-        }
-        lo = cut;
-    }
-}
-
-/// The exact reduction [`MenuIndex::expected_revenue`] applies to the
-/// per-user payments of a batch: fixed [`effective_chunk_size`] blocks,
-/// each summed left to right from `+0.0`, block partials folded left to
-/// right from `+0.0`. Given `payments = try_payments(users)?`, this
-/// returns `try_expected_revenue(users)?` to the bit — which is what lets
-/// the daemon answer revenue requests from the per-user payments of its
-/// answer table with the kernel's bits.
-pub fn chunked_payment_fold(payments: &[f64]) -> f64 {
-    if payments.is_empty() {
-        return 0.0;
-    }
-    let chunk = effective_chunk_size(payments.len(), 0);
-    payments.chunks(chunk).map(|c| c.iter().fold(0.0f64, |a, &p| a + p)).fold(0.0f64, |a, s| a + s)
-}
-
-/// Solver-side single-consumer reference evaluation: the menu's expected
-/// revenue restricted to one user, computed **entirely by core**
-/// ([`revmax_core::config::BundleConfig::expected_revenue`] on a
-/// single-user [`Market::view`]). The parity suites compare serve results
-/// against this bit for bit; it is exported so benches and acceptance
-/// tests can reuse the same oracle.
-pub fn solver_user_revenue(
-    market: &Market,
-    config: &revmax_core::config::BundleConfig,
-    user: u32,
-) -> f64 {
-    let view = market.view(None, Some(&[user]));
-    config.expected_revenue(&view)
 }
 
 #[cfg(test)]
@@ -563,6 +410,7 @@ mod tests {
     use super::*;
     use revmax_core::bundle::Bundle;
     use revmax_core::config::{BundleConfig, OfferNode, Strategy};
+    use revmax_core::market::Market;
     use revmax_core::params::Params;
     use revmax_core::wtp::WtpMatrix;
 
@@ -637,13 +485,13 @@ mod tests {
             let idx = MenuIndex::compile(&m, &config);
             for u in 0..3u32 {
                 let serve = idx.assign(&[u])[0].payment;
-                let solver = solver_user_revenue(&m, &config, u);
+                let solver = config.expected_revenue(&m.view(None, Some(&[u])));
                 assert_eq!(serve.to_bits(), solver.to_bits(), "user {u}");
             }
-            // Whole-batch total matches the solver's whole-market menu
-            // evaluation (reassociation-tolerant comparison).
+            // One evaluator: the whole-batch total is the solver's
+            // whole-market menu evaluation, to the bit.
             let total = idx.expected_revenue_all();
-            assert!((total - config.expected_revenue(&m)).abs() < 1e-9);
+            assert_eq!(total.to_bits(), config.expected_revenue(&m).to_bits());
         }
     }
 
@@ -696,7 +544,7 @@ mod tests {
         // u1 at p 5 < w 10: P ≈ 0.993 → expected payment ≈ 4.97.
         assert!(a[1].payment < 5.0 && a[1].payment > 4.9);
         for u in 0..2u32 {
-            let solver = solver_user_revenue(&m, &config, u);
+            let solver = config.expected_revenue(&m.view(None, Some(&[u])));
             assert_eq!(idx.assign(&[u])[0].payment.to_bits(), solver.to_bits());
         }
     }

@@ -146,8 +146,9 @@ fn served_state_is_bit_identical_to_a_cold_rebuild_across_hot_swaps() {
     let cold_market = churned.with_wtp(churned.wtp().compact());
     let mut engine = LiveEngine::new(&MIXED_METHODS, 0).unwrap();
     let report = engine.resolve(&cold_market).unwrap();
-    let cold_index = MenuIndex::compile(&cold_market, &report.whole_cell().unwrap().outcome.config);
-    assert_eq!(cold_index.strategy(), Strategy::Mixed);
+    let cold_config = &report.whole_cell().unwrap().outcome.config;
+    assert_eq!(cold_config.strategy, Strategy::Mixed);
+    let cold_index = MenuIndex::compile(&cold_market, cold_config);
     let held_below_a_root = cold_index
         .assign_all()
         .iter()
@@ -278,8 +279,11 @@ fn marginal_revenue_opcode_answers_bit_exactly_over_the_wire() {
         Response::Error { code: ErrorCode::Query, .. } => {}
         other => panic!("expected Query error, got {other:?}"),
     }
-    let negative =
-        Request::MarginalRevenue { offer, dprice: -(index.price(offer) + 1.0), sel: UserSel::All };
+    let negative = Request::MarginalRevenue {
+        offer,
+        dprice: -(index.prices()[offer as usize] + 1.0),
+        sel: UserSel::All,
+    };
     match proto::roundtrip(&mut stream, &negative).unwrap() {
         Response::Error { code: ErrorCode::Query, .. } => {}
         other => panic!("expected Query error, got {other:?}"),

@@ -1,15 +1,16 @@
-//! Property tests for the serving layer (`DESIGN.md` §9):
+//! Property tests for the serving layer (`DESIGN.md` §9). Per-user
+//! parity with core's per-user tree walk is core's to check (the eval
+//! proptests compare both kernels against that test-only oracle); these
+//! properties are the serving layer's own:
 //!
-//! 1. For random markets and solver-produced menus (pure and mixed,
-//!    step and sigmoid γ), every consumer's served payment is
-//!    **bit-identical** to the solver-side menu evaluation of that
-//!    consumer (`BundleConfig::expected_revenue` on a single-user
-//!    [`revmax_core::market::Market::view`]).
-//! 2. Batched `expected_revenue(all_users)` is **bit-identical at 1/2/8
-//!    serve threads** and equals the fixed-chunk ordered fold of the
-//!    per-user solver-side payments — the §6 contract applied to serving.
-//! 3. The batched total agrees with the solver's whole-market menu
-//!    evaluation up to summation reassociation (tolerance-checked).
+//! 1. Any batch — non-contiguous, repeating — serves every consumer the
+//!    payment of a single-consumer evaluation, at any thread count.
+//! 2. The tile kernel is bit-identical to the row-walk, for every query
+//!    sink, block width and thread count, and a served whole-market
+//!    total is the solver-side `BundleConfig::expected_revenue` to the
+//!    bit (pure and mixed menus, step and sigmoid γ, 1/2/8 threads).
+//! 3. Marginal revenue is an exact finite difference: it matches a
+//!    recompile at the perturbed price bit for bit.
 
 use proptest::prelude::*;
 use revmax_core::algorithms::{by_name, registry};
@@ -17,8 +18,7 @@ use revmax_core::config::{BundleConfig, OfferNode};
 use revmax_core::market::Market;
 use revmax_core::params::{Params, Threads};
 use revmax_core::wtp::WtpMatrix;
-use revmax_par::effective_chunk_size;
-use revmax_serve::{solver_user_revenue, KernelKind, MenuIndex};
+use revmax_serve::{KernelKind, MenuIndex};
 
 /// A random dense WTP matrix (entries 0 with ~3/8 probability) plus θ.
 /// An all-zero matrix has no menu to serve, so it is drawn again: the
@@ -42,68 +42,8 @@ fn market_of(dense: &[Vec<f64>], theta: f64, gamma: f64) -> Market {
     Market::new(WtpMatrix::from_rows(dense.to_vec()), params)
 }
 
-/// The configurators exercised per case: a pure and a mixed method so
-/// both serving semantics (independent offers, upgrade trees) run.
-const METHODS: [&str; 3] = ["Components", "Pure Greedy", "Mixed Greedy"];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn served_payments_equal_solver_side_evaluation_bitwise(
-        (dense, theta) in arb_dense(),
-        sigmoid in 0u8..2,
-    ) {
-        // Step regime by default; soft sigmoid on half the cases.
-        let gamma = if sigmoid == 1 { 1.5 } else { 1e6 };
-        let market = market_of(&dense, theta, gamma);
-        for method in METHODS {
-            let outcome = by_name(method).unwrap().run(&market);
-            let index = MenuIndex::compile(&market, &outcome.config);
-            let users = index.all_users();
-            let assignments = index.assign(&users);
-            prop_assert_eq!(assignments.len(), users.len());
-
-            // (1) Per-user bitwise parity with the solver-side menu
-            // evaluation of that single consumer.
-            for a in &assignments {
-                let solver = solver_user_revenue(&market, &outcome.config, a.user);
-                prop_assert_eq!(
-                    a.payment.to_bits(),
-                    solver.to_bits(),
-                    "{}: user {} served {} vs solver {}",
-                    method, a.user, a.payment, solver
-                );
-            }
-
-            // (2) The batched total is the fixed-chunk ordered fold of the
-            // per-user payments, bit-identical at 1/2/8 serve threads.
-            let chunk = effective_chunk_size(users.len(), 0);
-            let reference: f64 = assignments
-                .chunks(chunk)
-                .map(|c| c.iter().map(|a| a.payment).sum::<f64>())
-                .fold(0.0f64, |acc, s| acc + s);
-            for threads in [1usize, 2, 8] {
-                let served = index.clone().with_threads(threads).expected_revenue(&users);
-                prop_assert_eq!(
-                    served.to_bits(),
-                    reference.to_bits(),
-                    "{} at {} threads: {} vs chunked fold {}",
-                    method, threads, served, reference
-                );
-            }
-
-            // (3) ... and agrees with the solver's whole-market menu
-            // evaluation up to summation reassociation.
-            let solver_total = outcome.config.expected_revenue(&market);
-            let tol = 1e-9 * solver_total.abs().max(1.0);
-            prop_assert!(
-                (index.expected_revenue(&users) - solver_total).abs() <= tol,
-                "{}: served {} vs solver {}",
-                method, index.expected_revenue(&users), solver_total
-            );
-        }
-    }
 
     #[test]
     fn subset_batches_serve_any_user_mix(
@@ -127,10 +67,8 @@ proptest! {
         prop_assert_eq!(assignments.len(), users.len());
         for (a, &u) in assignments.iter().zip(&users) {
             prop_assert_eq!(a.user, u);
-            prop_assert_eq!(
-                a.payment.to_bits(),
-                solver_user_revenue(&market, &outcome.config, u).to_bits()
-            );
+            let single = outcome.config.expected_revenue(&market.view(None, Some(&[u])));
+            prop_assert_eq!(a.payment.to_bits(), single.to_bits());
         }
     }
 
@@ -160,6 +98,7 @@ proptest! {
             let rows_payments: Vec<u64> =
                 rows_index.try_payments(&users).unwrap().iter().map(|p| p.to_bits()).collect();
             let rows_total = rows_index.expected_revenue(&users);
+            let solver_total = outcome.config.expected_revenue(&market);
             for block in [1usize, 3, 64, n] {
                 let tiled_index =
                     index.clone().with_kernel(KernelKind::Tiled).with_block(block);
@@ -176,13 +115,14 @@ proptest! {
                         &t.offers, &r.offers,
                         "{} block {}: user {} offer lists diverge", method, block, t.user
                     );
-                    // ... and both equal the solver-side bits.
-                    prop_assert_eq!(
-                        t.payment.to_bits(),
-                        solver_user_revenue(&market, &outcome.config, t.user).to_bits()
-                    );
                 }
+                // One evaluator: the served total is the solver-side
+                // evaluation to the bit, at every thread count.
                 let total = tiled_index.expected_revenue(&users);
+                prop_assert_eq!(
+                    total.to_bits(), solver_total.to_bits(),
+                    "{} block {}: served {} vs solver-side {}", method, block, total, solver_total
+                );
                 for threads in [2usize, 8] {
                     let t = tiled_index.clone().with_threads(threads);
                     prop_assert_eq!(t.expected_revenue(&users).to_bits(), total.to_bits());
@@ -248,7 +188,7 @@ proptest! {
 
         // Locate the node the mutation landed on by diffing price tables.
         let moved: Vec<u32> = (0..index.n_nodes() as u32)
-            .filter(|&nd| index.price(nd).to_bits() != perturbed_index.price(nd).to_bits())
+            .filter(|&nd| index.prices()[nd as usize].to_bits() != perturbed_index.prices()[nd as usize].to_bits())
             .collect();
 
         let base = index.expected_revenue(&users);
@@ -287,7 +227,7 @@ proptest! {
             // errors, not panics.
             prop_assert!(index.try_marginal_revenue(index.n_nodes() as u32, 0.1, &users).is_err());
             prop_assert!(index
-                .try_marginal_revenue(offer, -(index.price(offer) + 1.0), &users)
+                .try_marginal_revenue(offer, -(index.prices()[offer as usize] + 1.0), &users)
                 .is_err());
         }
     }

@@ -11,7 +11,8 @@
 //!   and the pure/mixed bundle-configuration algorithms (matching-based and
 //!   greedy) plus every baseline the paper evaluates against, including
 //!   the `Optimal` and `Greedy WSP` weighted-set-packing comparators of
-//!   Section 5.2/6.4 (`core::wsp`).
+//!   Section 5.2/6.4 (`core::wsp`), and the one menu evaluator
+//!   (`core::eval`) behind solver-side and served revenue.
 //! * [`matching`] ([`revmax_matching`]) — maximum-weight matching on general
 //!   graphs (Edmonds' blossom algorithm), the substrate behind the optimal
 //!   2-sized configuration and Algorithm 1.
@@ -29,8 +30,8 @@
 //!   contract, and collapse repeated cells through a fingerprint-keyed
 //!   solve cache (`DESIGN.md` §8).
 //! * [`serve`] ([`revmax_serve`]) — the batched menu-serving layer: a
-//!   solved configuration compiles into a flat, `Arc`-shared `MenuIndex`
-//!   answering `assign` / `expected_revenue` queries for millions of
+//!   solved configuration compiles (through `core::eval`) into a flat,
+//!   `Arc`-shared `MenuIndex` answering `assign` / `expected_revenue` queries for millions of
 //!   consumers, bit-identically at any thread count (`DESIGN.md` §9).
 //!
 //! ## Quickstart
