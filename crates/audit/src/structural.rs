@@ -1,9 +1,8 @@
 //! The structural rule tier: cross-file invariants that parse real
 //! declarations out of the tree instead of pattern-matching lines.
 //!
-//! * `fingerprint-coverage` — every field of `Params` (and of
-//!   `MarketLog`'s canonical pending state) must be folded into the
-//!   corresponding `fingerprint()` body, or carry a reasoned waiver.
+//! * `fingerprint-coverage` — every field of `Params` must be folded
+//!   into its `fingerprint()` body, or carry a reasoned waiver.
 //!   This turns the PR-9 bug (a new `Params::objective` field missing
 //!   from `fingerprint()`, letting a CVaR solve hit a cached Mean solve)
 //!   into a compile-gate.
@@ -60,16 +59,6 @@ pub fn scan_structural(targets: &Targets<'_>) -> Vec<Finding> {
         &mut out,
         |path, masked, out| {
             fingerprint_coverage(path, masked, "Params", out);
-        },
-    );
-    // fingerprint-coverage over MarketLog's canonical pending state.
-    run_target(
-        targets,
-        "crates/core/src/marketlog.rs",
-        "crates/core/src/market.rs",
-        &mut out,
-        |path, masked, out| {
-            fingerprint_coverage(path, masked, "MarketLog", out);
         },
     );
     // event-totality: Event variants handled by MarketLog::apply…

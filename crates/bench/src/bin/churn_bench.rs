@@ -1,9 +1,9 @@
 //! Churn-path benchmark and verifier (`DESIGN.md` §10): apply delta
 //! batches through the `MarketLog` and race the **incremental** path
-//! (overlay snapshot → `LiveEngine` re-solve with its retained outcome
+//! (log snapshot → `LiveEngine` re-solve with its retained outcome
 //! cache → recompile + hot-swap the serving index) against the **cold**
-//! path (compact to a fresh arena → solve every cell from scratch →
-//! compile a fresh index).
+//! path (rebuild the arena → solve every cell from scratch → compile a
+//! fresh index).
 //!
 //! ```sh
 //! churn_bench scale=small batch=0.01 batches=5 gate=on json=churn_ci.json
@@ -12,8 +12,7 @@
 //! Keys (all `key=value`): `scale` (tiny|small|medium), `seed`, `theta`,
 //! `methods` (CSV of registry names/aliases), `cohorts`, `batch` (fraction
 //! of consumers churned per batch), `batches` (number of delta batches),
-//! `compact_at` (pending-delta fraction that triggers log compaction; 0
-//! disables), `max_ratio` (gate: total incremental wall-clock must be ≤
+//! `max_ratio` (gate: total incremental wall-clock must be ≤
 //! this fraction of cold), `gate` (on|off), `json` (BENCH_JSON export; the
 //! `BENCH_JSON` env var works too).
 //!
@@ -43,13 +42,12 @@ struct Args {
     cohorts: usize,
     batch: f64,
     batches: usize,
-    compact_at: f64,
     max_ratio: f64,
     gate: bool,
     json: Option<String>,
 }
 
-const KEYS: [&str; 11] = [
+const KEYS: [&str; 10] = [
     "scale",
     "seed",
     "theta",
@@ -57,7 +55,6 @@ const KEYS: [&str; 11] = [
     "cohorts",
     "batch",
     "batches",
-    "compact_at",
     "max_ratio",
     "gate",
     "json",
@@ -72,7 +69,6 @@ fn parse_args() -> Args {
         cohorts: 4,
         batch: 0.01,
         batches: 5,
-        compact_at: 0.10,
         max_ratio: 0.8,
         gate: false,
         json: std::env::var("BENCH_JSON").ok().filter(|p| !p.is_empty()),
@@ -82,7 +78,7 @@ fn parse_args() -> Args {
             eprintln!(
                 "usage: churn_bench [scale=small] [seed=2015] [theta=0.05] \
                  [methods=components,mixed_greedy] [cohorts=4] [batch=0.01] [batches=5] \
-                 [compact_at=0.1] [max_ratio=0.8] [gate=off] [json=FILE]"
+                 [max_ratio=0.8] [gate=off] [json=FILE]"
             );
             std::process::exit(0);
         }
@@ -108,7 +104,6 @@ fn parse_args() -> Args {
                 }
             }
             "batches" => args.batches = parse_num::<usize>(key, value).max(1),
-            "compact_at" => args.compact_at = parse_num(key, value),
             "max_ratio" => args.max_ratio = parse_num(key, value),
             "gate" => {
                 args.gate = match value {
@@ -182,16 +177,12 @@ fn main() {
     let mut failures = 0usize;
     let mut incr_ns: Vec<u128> = Vec::new();
     let mut cold_ns: Vec<u128> = Vec::new();
-    let mut compactions = 0usize;
 
     for b in 0..args.batches {
         let batch = churn_batch(log.base(), args.batch, b);
         log.apply_batch(batch.iter().copied()).unwrap_or_else(|e| fail(&e));
-        if args.compact_at > 0.0 && log.maybe_compact(args.compact_at) {
-            compactions += 1;
-        }
 
-        // Incremental: overlay snapshot → retained re-solve → recompile the
+        // Incremental: log snapshot → retained re-solve → recompile the
         // served menu from the churned market → hot-swap.
         let t = Instant::now();
         let churned = log.snapshot();
@@ -199,7 +190,7 @@ fn main() {
         handle.swap(MenuIndex::compile(&churned, &inc.cells[0].outcome.config));
         let t_incr = t.elapsed().as_nanos();
 
-        // Cold: fresh arena, fresh engine, fresh index.
+        // Cold: rebuilt arena, fresh engine, fresh index.
         let t = Instant::now();
         let cold_market = churned.with_wtp(churned.wtp().compact());
         let mut cold_engine = LiveEngine::new(&methods, args.cohorts).unwrap_or_else(|e| fail(&e));
@@ -256,11 +247,10 @@ fn main() {
 
     let ratio = sum(&incr_ns) as f64 / sum(&cold_ns) as f64;
     println!(
-        "total: incremental {:.2} ms vs cold {:.2} ms — ratio {:.2} ({} compactions, {} retained solves)",
+        "total: incremental {:.2} ms vs cold {:.2} ms — ratio {:.2} ({} retained solves)",
         sum(&incr_ns) as f64 / 1e6,
         sum(&cold_ns) as f64 / 1e6,
         ratio,
-        compactions,
         live.cached_solves()
     );
 

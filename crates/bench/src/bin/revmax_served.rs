@@ -15,8 +15,7 @@
 //! threads may wait for a permit — the admission-control knob; it also
 //! caps the mutation batches waiting for the churn thread), `query_threads`
 //! (`revmax-par` threads per kernel call; results are bit-identical at
-//! any value), `compact_at` (`MarketLog` compaction threshold; 0
-//! disables).
+//! any value).
 //!
 //! The daemon solves once up front, prints `listening on <addr>`, and
 //! from then on every swap happens off the request path in the churn
@@ -34,18 +33,8 @@ struct Args {
     cfg: DaemonConfig,
 }
 
-const KEYS: [&str; 10] = [
-    "addr",
-    "scale",
-    "seed",
-    "theta",
-    "methods",
-    "cohorts",
-    "workers",
-    "queue",
-    "query_threads",
-    "compact_at",
-];
+const KEYS: [&str; 9] =
+    ["addr", "scale", "seed", "theta", "methods", "cohorts", "workers", "queue", "query_threads"];
 
 fn parse_args() -> Args {
     let mut args = Args {
@@ -60,7 +49,7 @@ fn parse_args() -> Args {
             eprintln!(
                 "usage: revmax-served [addr=127.0.0.1:0] [scale=tiny] [seed=2015] \
                  [theta=0.05] [methods=components] [cohorts=0] [workers=2] [queue=1024] \
-                 [query_threads=1] [compact_at=0.1]"
+                 [query_threads=1]"
             );
             std::process::exit(0);
         }
@@ -83,7 +72,6 @@ fn parse_args() -> Args {
             "workers" => args.cfg.workers = parse_num::<usize>(key, value).max(1),
             "queue" => args.cfg.queue_cap = parse_num::<usize>(key, value).max(1),
             "query_threads" => args.cfg.query_threads = parse_num::<usize>(key, value).max(1),
-            "compact_at" => args.cfg.compact_at = parse_num(key, value),
             other => fail(&unknown_key_msg(other, &KEYS)),
         }
     }

@@ -67,7 +67,7 @@ use revmax_par::effective_chunk_size;
 
 /// A solved menu flattened for evaluation: the offer forest as
 /// structure-of-arrays node tables, per-item → offer postings, the
-/// adoption model, and the market's (`Arc`-shared, zero-copy) WTP store —
+/// adoption model, and the market's (`Arc`-shared) WTP arena —
 /// so evaluation touches only contiguous memory and never chases the
 /// pointer-y [`OfferNode`] trees the solvers produce.
 #[derive(Debug)]
@@ -96,8 +96,8 @@ pub struct CompiledMenu {
     pub(crate) params: Params,
     /// The resolved §4.1 adoption model (γ, α, ε) of the compiled market.
     pub(crate) adoption: AdoptionModel,
-    /// The market's WTP store — an `Arc`-shared arena (or zero-copy view
-    /// or delta overlay), so compiling never copies the matrix.
+    /// The market's WTP arena — `Arc`-shared, so compiling never copies
+    /// the matrix.
     pub(crate) wtp: WtpMatrix,
 }
 
@@ -430,7 +430,7 @@ mod tests {
     fn check_against_the_walk(config: &BundleConfig, market: &Market, what: &str) {
         let menu = CompiledMenu::compile(market, config);
         let oracle: Vec<f64> = (0..market.n_users() as u32)
-            .map(|u| walk_revenue(config, &market.view(None, Some(&[u]))))
+            .map(|u| walk_revenue(config, &market.view(&[u])))
             .collect();
         for kernel in [KernelKind::Rows, KernelKind::Tiled] {
             for block in [3, DEFAULT_BLOCK] {

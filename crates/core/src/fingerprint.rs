@@ -2,8 +2,7 @@
 //!
 //! The sweep engine (`revmax-engine`) keys its solve cache on a content
 //! fingerprint of everything a solve depends on: the WTP entries (the CSR
-//! arena slice the market actually sees, i.e. including any view
-//! restriction), the resolved model [`crate::params::Params`], and the
+//! arena the market — or per-cohort sub-market — holds), the resolved model [`crate::params::Params`], and the
 //! price-search mode. Two markets with the same fingerprint produce
 //! bit-identical solves, so a cached outcome can stand in for a fresh one.
 //!
@@ -100,30 +99,6 @@ pub fn combine(a: u64, b: u64) -> u64 {
     fp.finish()
 }
 
-/// A two-part content identity for event-sourced markets
-/// ([`crate::marketlog::MarketLog`], `DESIGN.md` §10): the digest of the
-/// immutable base arena plus the digest of the **canonical net delta**
-/// layered on top of it. Keeping the halves separate is what lets churn
-/// tooling answer both questions a delta batch raises: "same base?"
-/// (compaction epoch) and "same net changes?" (equivalent histories —
-/// e.g. an upsert that is later deleted cancels out of the delta half).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeltaFingerprint {
-    /// Content digest of the base arena snapshot.
-    pub base: u64,
-    /// Digest of the canonical net overlay (empty overlay hashes the
-    /// same for every log, whatever its base).
-    pub delta: u64,
-}
-
-impl DeltaFingerprint {
-    /// Collapse to a single order-dependent digest (`combine(base, delta)`)
-    /// for use as a cache key.
-    pub fn combined(&self) -> u64 {
-        combine(self.base, self.delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,15 +142,6 @@ mod tests {
     fn combine_is_order_dependent() {
         assert_ne!(combine(1, 2), combine(2, 1));
         assert_eq!(combine(3, 4), combine(3, 4));
-    }
-
-    #[test]
-    fn delta_fingerprint_combines_both_halves() {
-        let a = DeltaFingerprint { base: 1, delta: 2 };
-        let b = DeltaFingerprint { base: 2, delta: 1 };
-        assert_ne!(a.combined(), b.combined(), "halves are ordered");
-        assert_eq!(a.combined(), combine(1, 2));
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * **WTP**: [`wtp::WtpMatrix`] holds `w[u][i] ≥ 0`, either given
 //!   directly or mined from star ratings via the λ-linear map of §6.1.1
 //!   ([`wtp::WtpMatrix::from_ratings`]). Storage is a flat dual-CSR arena
-//!   shared across clones and zero-copy sub-market views
-//!   ([`market::MarketView`], `DESIGN.md` §7).
+//!   shared across clones; per-segment sub-markets
+//!   ([`market::MarketView`], `DESIGN.md` §7) are arenas of their own.
 //! * **Bundle WTP** (Eq. 1): `w_{u,b} = (1+θ)·Σ_{i∈b} w_{u,i}` for
 //!   `|b| ≥ 2`; singletons are the raw item WTP.
 //! * **Adoption** (Eq. 6): [`adoption::AdoptionModel`] — sigmoid
@@ -96,7 +96,6 @@ pub mod prelude {
     };
     pub use crate::bundle::Bundle;
     pub use crate::config::{BundleConfig, Outcome, Strategy};
-    pub use crate::fingerprint::DeltaFingerprint;
     pub use crate::market::{Market, MarketView};
     pub use crate::marketlog::{Event, MarketLog};
     pub use crate::metrics::{revenue_coverage, revenue_gain};

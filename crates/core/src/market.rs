@@ -1,13 +1,13 @@
 //! The market: a WTP matrix plus model parameters, with the scratch-buffer
 //! machinery that makes repeated bundle-revenue queries cheap, and the
-//! zero-copy [`MarketView`] sub-market machinery (`DESIGN.md` §7).
+//! [`MarketView`] sub-markets of per-segment solves (`DESIGN.md` §7).
 //!
 //! The WTP storage is a shared dual-CSR arena ([`crate::wtp`]), so a
 //! market's hot query — [`Market::bundle_user_sums`], a scatter loop over
 //! the contiguous column slices of the bundle's items — never chases
-//! per-row heap pointers, and a [`MarketView`] (per-genre, per-cohort,
-//! per-shard restriction) answers the very same queries over the very same
-//! arena without rebuilding anything.
+//! per-row heap pointers. A [`MarketView`] (per-genre, per-cohort,
+//! per-shard user subset) is a fresh arena of its users' rows, so it
+//! answers the very same queries through the very same code.
 
 use crate::params::Params;
 use crate::pricing::{self, Candidates, PriceMode, PricedOutcome, PricingCtx};
@@ -232,37 +232,20 @@ impl Market {
         bm
     }
 
-    /// Zero-copy sub-market over an item subset and/or user subset (`None`
-    /// keeps the axis whole). The view shares this market's WTP arena,
-    /// parameters, and resolved pricing context; ids are remapped densely
-    /// in ascending order of the originals, so any configurator run on the
-    /// view is bit-identical to one run on a market rebuilt from the
-    /// restricted triples.
-    pub fn view(&self, items: Option<&[u32]>, users: Option<&[u32]>) -> MarketView {
-        // Normalize each subset once (sorted, deduplicated, parent-local
-        // ids); `restrict` receives the normalized slices, so its own
-        // resolve pass has nothing left to reorder.
-        let normalize = |subset: Option<&[u32]>, n: usize| -> Vec<u32> {
-            match subset {
-                Some(s) => {
-                    let mut v = s.to_vec();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                }
-                None => (0..n as u32).collect(),
-            }
-        };
-        let parent_items = normalize(items, self.n_items());
-        let parent_users = normalize(users, self.n_users());
-        let wtp =
-            self.wtp.restrict(items.map(|_| &parent_items[..]), users.map(|_| &parent_users[..]));
-        MarketView {
-            market: Market { wtp, params: self.params, pricing: self.pricing },
-            parent_items,
-            parent_users,
-            label: None,
+    /// Sub-market of a user subset (every item kept): a fresh arena of
+    /// the kept users' rows, renumbered densely in ascending order of the
+    /// original ids, sharing this market's parameters and resolved pricing
+    /// context. Any configurator run on the view is bit-identical to one
+    /// run on a market rebuilt from the kept triples.
+    pub fn view(&self, users: &[u32]) -> MarketView {
+        let mut users = users.to_vec();
+        users.sort_unstable();
+        users.dedup();
+        if let Some(&last) = users.last() {
+            assert!((last as usize) < self.n_users(), "user {last} out of range");
         }
+        let wtp = self.wtp.select_users(&users);
+        MarketView { market: self.with_wtp(wtp), label: None }
     }
 
     /// Partition the consumers into labeled segments: one [`MarketView`]
@@ -287,7 +270,7 @@ impl Market {
             .into_iter()
             .zip(buckets)
             .map(|(lab, users)| {
-                let mut v = self.view(None, Some(&users));
+                let mut v = self.view(&users);
                 v.label = Some(lab);
                 v
             })
@@ -295,18 +278,14 @@ impl Market {
     }
 }
 
-/// A zero-copy restriction of a [`Market`] to an item and/or user subset.
+/// A [`Market`] restricted to a user subset ([`Market::view`]).
 ///
 /// Dereferences to [`Market`], so every [`crate::algorithms::Configurator`]
 /// — and any other consumer of the market query API (`bundle_user_sums`,
-/// `bundle_wtps`, `price_pure`, …) — runs on a view unchanged. The view
-/// keeps the maps back to the parent's ids for reassembling per-segment
-/// results.
+/// `bundle_wtps`, `price_pure`, …) — runs on a view unchanged.
 #[derive(Debug, Clone)]
 pub struct MarketView {
     market: Market,
-    parent_items: Vec<u32>,
-    parent_users: Vec<u32>,
     label: Option<u32>,
 }
 
@@ -314,16 +293,6 @@ impl MarketView {
     /// The restricted market itself (what `Deref` returns).
     pub fn market(&self) -> &Market {
         &self.market
-    }
-
-    /// Local item id → parent item id, ascending.
-    pub fn parent_items(&self) -> &[u32] {
-        &self.parent_items
-    }
-
-    /// Local user id → parent user id, ascending.
-    pub fn parent_users(&self) -> &[u32] {
-        &self.parent_users
     }
 
     /// Segment label, when produced by [`Market::partition_by`].
@@ -466,7 +435,7 @@ mod tests {
     fn user_view_answers_queries_locally() {
         let m = table1();
         // Users 0 and 2 only.
-        let v = m.view(None, Some(&[0, 2]));
+        let v = m.view(&[2, 0]);
         assert_eq!(v.n_users(), 2);
         assert_eq!(v.n_items(), 2);
         let mut s = v.scratch();
@@ -475,24 +444,24 @@ mod tests {
         // Optimal pure bundle price over {u1, u3}: both at 15.2 → 30.4.
         let priced = v.price_pure(&[0, 1], &mut s);
         assert!((priced.revenue - 30.4).abs() < 1e-9);
-        assert_eq!(v.parent_users(), &[0, 2]);
     }
 
     #[test]
     fn view_equals_market_rebuilt_from_restricted_triples() {
         let m = table1();
-        let v = m.view(Some(&[0]), Some(&[1, 2]));
+        let v = m.view(&[1, 2]);
         let rebuilt = Market::new(
-            WtpMatrix::from_rows(vec![vec![8.0], vec![5.0]]),
+            WtpMatrix::from_rows(vec![vec![8.0, 2.0], vec![5.0, 11.0]]),
             Params::default().with_theta(-0.05),
         );
         let mut sv = v.scratch();
         let mut sr = rebuilt.scratch();
-        let pv = v.price_pure(&[0], &mut sv);
-        let pr = rebuilt.price_pure(&[0], &mut sr);
+        let pv = v.price_pure(&[0, 1], &mut sv);
+        let pr = rebuilt.price_pure(&[0, 1], &mut sr);
         assert_eq!(pv.price.to_bits(), pr.price.to_bits());
         assert_eq!(pv.revenue.to_bits(), pr.revenue.to_bits());
-        assert_eq!(v.total_wtp(), rebuilt.total_wtp());
+        assert_eq!(v.total_wtp().to_bits(), rebuilt.total_wtp().to_bits());
+        assert_eq!(v.wtp(), rebuilt.wtp());
     }
 
     #[test]
@@ -501,9 +470,9 @@ mod tests {
         let views = m.partition_by(&[7, 3, 7]);
         assert_eq!(views.len(), 2);
         assert_eq!(views[0].label(), Some(3));
-        assert_eq!(views[0].parent_users(), &[1]);
+        assert_eq!(views[0].wtp(), m.view(&[1]).wtp());
         assert_eq!(views[1].label(), Some(7));
-        assert_eq!(views[1].parent_users(), &[0, 2]);
+        assert_eq!(views[1].wtp(), m.view(&[0, 2]).wtp());
         let total: usize = views.iter().map(|v| v.n_users()).sum();
         assert_eq!(total, m.n_users());
         // Views share the parent's resolved thread count.
@@ -539,9 +508,9 @@ mod tests {
     #[test]
     fn view_fingerprint_equals_rebuilt_market() {
         let m = table1();
-        let v = m.view(Some(&[0]), Some(&[1, 2]));
+        let v = m.view(&[1, 2]);
         let rebuilt = Market::new(
-            WtpMatrix::from_rows(vec![vec![8.0], vec![5.0]]),
+            WtpMatrix::from_rows(vec![vec![8.0, 2.0], vec![5.0, 11.0]]),
             Params::default().with_theta(-0.05),
         );
         assert_eq!(v.fingerprint(), rebuilt.fingerprint());
@@ -552,7 +521,7 @@ mod tests {
     fn configurator_runs_unchanged_on_a_view() {
         use crate::algorithms::{Components, Configurator};
         let m = table1();
-        let v = m.view(None, Some(&[0, 2]));
+        let v = m.view(&[0, 2]);
         // Deref coercion: a &MarketView is a &Market to any configurator.
         let out = Components::optimal().run(&v);
         // u1 and u3 alone: item A sells at 12 or 5x2=10 → 12; B at 11 or 4

@@ -3,37 +3,28 @@
 //!
 //! A live market is not rebuilt, it *drifts*: users arrive, ratings
 //! change, items launch and retire. [`MarketLog`] captures that drift as
-//! typed [`Event`]s over a **base** market whose WTP matrix is a pristine
-//! dual-CSR arena, and folds each accepted event into a **canonical net
-//! overlay** — a `BTreeMap` of per-cell overrides plus grown dimensions
-//! and retirement tombstones. The events themselves are not kept: the
-//! log's memory depends on the overlay, never on how many events built
-//! it. Two consequences fall out of keeping the overlay canonical:
+//! typed [`Event`]s over a **base** market and folds each accepted event
+//! into **canonical net churn** — a `BTreeMap` of per-cell overrides
+//! plus grown dimensions and retirement tombstones. The events themselves
+//! are not kept, and an override equal to the base content is dropped, so
+//! the log's memory is bounded by the distinct cells churn touched, never
+//! by how many events touched them.
 //!
-//! * [`MarketLog::snapshot`] materializes a [`Market`] whose matrix
-//!   layers the overlay over the shared arena without copying it
-//!   (touched rows/columns are merged, untouched slices read the arena
-//!   zero-copy), and every read, total, and content fingerprint of the
-//!   snapshot is **bit-identical** to a market cold-rebuilt from the
-//!   post-churn triples;
-//! * [`MarketLog::fingerprint`] yields a
-//!   [`DeltaFingerprint`] `(base, delta)` pair under which equivalent
-//!   histories collide (an upsert later deleted cancels; re-upserting
-//!   the base value cancels) and every effective event separates.
-//!
-//! Compaction ([`MarketLog::compact`], [`MarketLog::maybe_compact`])
-//! folds the overlay into a fresh arena once churn crosses a size
-//! threshold; reads are unchanged, only the `(base, delta)` split moves.
-//! The engine's solve cache keys on the *content* fingerprint of each
-//! (sub-)market, so a snapshot after churn invalidates exactly the sweep
-//! cells whose cohorts contain touched users/items — the
+//! [`MarketLog::snapshot`] materializes the post-churn [`Market`] as a
+//! fresh arena: every user's base row is merged with that user's
+//! overrides, in ascending `(user, item)` order, through the CSR
+//! builder's ascending front. Every read, total, and content fingerprint
+//! of the snapshot is therefore the builder's own output for the
+//! post-churn triples — **bit-identical** to a market cold-rebuilt from
+//! them. The engine's solve cache keys on the *content* fingerprint of
+//! each (sub-)market, so a snapshot after churn invalidates exactly the
+//! sweep cells whose cohorts contain touched users/items — the
 //! cache-invalidation invariant the churn CI leg pins.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::fingerprint::{DeltaFingerprint, Fingerprinter};
 use crate::market::Market;
-use crate::wtp::SparseSlice;
+use crate::wtp::{CsrBuilder, SparseSlice};
 
 /// One typed churn event. Ids are stable across the log's lifetime: axes
 /// only grow ([`Event::AddUser`] / [`Event::AddItem`] append ids),
@@ -58,16 +49,15 @@ pub enum Event {
     RetireItem { item: u32 },
 }
 
-/// Churn overlay over a base [`Market`] (module docs). Cheap to clone
-/// (the base arena is shared).
+/// Net churn over a base [`Market`] (module docs). Cheap to clone (the
+/// base arena is shared).
 #[derive(Debug, Clone)]
 pub struct MarketLog {
-    /// Base market; its matrix is always a pristine arena (no view, no
-    /// overlay) — [`MarketLog::new`] compacts anything else.
+    /// The market the log started from; never rebuilt.
     base: Market,
     /// Canonical net per-cell overrides vs the base arena:
     /// `Some(w)` = upsert, `None` = delete. An override equal to the base
-    /// content is removed, so equivalent histories share one overlay.
+    /// content is removed, so equivalent histories share one map.
     overrides: BTreeMap<(u32, u32), Option<f64>>,
     /// Post-churn dimensions (≥ the base's).
     n_users: usize,
@@ -109,16 +99,8 @@ fn merge_axis(base: SparseSlice<'_>, ovr: &[(u32, Option<f64>)]) -> (Vec<u32>, V
 }
 
 impl MarketLog {
-    /// Start a log over `base`. If the base matrix is a view or already
-    /// carries an overlay it is compacted into a fresh arena first, so
-    /// the log's overlay always layers over pristine storage.
+    /// Start a log over `base`.
     pub fn new(base: Market) -> Self {
-        let base = if base.wtp().is_view() || base.wtp().has_delta() {
-            let compacted = base.wtp().compact();
-            base.with_wtp(compacted)
-        } else {
-            base
-        };
         let n_users = base.n_users();
         let n_items = base.n_items();
         MarketLog {
@@ -132,7 +114,7 @@ impl MarketLog {
         }
     }
 
-    /// The (compacted) base market the overlay layers over.
+    /// The market the log started from.
     pub fn base(&self) -> &Market {
         &self.base
     }
@@ -204,7 +186,7 @@ impl MarketLog {
         merge_axis(base, &ovr)
     }
 
-    /// Apply one event to the overlay. Errors (out-of-range or retired
+    /// Apply one event to the pending churn. Errors (out-of-range or retired
     /// ids, invalid WTP/price) leave the log untouched.
     pub fn apply(&mut self, event: Event) -> Result<(), String> {
         match event {
@@ -305,13 +287,13 @@ impl MarketLog {
         }
     }
 
-    /// Materialize the post-churn market: the base arena plus a merged
-    /// delta overlay, zero-copy on every untouched row/column. Reads,
-    /// totals, and content fingerprints are bit-identical to a market
-    /// rebuilt cold from the post-churn triples.
+    /// Materialize the post-churn market as a fresh arena: users in
+    /// ascending order, each base row merged with that user's overrides,
+    /// pushed through [`CsrBuilder`]'s ascending front. Reads, totals, and
+    /// content fingerprints are bit-identical to a market rebuilt cold
+    /// from the post-churn triples.
     pub fn snapshot(&self) -> Market {
-        // No pending churn (fresh or just-compacted log): the base IS the
-        // snapshot — no overlay to layer.
+        // No pending churn: the base IS the snapshot.
         if self.overrides.is_empty()
             && self.n_users == self.base.n_users()
             && self.n_items == self.base.n_items()
@@ -320,129 +302,38 @@ impl MarketLog {
         }
         let bw = self.base.wtp();
         let (bnu, bni) = (bw.n_users(), bw.n_items());
-
-        let mut row_ovr: BTreeMap<u32, Vec<(u32, Option<f64>)>> = BTreeMap::new();
-        let mut col_ovr: BTreeMap<u32, Vec<(u32, Option<f64>)>> = BTreeMap::new();
-        // BTreeMap iterates (user, item) ascending, so each row list is
-        // ascending in item and each column list ascending in user.
-        for (&(u, i), &v) in &self.overrides {
-            row_ovr.entry(u).or_default().push((i, v));
-            col_ovr.entry(i).or_default().push((u, v));
+        let mut b = CsrBuilder::new(self.n_users, self.n_items);
+        if bw.has_listed_prices() {
+            let listed = (0..bni as u32)
+                .map(|i| bw.listed_price(i).expect("base is priced"))
+                .chain(self.new_listed.iter().copied())
+                .collect();
+            b = b.with_listed_prices(listed);
         }
-
-        let mut touched_u: BTreeSet<u32> = row_ovr.keys().copied().collect();
-        touched_u.extend(bnu as u32..self.n_users as u32);
-        let touched_rows: Vec<(u32, Vec<u32>, Vec<f64>)> = touched_u
-            .iter()
-            .map(|&u| {
-                let base = if (u as usize) < bnu {
-                    bw.row(u)
-                } else {
-                    SparseSlice { ids: &[], values: &[] }
-                };
-                let ovr = row_ovr.get(&u).map_or(&[][..], Vec::as_slice);
-                let (ids, vals) = merge_axis(base, ovr);
-                (u, ids, vals)
-            })
-            .collect();
-
-        let mut touched_i: BTreeSet<u32> = col_ovr.keys().copied().collect();
-        touched_i.extend(bni as u32..self.n_items as u32);
-        let touched_cols: Vec<(u32, Vec<u32>, Vec<f64>)> = touched_i
-            .iter()
-            .map(|&i| {
-                let base = if (i as usize) < bni {
-                    bw.col(i)
-                } else {
-                    SparseSlice { ids: &[], values: &[] }
-                };
-                let ovr = col_ovr.get(&i).map_or(&[][..], Vec::as_slice);
-                let (ids, vals) = merge_axis(base, ovr);
-                (i, ids, vals)
-            })
-            .collect();
-
-        let listed = if bw.has_listed_prices() {
-            Some(
-                (0..self.n_items)
-                    .map(|i| {
-                        if i < bni {
-                            bw.listed_price(i as u32).expect("base is priced")
-                        } else {
-                            self.new_listed[i - bni]
-                        }
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-
-        let wtp = bw.with_overlay(self.n_users, self.n_items, touched_rows, touched_cols, listed);
-        self.base.with_wtp(wtp)
-    }
-
-    /// Fold the pending overlay into a fresh arena. Reads are unchanged
-    /// (bit-identical before and after); the `(base, delta)` fingerprint
-    /// moves churn from the delta half into the base half. The retirement
-    /// tombstones are kept.
-    pub fn compact(&mut self) {
-        let snap = self.snapshot();
-        let compacted = snap.wtp().compact();
-        self.base = self.base.with_wtp(compacted);
-        self.overrides.clear();
-        self.new_listed.clear();
-    }
-
-    /// Compact when pending churn (overrides + grown ids) reaches
-    /// `max_delta_frac` of the base arena's stored entries (at least 1).
-    /// Returns whether compaction ran.
-    pub fn maybe_compact(&mut self, max_delta_frac: f64) -> bool {
-        let grown = (self.n_users - self.base.n_users()) + (self.n_items - self.base.n_items());
-        let pending = self.overrides.len() + grown;
-        let threshold = (self.base.wtp().nnz() as f64 * max_delta_frac).max(1.0);
-        if (pending as f64) >= threshold {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The `(base, delta)` content identity of this log (`DESIGN.md`
-    /// §10): the base half is the base market's content fingerprint, the
-    /// delta half digests the canonical overlay (dimensions, overrides in
-    /// cell order, grown-item prices, tombstones). Equivalent histories
-    /// collide; every effective event separates.
-    pub fn fingerprint(&self) -> DeltaFingerprint {
-        let mut fp = Fingerprinter::new("marketlog-delta");
-        fp.write_usize(self.n_users);
-        fp.write_usize(self.n_items);
-        fp.write_usize(self.overrides.len());
-        for (&(u, i), v) in &self.overrides {
-            fp.write_u32(u);
-            fp.write_u32(i);
-            match v {
-                Some(w) => {
-                    fp.write_u32(1);
-                    fp.write_f64(*w);
+        b.reserve(bw.nnz() + self.overrides.len());
+        // BTreeMap iterates (user, item) ascending: each user's overrides
+        // are one contiguous, item-ascending run.
+        let mut pending = self.overrides.iter().peekable();
+        let mut ovr: Vec<(u32, Option<f64>)> = Vec::new();
+        for u in 0..self.n_users as u32 {
+            let base =
+                if (u as usize) < bnu { bw.row(u) } else { SparseSlice { ids: &[], values: &[] } };
+            ovr.clear();
+            while let Some((&(_, i), &v)) = pending.next_if(|(&(ou, _), _)| ou == u) {
+                ovr.push((i, v));
+            }
+            if ovr.is_empty() {
+                for (i, w) in base.iter() {
+                    b.push(u, i, w);
                 }
-                None => fp.write_u32(0),
+            } else {
+                let (ids, vals) = merge_axis(base, &ovr);
+                for (i, w) in ids.into_iter().zip(vals) {
+                    b.push(u, i, w);
+                }
             }
         }
-        fp.write_usize(self.new_listed.len());
-        for &p in &self.new_listed {
-            fp.write_f64(p);
-        }
-        fp.write_usize(self.retired_users.len());
-        for &u in &self.retired_users {
-            fp.write_u32(u);
-        }
-        fp.write_usize(self.retired_items.len());
-        for &i in &self.retired_items {
-            fp.write_u32(i);
-        }
-        DeltaFingerprint { base: self.base.fingerprint(), delta: fp.finish() }
+        self.base.with_wtp(b.finish())
     }
 }
 
@@ -485,7 +376,6 @@ mod tests {
         assert_eq!(snap.fingerprint(), rebuilt.fingerprint());
         assert_eq!(snap.total_wtp().to_bits(), rebuilt.total_wtp().to_bits());
         assert_eq!(snap.n_users(), 4);
-        assert!(snap.wtp().has_delta());
     }
 
     #[test]
@@ -493,40 +383,37 @@ mod tests {
         let mut log = MarketLog::new(table1());
         log.apply(Event::UpsertWtp { user: 2, item: 0, wtp: 7.25 }).unwrap();
         log.apply(Event::RetireUser { user: 0 }).unwrap();
-        let before = log.snapshot();
-        let fp_before = log.fingerprint();
-        log.compact();
-        let after = log.snapshot();
-        assert!(log.overrides.is_empty());
-        assert!(!after.wtp().has_delta(), "compacted snapshot has no overlay");
-        assert_eq!(before.wtp(), after.wtp());
-        assert_eq!(before.fingerprint(), after.fingerprint());
-        // The (base, delta) split moved, the combined content did not.
-        let fp_after = log.fingerprint();
-        assert_ne!(fp_before.base, fp_after.base);
-        assert_ne!(fp_before, fp_after);
+        let snap = log.snapshot();
+        // The cold-rebuild oracle reads the snapshot back unchanged.
+        let cold = snap.wtp().compact();
+        assert_eq!(snap.wtp(), &cold);
+        assert_eq!(snap.wtp().fingerprint(), cold.fingerprint());
+        assert_eq!(snap.total_wtp().to_bits(), cold.total_wtp().to_bits());
+        // Snapshotting again changes nothing, and the tombstone holds.
+        assert_eq!(log.snapshot().fingerprint(), snap.fingerprint());
+        assert!(log.apply(Event::UpsertWtp { user: 0, item: 0, wtp: 1.0 }).is_err());
     }
 
     #[test]
     fn equivalent_histories_collide_and_effective_events_separate() {
         let base = table1();
-        let empty = MarketLog::new(base.clone()).fingerprint();
+        let empty = MarketLog::new(base.clone()).snapshot().fingerprint();
 
-        // Upsert then delete cancels (cell absent in base).
+        // Upsert then re-upsert of the base value cancels.
         let mut log = MarketLog::new(base.clone());
         log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: 3.0 }).unwrap();
-        assert_ne!(log.fingerprint(), empty);
+        assert_ne!(log.snapshot().fingerprint(), empty);
         log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: 8.0 }).unwrap(); // base value
-        assert_eq!(log.fingerprint(), empty);
+        assert_eq!(log.snapshot().fingerprint(), empty);
 
         // Delete then re-upsert of the base value cancels too.
         let mut log = MarketLog::new(base.clone());
         log.apply(Event::DeleteWtp { user: 0, item: 1 }).unwrap();
-        assert_ne!(log.fingerprint(), empty);
+        assert_ne!(log.snapshot().fingerprint(), empty);
         log.apply(Event::UpsertWtp { user: 0, item: 1, wtp: 4.0 }).unwrap();
-        assert_eq!(log.fingerprint(), empty);
+        assert_eq!(log.snapshot().fingerprint(), empty);
 
-        // Every event type separates from the empty log.
+        // Every event type on table 1's full matrix changes the content.
         for e in [
             Event::UpsertWtp { user: 0, item: 0, wtp: 1.0 },
             Event::DeleteWtp { user: 0, item: 0 },
@@ -537,8 +424,40 @@ mod tests {
         ] {
             let mut log = MarketLog::new(base.clone());
             log.apply(e).unwrap();
-            assert_ne!(log.fingerprint(), empty, "{e:?} must separate");
+            assert_ne!(log.snapshot().fingerprint(), empty, "{e:?} must separate");
         }
+
+        // Retiring an empty row changes no content; its effect is that a
+        // later rating for the id is refused.
+        let mut log = MarketLog::new(base);
+        log.apply(Event::AddUser).unwrap();
+        let grown = log.snapshot().fingerprint();
+        log.apply(Event::RetireUser { user: 3 }).unwrap();
+        assert_eq!(log.snapshot().fingerprint(), grown);
+        assert!(log.apply(Event::UpsertWtp { user: 3, item: 0, wtp: 1.0 }).is_err());
+    }
+
+    #[test]
+    fn cancelling_histories_leave_no_overrides() {
+        // The canonical form is what bounds the log's memory: a history
+        // whose net effect is nil leaves nothing behind, however long.
+        let mut log = MarketLog::new(table1());
+        for round in 0..50 {
+            let w = 1.0 + round as f64;
+            log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: w }).unwrap();
+            log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: 8.0 }).unwrap();
+            log.apply(Event::DeleteWtp { user: 2, item: 1 }).unwrap();
+            log.apply(Event::UpsertWtp { user: 2, item: 1, wtp: 11.0 }).unwrap();
+        }
+        assert!(log.overrides.is_empty());
+        assert_eq!(log.snapshot().fingerprint(), table1().fingerprint());
+
+        // Upsert-then-delete of a cell the base lacks cancels as well.
+        log.apply(Event::AddItem { listed_price: None }).unwrap();
+        log.apply(Event::UpsertWtp { user: 0, item: 2, wtp: 3.0 }).unwrap();
+        assert_eq!(log.overrides.len(), 1);
+        log.apply(Event::DeleteWtp { user: 0, item: 2 }).unwrap();
+        assert!(log.overrides.is_empty());
     }
 
     #[test]
@@ -551,9 +470,10 @@ mod tests {
         let err = log.apply(Event::UpsertWtp { user: 1, item: 0, wtp: 2.0 }).unwrap_err();
         assert!(err.contains("retired"), "{err}");
         // Idempotent.
-        let fp = log.fingerprint();
+        let (fp, overrides) = (snap.fingerprint(), log.overrides.clone());
         log.apply(Event::RetireUser { user: 1 }).unwrap();
-        assert_eq!(log.fingerprint(), fp);
+        assert_eq!(log.snapshot().fingerprint(), fp);
+        assert_eq!(log.overrides, overrides);
 
         log.apply(Event::RetireItem { item: 0 }).unwrap();
         let snap = log.snapshot();
@@ -575,7 +495,8 @@ mod tests {
         }
         let mut b = MarketLog::new(table1());
         b.apply_batch(events).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.overrides, b.overrides);
+        assert_eq!(a.snapshot().fingerprint(), b.snapshot().fingerprint());
         assert_eq!(a.snapshot().wtp(), b.snapshot().wtp());
     }
 
@@ -596,7 +517,7 @@ mod tests {
     #[test]
     fn errors_leave_the_log_untouched() {
         let mut log = MarketLog::new(table1());
-        let fp = log.fingerprint();
+        let fp = log.snapshot().fingerprint();
         assert!(log.apply(Event::UpsertWtp { user: 9, item: 0, wtp: 1.0 }).is_err());
         assert!(log.apply(Event::UpsertWtp { user: 0, item: 9, wtp: 1.0 }).is_err());
         assert!(log.apply(Event::UpsertWtp { user: 0, item: 0, wtp: f64::NAN }).is_err());
@@ -604,17 +525,7 @@ mod tests {
         assert!(log.apply(Event::DeleteWtp { user: 9, item: 0 }).is_err());
         assert!(log.apply(Event::RetireUser { user: 9 }).is_err());
         assert!(log.apply(Event::RetireItem { item: 9 }).is_err());
-        assert_eq!(log.fingerprint(), fp);
-    }
-
-    #[test]
-    fn maybe_compact_uses_the_delta_fraction() {
-        let mut log = MarketLog::new(table1()); // 6 stored entries
-        log.apply(Event::UpsertWtp { user: 0, item: 0, wtp: 1.0 }).unwrap();
-        assert!(!log.maybe_compact(0.5), "1 of 6 entries churned, below 50%");
-        log.apply(Event::UpsertWtp { user: 1, item: 1, wtp: 1.0 }).unwrap();
-        log.apply(Event::UpsertWtp { user: 2, item: 0, wtp: 1.0 }).unwrap();
-        assert!(log.maybe_compact(0.5), "3 of 6 reaches 50%");
-        assert!(log.overrides.is_empty());
+        assert!(log.overrides.is_empty() && log.retired_users.is_empty());
+        assert_eq!(log.snapshot().fingerprint(), fp);
     }
 }

@@ -2,28 +2,21 @@
 //!
 //! Storage is a **flat dual-CSR arena** (`DESIGN.md` §7): one contiguous
 //! `indptr`/`indices`/`values` triple per orientation (item-major columns
-//! and user-major rows), built once from `(user, item, wtp)` triples and
-//! shared behind an [`std::sync::Arc`]. A [`WtpMatrix`] stacks up to three
-//! layers over that arena (`DESIGN.md` §10):
-//!
-//! 1. the immutable **arena** itself;
-//! 2. an optional **delta overlay** ([`crate::marketlog::MarketLog`]'s
-//!    snapshot of net churn): touched rows/columns carry merged slices,
-//!    untouched slices read the arena zero-copy;
-//! 3. an optional **zero-copy view** restricting the (possibly churned)
-//!    base to an item and/or user subset with dense remapped ids;
-//!    restricted slices are materialized lazily, once, on first access.
+//! and user-major rows), built once from `(user, item, wtp)` triples by
+//! [`CsrBuilder`] and shared behind an [`std::sync::Arc`]. It is the only
+//! representation: a per-cohort sub-market ([`crate::market::Market::view`])
+//! and a churned snapshot ([`crate::marketlog::MarketLog::snapshot`]) are
+//! each a fresh arena, built by pushing their rows in ascending
+//! `(user, item)` order.
 //!
 //! Iteration order over a column (ascending user) and a row (ascending
-//! item) is identical for the arena, every overlay, and every view, which
-//! is what preserves the bit-identical determinism contract of `DESIGN.md`
-//! §6 across sub-market solves — and what makes a churned snapshot solve
+//! item), the total, and the fingerprint are therefore the builder's own
+//! output for the content, whatever path produced it — which is what
+//! preserves the bit-identical determinism contract of `DESIGN.md` §6
+//! across sub-market solves, and what makes a churned snapshot solve
 //! bit-identically to a cold rebuild ([`WtpMatrix::compact`]).
 
 use std::sync::{Arc, OnceLock};
-
-/// The shared empty slice (a column/row of an added-but-unrated id).
-const EMPTY_SLICE: SparseSlice<'static> = SparseSlice { ids: &[], values: &[] };
 
 /// One CSR orientation: entries of major index `k` live in
 /// `indices[indptr[k]..indptr[k+1]]` / `values[..]`, minor ids ascending.
@@ -105,89 +98,18 @@ impl<'a> IntoIterator for SparseSlice<'a> {
     }
 }
 
-/// Net churn layered over one arena (`DESIGN.md` §10): dimensions may have
-/// grown, touched rows/columns carry fully merged `(ids, values)` slices,
-/// and every untouched slice still reads the arena zero-copy. Built by
-/// [`crate::marketlog::MarketLog::snapshot`]; immutable once built (the
-/// log accumulates further churn and snapshots again).
-#[derive(Debug)]
-struct DeltaOverlay {
-    /// Post-churn dimensions, ≥ the arena's (ids are stable; axes only
-    /// grow — retirement tombstones, it never renumbers).
-    n_users: usize,
-    n_items: usize,
-    /// User id → index into `rows` (`u32::MAX` = untouched, read arena).
-    /// Every id ≥ the arena's user count is touched by construction.
-    row_rank: Vec<u32>,
-    /// Merged `(items, wtps)` of each touched row, items ascending.
-    rows: Vec<(Vec<u32>, Vec<f64>)>,
-    /// Item id → index into `cols` (`u32::MAX` = untouched).
-    col_rank: Vec<u32>,
-    /// Merged `(users, wtps)` of each touched column, users ascending.
-    cols: Vec<(Vec<u32>, Vec<f64>)>,
-    /// Σ over all post-churn entries, accumulated in (user, item) order —
-    /// bit-identical to [`CsrBuilder::finish`] on the rebuilt triples.
-    total_wtp: f64,
-    /// Stored entries after churn.
-    nnz: usize,
-    /// Listed prices of the churned matrix (present iff the base has
-    /// them; covers grown items too).
-    listed_prices: Option<Vec<f64>>,
-    /// Lazily computed content fingerprint ([`WtpMatrix::fingerprint`]).
-    fingerprint: OnceLock<u64>,
-}
-
-/// A restriction of the arena to an item and/or user subset.
-///
-/// Slices that survive unfiltered stay zero-copy (a column of a
-/// user-unrestricted view is the arena's column slice verbatim); slices
-/// that need filtering or id remapping are materialized lazily, once, on
-/// first access and cached here.
-#[derive(Debug)]
-struct ViewState {
-    /// Local item id → arena item id, strictly ascending.
-    item_map: Vec<u32>,
-    /// Local user id → arena user id, strictly ascending. Empty sentinel
-    /// never occurs: a user restriction always carries the kept ids.
-    user_map: Option<Vec<u32>>,
-    /// Arena user id → local user id (`u32::MAX` = excluded). Present iff
-    /// `user_map` is.
-    user_rank: Vec<u32>,
-    /// Arena item id → local item id (`u32::MAX` = excluded). Present iff
-    /// the item set is restricted.
-    item_rank: Vec<u32>,
-    /// True when `item_map` is a proper subset / remap of the arena items.
-    items_restricted: bool,
-    /// Lazily materialized filtered columns (only when users restricted).
-    lazy_cols: Vec<OnceLock<(Vec<u32>, Vec<f64>)>>,
-    /// Lazily materialized filtered rows (only when items restricted).
-    lazy_rows: Vec<OnceLock<(Vec<u32>, Vec<f64>)>>,
-    /// Σ of the entries inside the restriction.
-    total_wtp: f64,
-    /// Lazily computed content fingerprint of the restriction
-    /// ([`WtpMatrix::fingerprint`]).
-    fingerprint: OnceLock<u64>,
-}
-
 /// Sparse `M × N` willingness-to-pay matrix over a shared dual-CSR arena.
 /// Zero entries (consumer has no interest in the item) are not stored; both
 /// the item-major and the user-major orientation are kept because the
-/// algorithms need both. Cloning is cheap (the arena is shared),
-/// [`WtpMatrix::restrict`] produces zero-copy sub-matrix views, and a
-/// [`crate::marketlog::MarketLog`] snapshot layers a `DeltaOverlay` of
-/// net churn between the arena and any view (`DESIGN.md` §10).
+/// algorithms need both. Cloning is cheap (the arena is shared).
 #[derive(Debug, Clone)]
 pub struct WtpMatrix {
     store: Arc<WtpStore>,
-    /// Net churn over the arena; `None` for a pristine arena. Always
-    /// applied *before* `view` (a view restricts the churned base).
-    delta: Option<Arc<DeltaOverlay>>,
-    view: Option<Arc<ViewState>>,
 }
 
 /// Logical equality: same dimensions, same stored entries (compared
-/// through the column views, so an arena and a view with identical
-/// content compare equal), and same listed prices per item.
+/// column by column, so separately built arenas with identical content
+/// compare equal), and same listed prices per item.
 impl PartialEq for WtpMatrix {
     fn eq(&self, other: &Self) -> bool {
         if self.n_users() != other.n_users() || self.n_items() != other.n_items() {
@@ -206,7 +128,8 @@ impl PartialEq for WtpMatrix {
 /// offending pair.
 ///
 /// While pushes arrive strictly ascending in `(user, item)` — as every
-/// `RatingsData` stream and every [`WtpMatrix::compact`] replay does —
+/// `RatingsData` stream, churn snapshot, cohort sub-market and
+/// [`WtpMatrix::compact`] replay does —
 /// each entry is appended straight to the finished rows (12 B per entry),
 /// and a repeat of the previous pair panics on the spot. The first push
 /// below its predecessor **spills**: the rows written so far are unpacked
@@ -382,8 +305,6 @@ impl CsrBuilder {
                 listed_prices,
                 fingerprint: OnceLock::new(),
             }),
-            delta: None,
-            view: None,
         }
     }
 }
@@ -463,152 +384,37 @@ impl WtpMatrix {
         b.finish()
     }
 
-    /// Consumer count of the (possibly churned) base under any view.
-    fn base_n_users(&self) -> usize {
-        self.delta.as_ref().map_or(self.store.n_users, |d| d.n_users)
-    }
-
-    /// Item count of the (possibly churned) base under any view.
-    fn base_n_items(&self) -> usize {
-        self.delta.as_ref().map_or(self.store.n_items, |d| d.n_items)
-    }
-
-    /// Column of the churned base in arena/base ids: the merged overlay
-    /// slice when touched, the arena slice otherwise.
-    fn base_col(&self, item: usize) -> SparseSlice<'_> {
-        if let Some(d) = &self.delta {
-            let rank = d.col_rank[item];
-            if rank != u32::MAX {
-                let (ids, values) = &d.cols[rank as usize];
-                return SparseSlice { ids, values };
-            }
-            // Defensive: snapshot construction marks every beyond-arena id
-            // touched, so an untouched grown id can only be empty.
-            if item >= self.store.n_items {
-                return EMPTY_SLICE;
-            }
-        }
-        self.store.cols.slice(item)
-    }
-
-    /// Row of the churned base in arena/base ids (see [`Self::base_col`]).
-    fn base_row(&self, user: usize) -> SparseSlice<'_> {
-        if let Some(d) = &self.delta {
-            let rank = d.row_rank[user];
-            if rank != u32::MAX {
-                let (ids, values) = &d.rows[rank as usize];
-                return SparseSlice { ids, values };
-            }
-            if user >= self.store.n_users {
-                return EMPTY_SLICE;
-            }
-        }
-        self.store.rows.slice(user)
-    }
-
-    /// Listed price of a base-id item through the overlay, if priced.
-    fn base_listed_price(&self, item: usize) -> Option<f64> {
-        match &self.delta {
-            Some(d) => d.listed_prices.as_ref().map(|p| p[item]),
-            None => self.store.listed_prices.as_ref().map(|p| p[item]),
-        }
-    }
-
-    /// Number of consumers `M` (of the view, if restricted).
+    /// Number of consumers `M`.
     pub fn n_users(&self) -> usize {
-        match &self.view {
-            Some(v) => v.user_map.as_ref().map_or(self.base_n_users(), Vec::len),
-            None => self.base_n_users(),
-        }
+        self.store.n_users
     }
 
-    /// Number of items `N` (of the view, if restricted).
+    /// Number of items `N`.
     pub fn n_items(&self) -> usize {
-        match &self.view {
-            Some(v) => v.item_map.len(),
-            None => self.base_n_items(),
-        }
+        self.store.n_items
     }
 
     /// Non-zero entries of item `i`'s column as parallel `(users, wtps)`
-    /// slices, users ascending. Zero-copy into the arena unless the view
-    /// restricts users, in which case the filtered slice is materialized
-    /// once and cached.
+    /// slices, users ascending; zero-copy into the arena.
     pub fn col(&self, item: u32) -> SparseSlice<'_> {
-        match &self.view {
-            None => self.base_col(item as usize),
-            Some(v) => {
-                let arena_item = v.item_map[item as usize] as usize;
-                if v.user_map.is_none() {
-                    return self.base_col(arena_item);
-                }
-                let (ids, values) = v.lazy_cols[item as usize].get_or_init(|| {
-                    let full = self.base_col(arena_item);
-                    let mut ids = Vec::new();
-                    let mut vals = Vec::new();
-                    for (u, w) in full.iter() {
-                        let local = v.user_rank[u as usize];
-                        if local != u32::MAX {
-                            ids.push(local);
-                            vals.push(w);
-                        }
-                    }
-                    (ids, vals)
-                });
-                SparseSlice { ids, values }
-            }
-        }
+        self.store.cols.slice(item as usize)
     }
 
     /// Non-zero entries of user `u`'s row as parallel `(items, wtps)`
-    /// slices, items ascending. Zero-copy into the arena unless the view
-    /// restricts items, in which case the filtered slice is materialized
-    /// once and cached.
+    /// slices, items ascending; zero-copy into the arena.
     pub fn row(&self, user: u32) -> SparseSlice<'_> {
-        match &self.view {
-            None => self.base_row(user as usize),
-            Some(v) => {
-                let arena_user = match &v.user_map {
-                    Some(m) => m[user as usize] as usize,
-                    None => user as usize,
-                };
-                if !v.items_restricted {
-                    return self.base_row(arena_user);
-                }
-                let (ids, values) = v.lazy_rows[user as usize].get_or_init(|| {
-                    let full = self.base_row(arena_user);
-                    let mut ids = Vec::new();
-                    let mut vals = Vec::new();
-                    for (i, w) in full.iter() {
-                        let local = v.item_rank[i as usize];
-                        if local != u32::MAX {
-                            ids.push(local);
-                            vals.push(w);
-                        }
-                    }
-                    (ids, vals)
-                });
-                SparseSlice { ids, values }
-            }
-        }
+        self.store.rows.slice(user as usize)
     }
 
-    /// Σ of the stored WTP entries (the coverage denominator) — of the
-    /// restriction when this matrix is a view.
+    /// Σ of the stored WTP entries (the coverage denominator), summed by
+    /// the builder in `(user, item)` order.
     pub fn total_wtp(&self) -> f64 {
-        match &self.view {
-            Some(v) => v.total_wtp,
-            None => self.delta.as_ref().map_or(self.store.total_wtp, |d| d.total_wtp),
-        }
+        self.store.total_wtp
     }
 
     /// Listed price of an item, if the matrix came from ratings data.
     pub fn listed_price(&self, item: u32) -> Option<f64> {
-        let arena_item = match &self.view {
-            Some(v) => v.item_map[item as usize] as usize,
-            None => item as usize,
-        };
-        self.base_listed_price(arena_item)
+        self.store.listed_prices.as_ref().map(|p| p[item as usize])
     }
 
     /// A single entry (zero if not stored).
@@ -616,171 +422,26 @@ impl WtpMatrix {
         self.col(item).get(user)
     }
 
-    /// Number of stored (non-zero) entries. O(1) for the arena, O(N) touch
-    /// of cached columns for a user-restricted view.
+    /// Number of stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
-        match &self.view {
-            None => self.delta.as_ref().map_or(self.store.cols.indices.len(), |d| d.nnz),
-            Some(_) => (0..self.n_items() as u32).map(|i| self.col(i).len()).sum(),
-        }
+        self.store.cols.indices.len()
     }
 
-    /// True when this matrix is a restriction of a larger arena.
-    pub fn is_view(&self) -> bool {
-        self.view.is_some()
-    }
-
-    /// True when a delta overlay is layered over the arena.
-    pub fn has_delta(&self) -> bool {
-        self.delta.is_some()
-    }
-
-    /// True when the matrix carries listed per-item prices (a base
-    /// property: views and overlays pass it through).
+    /// True when the matrix carries listed per-item prices.
     pub fn has_listed_prices(&self) -> bool {
-        match &self.delta {
-            Some(d) => d.listed_prices.is_some(),
-            None => self.store.listed_prices.is_some(),
-        }
-    }
-
-    /// Zero-copy restriction to an item subset and/or user subset (arena
-    /// ids of `self`; `None` keeps the axis whole). Ids are remapped
-    /// densely in ascending order of the original ids, so iteration order
-    /// — hence every downstream result — matches a matrix rebuilt from the
-    /// restricted triples bit for bit.
-    ///
-    /// Restricting a view composes: ids are interpreted in the view's
-    /// coordinates and resolved back to the arena.
-    pub fn restrict(&self, items: Option<&[u32]>, users: Option<&[u32]>) -> WtpMatrix {
-        let resolve =
-            |subset: Option<&[u32]>, bound: usize, map: &dyn Fn(u32) -> u32| -> Option<Vec<u32>> {
-                subset.map(|s| {
-                    let mut ids: Vec<u32> = s
-                        .iter()
-                        .map(|&x| {
-                            assert!((x as usize) < bound, "subset id {x} out of range ({bound})");
-                            map(x)
-                        })
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    ids
-                })
-            };
-        // Resolve the subset through the current view into arena ids.
-        let (cur_items, cur_users): (Option<&[u32]>, Option<&[u32]>) = match &self.view {
-            Some(v) => (Some(&v.item_map), v.user_map.as_deref()),
-            None => (None, None),
-        };
-        let item_map: Vec<u32> = match resolve(items, self.n_items(), &|x| match cur_items {
-            Some(m) => m[x as usize],
-            None => x,
-        }) {
-            Some(m) => m,
-            None => match cur_items {
-                Some(m) => m.to_vec(),
-                None => (0..self.base_n_items() as u32).collect(),
-            },
-        };
-        let user_map: Option<Vec<u32>> =
-            match resolve(users, self.n_users(), &|x| match cur_users {
-                Some(m) => m[x as usize],
-                None => x,
-            }) {
-                Some(m) => Some(m),
-                None => cur_users.map(|m| m.to_vec()),
-            };
-
-        let items_restricted = item_map.len() != self.base_n_items()
-            || item_map.iter().enumerate().any(|(k, &i)| k as u32 != i);
-        let mut item_rank = vec![u32::MAX; self.base_n_items()];
-        for (local, &arena) in item_map.iter().enumerate() {
-            item_rank[arena as usize] = local as u32;
-        }
-        let mut user_rank = vec![u32::MAX; self.base_n_users()];
-        match &user_map {
-            Some(m) => {
-                for (local, &arena) in m.iter().enumerate() {
-                    user_rank[arena as usize] = local as u32;
-                }
-            }
-            None => {
-                for (u, r) in user_rank.iter_mut().enumerate() {
-                    *r = u as u32;
-                }
-            }
-        }
-
-        // Σ WTP inside the restriction, accumulated in (user, item) order —
-        // the exact order `CsrBuilder::finish` sums a matrix rebuilt from
-        // the restricted triples, so the view's total (hence the coverage
-        // metric) is bit-identical to the rebuilt market's, not just close.
-        let mut total = 0.0;
-        let mut add_row = |arena_user: usize| {
-            let full = self.base_row(arena_user);
-            if items_restricted {
-                for (i, w) in full.iter() {
-                    if item_rank[i as usize] != u32::MAX {
-                        total += w;
-                    }
-                }
-            } else {
-                for &w in full.values {
-                    total += w;
-                }
-            }
-        };
-        match &user_map {
-            Some(m) => m.iter().for_each(|&u| add_row(u as usize)),
-            None => (0..self.base_n_users()).for_each(&mut add_row),
-        }
-
-        let n_local_items = item_map.len();
-        let n_local_users = user_map.as_ref().map_or(self.base_n_users(), Vec::len);
-        WtpMatrix {
-            store: Arc::clone(&self.store),
-            delta: self.delta.clone(),
-            view: Some(Arc::new(ViewState {
-                lazy_cols: if user_map.is_some() {
-                    (0..n_local_items).map(|_| OnceLock::new()).collect()
-                } else {
-                    Vec::new()
-                },
-                lazy_rows: if items_restricted {
-                    (0..n_local_users).map(|_| OnceLock::new()).collect()
-                } else {
-                    Vec::new()
-                },
-                item_map,
-                user_map,
-                user_rank,
-                item_rank,
-                items_restricted,
-                total_wtp: total,
-                fingerprint: OnceLock::new(),
-            })),
-        }
+        self.store.listed_prices.is_some()
     }
 
     /// Stable 64-bit **content fingerprint** of this matrix: dimensions,
     /// every stored `(user, item, wtp)` entry (ids and value bits, in
     /// column iteration order), and the listed prices. Logically equal
-    /// matrices fingerprint equal — an arena and a view with identical
-    /// content, or a view and a matrix rebuilt from the restricted triples,
-    /// share one digest — which is what lets the sweep engine's solve cache
+    /// matrices fingerprint equal — a cohort sub-market or a churned
+    /// snapshot shares one digest with a matrix built cold from the same
+    /// triples — which is what lets the sweep engine's solve cache
     /// (`DESIGN.md` §8) recognize repeated sub-markets across sweep axes.
-    ///
-    /// Computed once per arena/view and cached (`OnceLock`); for a
-    /// user-restricted view the first call materializes every lazy column,
-    /// which a subsequent solve would do anyway.
+    /// Computed once per arena and cached (`OnceLock`).
     pub fn fingerprint(&self) -> u64 {
-        let slot = match (&self.view, &self.delta) {
-            (Some(v), _) => &v.fingerprint,
-            (None, Some(d)) => &d.fingerprint,
-            (None, None) => &self.store.fingerprint,
-        };
-        *slot.get_or_init(|| {
+        *self.store.fingerprint.get_or_init(|| {
             let mut fp = crate::fingerprint::Fingerprinter::new("wtp");
             fp.write_usize(self.n_users());
             fp.write_usize(self.n_items());
@@ -803,105 +464,31 @@ impl WtpMatrix {
         })
     }
 
-    /// Rebuild a fresh pristine arena holding this matrix's exact content,
-    /// folding in any delta overlay and/or view. Entries are replayed in
-    /// (user, item) order through [`CsrBuilder`], so every read, total,
-    /// and fingerprint of the result is bit-identical to `self`'s — this
-    /// is the compaction step of `DESIGN.md` §10 and the "cold rebuild"
-    /// the churn parity tests compare against.
+    /// Rebuild a fresh arena holding this matrix's exact content — the
+    /// "cold rebuild" oracle the churn parity checks compare against.
+    /// Every read, total, and fingerprint of the result is bit-identical
+    /// to `self`'s.
     pub fn compact(&self) -> WtpMatrix {
-        let (m, n) = (self.n_users(), self.n_items());
-        let mut b = CsrBuilder::new(m, n);
-        b.reserve(self.nnz());
-        for u in 0..m as u32 {
-            for (i, w) in self.row(u).iter() {
-                b.push(u, i, w);
-            }
-        }
-        if self.has_listed_prices() {
-            let prices = (0..n as u32).map(|i| self.listed_price(i).unwrap()).collect();
-            b = b.with_listed_prices(prices);
-        }
-        b.finish()
+        let all: Vec<u32> = (0..self.n_users() as u32).collect();
+        self.select_users(&all)
     }
 
-    /// Layer a fully merged delta overlay over a pristine arena — the
-    /// snapshot constructor of [`crate::marketlog::MarketLog`]. The
-    /// touched rows/columns carry the complete *post-churn* slices of
-    /// every churned id (ascending id, ascending minor ids inside, the
-    /// two orientations mutually consistent), and every id beyond the
-    /// arena's dimensions must appear as touched in both orientations.
-    /// The overlay's total is accumulated here in (user, item) order so a
-    /// snapshot read is bit-identical to [`Self::compact`] of itself.
-    pub(crate) fn with_overlay(
-        &self,
-        n_users: usize,
-        n_items: usize,
-        touched_rows: Vec<(u32, Vec<u32>, Vec<f64>)>,
-        touched_cols: Vec<(u32, Vec<u32>, Vec<f64>)>,
-        listed_prices: Option<Vec<f64>>,
-    ) -> WtpMatrix {
-        assert!(
-            self.view.is_none() && self.delta.is_none(),
-            "overlay base must be a pristine arena"
-        );
-        assert!(n_users >= self.store.n_users, "user axis only grows");
-        assert!(n_items >= self.store.n_items, "item axis only grows");
-        match (&self.store.listed_prices, &listed_prices) {
-            (Some(_), Some(p)) => assert_eq!(p.len(), n_items, "one listed price per item"),
-            (None, None) => {}
-            _ => panic!("overlay listed prices must match the base's presence"),
+    /// A fresh arena over every item and the rows of `users` (strictly
+    /// ascending ids of `self`), renumbered densely in that order. The
+    /// rows are pushed through [`CsrBuilder`]'s ascending front, so the
+    /// result is bit-identical to a matrix built from the kept triples.
+    pub(crate) fn select_users(&self, users: &[u32]) -> WtpMatrix {
+        let mut b = CsrBuilder::new(users.len(), self.n_items());
+        if let Some(p) = &self.store.listed_prices {
+            b = b.with_listed_prices(p.clone());
         }
-
-        let mut row_rank = vec![u32::MAX; n_users];
-        let mut rows = Vec::with_capacity(touched_rows.len());
-        for (u, ids, vals) in touched_rows {
-            debug_assert_eq!(ids.len(), vals.len());
-            row_rank[u as usize] = rows.len() as u32;
-            rows.push((ids, vals));
-        }
-        let mut col_rank = vec![u32::MAX; n_items];
-        let mut cols = Vec::with_capacity(touched_cols.len());
-        for (i, ids, vals) in touched_cols {
-            debug_assert_eq!(ids.len(), vals.len());
-            col_rank[i as usize] = cols.len() as u32;
-            cols.push((ids, vals));
-        }
-        for (u, &r) in row_rank.iter().enumerate().skip(self.store.n_users) {
-            assert!(r != u32::MAX, "grown user {u} must be in the touched set");
-        }
-        for (i, &r) in col_rank.iter().enumerate().skip(self.store.n_items) {
-            assert!(r != u32::MAX, "grown item {i} must be in the touched set");
-        }
-
-        // Post-churn Σ and nnz, in the builder's (user, item) order.
-        let mut total = 0.0;
-        let mut nnz = 0usize;
-        for (u, &r) in row_rank.iter().enumerate() {
-            let vals: &[f64] =
-                if r != u32::MAX { &rows[r as usize].1 } else { self.store.rows.slice(u).values };
-            nnz += vals.len();
-            for &w in vals {
-                total += w;
+        b.reserve(users.iter().map(|&u| self.row(u).len()).sum());
+        for (local, &u) in users.iter().enumerate() {
+            for (i, w) in self.row(u).iter() {
+                b.push(local as u32, i, w);
             }
         }
-
-        WtpMatrix {
-            store: Arc::clone(&self.store),
-            delta: Some(Arc::new(DeltaOverlay {
-                n_users,
-                n_items,
-                row_rank,
-                rows,
-                col_rank,
-                cols,
-                total_wtp: total,
-                nnz,
-                listed_prices,
-                fingerprint: OnceLock::new(),
-            })),
-            view: None,
-        }
+        b.finish()
     }
 }
 
@@ -1075,48 +662,15 @@ mod tests {
     }
 
     #[test]
-    fn restrict_items_is_zero_copy_on_columns() {
-        let w = WtpMatrix::from_rows(vec![vec![12.0, 4.0, 7.0], vec![8.0, 2.0, 0.0]]);
-        let v = w.restrict(Some(&[2, 0]), None);
-        assert_eq!(v.n_items(), 2);
-        assert_eq!(v.n_users(), 2);
-        // Local item 0 = arena item 0, local item 1 = arena item 2 (sorted).
-        assert_eq!(v.col(0).values, w.col(0).values);
-        assert_eq!(v.col(1).values, w.col(2).values);
-        assert_eq!(v.total_wtp(), 12.0 + 8.0 + 7.0);
-        // Rows are remapped to local item ids.
-        assert_eq!(v.row(0).ids, &[0, 1]);
-        assert_eq!(v.row(0).values, &[12.0, 7.0]);
-        assert_eq!(v.row(1).ids, &[0]);
-    }
-
-    #[test]
     fn restrict_users_remaps_columns() {
         let w = WtpMatrix::from_rows(vec![vec![12.0, 4.0], vec![8.0, 2.0], vec![5.0, 11.0]]);
-        let v = w.restrict(None, Some(&[2, 0]));
+        let v = w.select_users(&[0, 2]);
         assert_eq!(v.n_users(), 2);
-        assert_eq!(v.col(0).ids, &[0, 1]); // local ids for arena users 0, 2
+        assert_eq!(v.col(0).ids, &[0, 1]); // local ids for users 0, 2
         assert_eq!(v.col(0).values, &[12.0, 5.0]);
-        assert_eq!(v.row(1).values, &[5.0, 11.0]); // local user 1 = arena 2
+        assert_eq!(v.row(1).values, &[5.0, 11.0]); // local user 1 = user 2
         assert_eq!(v.total_wtp(), 32.0);
         assert_eq!(v.nnz(), 4);
-        assert!(v.is_view());
-    }
-
-    #[test]
-    fn restrict_composes() {
-        let w = WtpMatrix::from_rows(vec![
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-            vec![7.0, 8.0, 9.0],
-        ]);
-        let v1 = w.restrict(Some(&[1, 2]), Some(&[0, 2]));
-        // v1 local item 1 = arena item 2; v1 local user 1 = arena user 2.
-        let v2 = v1.restrict(Some(&[1]), Some(&[1]));
-        assert_eq!(v2.n_items(), 1);
-        assert_eq!(v2.n_users(), 1);
-        assert_eq!(v2.get(0, 0), 9.0);
-        assert_eq!(v2.total_wtp(), 9.0);
     }
 
     #[test]
@@ -1126,18 +680,23 @@ mod tests {
             vec![0.0, 5.0, 6.0, 0.0],
             vec![7.0, 8.0, 0.0, 9.0],
         ]);
-        let v = w.restrict(Some(&[0, 2, 3]), Some(&[0, 2]));
-        let rebuilt = WtpMatrix::from_rows(vec![vec![1.0, 3.0, 4.0], vec![7.0, 0.0, 9.0]]);
+        let v = w.select_users(&[0, 2]);
+        let rebuilt =
+            WtpMatrix::from_rows(vec![vec![1.0, 0.0, 3.0, 4.0], vec![7.0, 8.0, 0.0, 9.0]]);
         assert_eq!(v, rebuilt);
         assert_eq!(v.total_wtp(), rebuilt.total_wtp());
+        // The cold-rebuild oracle is identity on reads, totals and digests.
+        let c = w.compact();
+        assert_eq!(c, w);
+        assert_eq!(c.total_wtp().to_bits(), w.total_wtp().to_bits());
+        assert_eq!(c.fingerprint(), w.fingerprint());
     }
 
     #[test]
     fn view_total_wtp_bit_identical_to_rebuild() {
         // Non-dyadic ratings-derived values (λ·stars/5·$x.99): any
-        // accumulation-order difference between the view's total and the
-        // builder's shows up as 1-ulp drift. The view must sum in the
-        // builder's (user, item) order exactly.
+        // accumulation-order difference between the sub-market's total and
+        // a cold build's shows up as 1-ulp drift.
         let ratings: Vec<(u32, u32, u8)> = (0..6u32)
             .flat_map(|u| {
                 (0..4u32)
@@ -1147,16 +706,15 @@ mod tests {
             .collect();
         let prices = [9.99, 14.99, 3.33, 7.77];
         let w = WtpMatrix::from_ratings(6, 4, ratings.clone(), &prices, 1.1);
-        let v = w.restrict(Some(&[1, 3]), Some(&[0, 2, 5]));
+        let v = w.select_users(&[0, 2, 5]);
         let rebuilt = WtpMatrix::from_ratings(
             3,
-            2,
+            4,
             ratings.iter().filter_map(|&(u, i, s)| {
                 let lu = [0u32, 2, 5].iter().position(|&x| x == u)?;
-                let li = [1u32, 3].iter().position(|&x| x == i)?;
-                Some((lu as u32, li as u32, s))
+                Some((lu as u32, i, s))
             }),
-            &[14.99, 7.77],
+            &prices,
             1.1,
         );
         assert_eq!(v.total_wtp().to_bits(), rebuilt.total_wtp().to_bits());
@@ -1196,12 +754,13 @@ mod tests {
             vec![0.0, 5.0, 6.0, 0.0],
             vec![7.0, 8.0, 0.0, 9.0],
         ]);
-        let v = w.restrict(Some(&[0, 2, 3]), Some(&[0, 2]));
-        let rebuilt = WtpMatrix::from_rows(vec![vec![1.0, 3.0, 4.0], vec![7.0, 0.0, 9.0]]);
+        let v = w.select_users(&[0, 2]);
+        let rebuilt =
+            WtpMatrix::from_rows(vec![vec![1.0, 0.0, 3.0, 4.0], vec![7.0, 8.0, 0.0, 9.0]]);
         assert_eq!(v.fingerprint(), rebuilt.fingerprint());
-        // ... and differs from both the arena and a different restriction.
+        // ... and differs from both the whole matrix and another subset.
         assert_ne!(v.fingerprint(), w.fingerprint());
-        assert_ne!(v.fingerprint(), w.restrict(Some(&[0, 2, 3]), Some(&[0, 1])).fingerprint());
+        assert_ne!(v.fingerprint(), w.select_users(&[0, 1]).fingerprint());
     }
 
     #[test]
@@ -1215,49 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn overlay_merges_base_and_touched_slices() {
-        let w = WtpMatrix::from_rows(vec![vec![12.0, 4.0], vec![8.0, 2.0], vec![5.0, 11.0]]);
-        // Churn: (user 1, item 0) 8 → 9, and a new user 3 rating item 1 at 6.
-        let d = w.with_overlay(
-            4,
-            2,
-            vec![(1, vec![0, 1], vec![9.0, 2.0]), (3, vec![1], vec![6.0])],
-            vec![
-                (0, vec![0, 1, 2], vec![12.0, 9.0, 5.0]),
-                (1, vec![0, 1, 2, 3], vec![4.0, 2.0, 11.0, 6.0]),
-            ],
-            None,
-        );
-        assert!(d.has_delta());
-        assert_eq!(d.n_users(), 4);
-        assert_eq!(d.get(1, 0), 9.0);
-        assert_eq!(d.get(3, 1), 6.0);
-        assert_eq!(d.get(0, 0), 12.0); // untouched row reads the arena
-        assert_eq!(d.nnz(), 7);
-        let rebuilt = WtpMatrix::from_rows(vec![
-            vec![12.0, 4.0],
-            vec![9.0, 2.0],
-            vec![5.0, 11.0],
-            vec![0.0, 6.0],
-        ]);
-        assert_eq!(d, rebuilt);
-        assert_eq!(d.total_wtp().to_bits(), rebuilt.total_wtp().to_bits());
-        assert_eq!(d.fingerprint(), rebuilt.fingerprint());
-        // Compaction is identity on reads and fingerprints.
-        let c = d.compact();
-        assert!(!c.has_delta());
-        assert_eq!(c, rebuilt);
-        assert_eq!(c.fingerprint(), d.fingerprint());
-        // A view over the churned base reads through the overlay.
-        let v = d.restrict(Some(&[0]), Some(&[1, 3]));
-        assert_eq!(v.get(0, 0), 9.0);
-        assert_eq!(v.n_users(), 2);
-        let cold = c.restrict(Some(&[0]), Some(&[1, 3]));
-        assert_eq!(v.fingerprint(), cold.fingerprint());
-        assert_eq!(v.total_wtp().to_bits(), cold.total_wtp().to_bits());
-    }
-
-    #[test]
     fn view_listed_prices_remap() {
         let w = WtpMatrix::from_ratings(
             2,
@@ -1266,8 +782,10 @@ mod tests {
             &[10.0, 20.0, 30.0],
             1.25,
         );
-        let v = w.restrict(Some(&[2, 1]), None);
-        assert_eq!(v.listed_price(0), Some(20.0));
-        assert_eq!(v.listed_price(1), Some(30.0));
+        // A user subset keeps every item, so every listed price carries over.
+        let v = w.select_users(&[1]);
+        assert_eq!(v.listed_price(0), Some(10.0));
+        assert_eq!(v.listed_price(2), Some(30.0));
+        assert_eq!(v.row(0).ids, &[2]);
     }
 }

@@ -1,19 +1,19 @@
-//! Property tests for the event-sourced delta layer (`DESIGN.md` §10):
+//! Property tests for the event-sourced churn log (`DESIGN.md` §10):
 //!
 //! 1. **Replay ≡ rebuild**: a random event stream applied through a
-//!    [`MarketLog`] reads bit-for-bit like a `Market` rebuilt from scratch
-//!    on the stream's net content — every row, every column, the totals,
-//!    and the content fingerprint. Re-applying the events the test
-//!    recorded onto the same base reproduces the log exactly (both
-//!    fingerprint halves).
-//! 2. **Compaction identity**: folding the pending deltas into a fresh
-//!    arena changes no read and no content fingerprint.
-//! 3. **Fingerprint separation/collision**: every event type moves the
-//!    `(base, delta)` fingerprint, and equivalent histories (same net
-//!    effect through different event sequences) collide.
+//!    [`MarketLog`] snapshots bit-for-bit like a `Market` rebuilt from
+//!    scratch on the stream's net content — every row, every column, the
+//!    totals, and the content fingerprint. Re-applying the events the
+//!    test recorded onto the same base reproduces the snapshot exactly.
+//! 2. **Rebuild identity**: the cold-rebuild oracle
+//!    ([`WtpMatrix::compact`]) of a snapshot changes no read and no
+//!    content fingerprint.
+//! 3. **Separation/collision**: every effective event either changes the
+//!    snapshot's content or (retiring an empty row or column) makes a
+//!    later upsert to it refused, and equivalent histories (same net
+//!    effect through different event sequences) snapshot to equal content.
 
 use proptest::prelude::*;
-use revmax_core::fingerprint::DeltaFingerprint;
 use revmax_core::market::Market;
 use revmax_core::marketlog::{Event, MarketLog};
 use revmax_core::params::Params;
@@ -165,8 +165,8 @@ proptest! {
             model.step(&mut log, op).unwrap();
         }
 
-        // The overlay snapshot reads bit-for-bit like a market rebuilt from
-        // the model's dense content.
+        // The snapshot reads bit-for-bit like a market rebuilt from the
+        // model's dense content.
         let snapshot = log.snapshot();
         let rebuilt = Market::new(
             WtpMatrix::from_rows(model.rows.clone()),
@@ -175,11 +175,10 @@ proptest! {
         assert_reads_identical(&snapshot, &rebuilt);
 
         // Re-applying the recorded events onto the same base reproduces
-        // the log exactly: same reads, same (base, delta) fingerprint.
+        // the snapshot exactly.
         let mut replayed = MarketLog::new(base);
         replayed.apply_batch(model.applied.iter().copied()).unwrap();
         assert_reads_identical(&replayed.snapshot(), &snapshot);
-        prop_assert_eq!(replayed.fingerprint(), log.fingerprint());
     }
 
     #[test]
@@ -190,49 +189,63 @@ proptest! {
         for op in ops {
             model.step(&mut log, op).unwrap();
         }
-        let before = log.snapshot();
-        log.compact();
-        let after = log.snapshot();
-        prop_assert!(!after.wtp().has_delta(), "compaction must leave a pristine arena");
-        assert_reads_identical(&after, &before);
+        let snapshot = log.snapshot();
+        let rebuilt = snapshot.with_wtp(snapshot.wtp().compact());
+        assert_reads_identical(&rebuilt, &snapshot);
     }
 
     #[test]
-    fn every_event_type_moves_the_delta_fingerprint((rows, theta) in arb_base()) {
+    fn every_effective_event_changes_the_snapshot_or_refuses_upserts(
+        (rows, theta) in arb_base(),
+    ) {
         let base = Market::new(WtpMatrix::from_rows(rows.clone()), Params::default().with_theta(theta));
         let log = MarketLog::new(base);
-        let fp0 = log.fingerprint();
+        let fp0 = log.snapshot().fingerprint();
 
-        // Each event type, applied to a fresh clone, separates the delta
-        // half (the base half never moves without compaction).
+        // Each event type, applied to a fresh clone, changes the content.
         let (nu, ni) = (rows.len() as u32, rows[0].len() as u32);
         let mut variants: Vec<(&str, Event)> = vec![
             ("add_user", Event::AddUser),
             ("add_item", Event::AddItem { listed_price: None }),
             ("upsert", Event::UpsertWtp { user: 0, item: 0, wtp: rows[0][0] + 1.0 }),
-            ("retire_user", Event::RetireUser { user: nu - 1 }),
-            ("retire_item", Event::RetireItem { item: ni - 1 }),
         ];
-        // A delete only moves the fingerprint when the cell exists.
+        // A delete only takes effect when the cell exists.
         if let Some((u, i)) = (0..nu)
             .flat_map(|u| (0..ni).map(move |i| (u, i)))
             .find(|&(u, i)| rows[u as usize][i as usize] > 0.0)
         {
             variants.push(("delete", Event::DeleteWtp { user: u, item: i }));
         }
-        let mut fps: Vec<(&str, DeltaFingerprint)> = vec![("untouched", fp0)];
+        let mut fps: Vec<(&str, u64)> = vec![("untouched", fp0)];
         for (name, event) in variants {
             let mut l = log.clone();
             l.apply(event).unwrap();
-            let fp = l.fingerprint();
-            prop_assert_eq!(fp.base, fp0.base, "{}: base half must not move", name);
+            let fp = l.snapshot().fingerprint();
             for (other, prev) in &fps {
-                prop_assert_ne!(
-                    fp.combined(), prev.combined(),
-                    "{} must separate from {}", name, other
-                );
+                prop_assert_ne!(fp, *prev, "{} must separate from {}", name, other);
             }
             fps.push((name, fp));
+        }
+
+        // A retirement drops a non-empty row/column from the content; on
+        // an empty one the content stays and a later upsert is refused.
+        let (u, i) = (nu - 1, ni - 1);
+        let row_empty = rows[u as usize].iter().all(|&w| w == 0.0);
+        let col_empty = rows.iter().all(|r| r[i as usize] == 0.0);
+        for (name, event, empty) in [
+            ("retire_user", Event::RetireUser { user: u }, row_empty),
+            ("retire_item", Event::RetireItem { item: i }, col_empty),
+        ] {
+            let mut l = log.clone();
+            l.apply(event).unwrap();
+            let fp = l.snapshot().fingerprint();
+            if empty {
+                prop_assert_eq!(fp, fp0, "{} of an empty slice keeps the content", name);
+            } else {
+                prop_assert_ne!(fp, fp0, "{} must change the content", name);
+            }
+            let upsert = Event::UpsertWtp { user: u, item: i, wtp: 1.0 };
+            prop_assert!(l.apply(upsert).is_err(), "{}: a later upsert must be refused", name);
         }
     }
 
@@ -256,7 +269,8 @@ proptest! {
         a.apply_batch(history_a).unwrap();
         let mut b = MarketLog::new(base.clone());
         b.apply_batch(history_b).unwrap();
-        prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        let untouched = MarketLog::new(base.clone()).snapshot().fingerprint();
+        prop_assert_eq!(a.snapshot().fingerprint(), b.snapshot().fingerprint());
         prop_assert_ne!(history_a.len(), history_b.len(), "histories differ, content agrees");
 
         // Upserting the base's own content (bit-equal) cancels: ≡ untouched.
@@ -264,7 +278,7 @@ proptest! {
             let mut c = MarketLog::new(base.clone());
             c.apply(Event::UpsertWtp { user: 0, item: 0, wtp: w1 }).unwrap();
             c.apply(Event::UpsertWtp { user: 0, item: 0, wtp: rows[0][0] }).unwrap();
-            prop_assert_eq!(c.fingerprint(), MarketLog::new(base.clone()).fingerprint());
+            prop_assert_eq!(c.snapshot().fingerprint(), untouched);
         }
 
         // Upsert-then-delete of a base-absent cell ≡ untouched.
@@ -272,7 +286,7 @@ proptest! {
             let mut d = MarketLog::new(base.clone());
             d.apply(Event::UpsertWtp { user: 0, item: 0, wtp: w1 }).unwrap();
             d.apply(Event::DeleteWtp { user: 0, item: 0 }).unwrap();
-            prop_assert_eq!(d.fingerprint(), MarketLog::new(base).fingerprint());
+            prop_assert_eq!(d.snapshot().fingerprint(), untouched);
         }
     }
 }

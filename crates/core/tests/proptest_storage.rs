@@ -5,10 +5,10 @@
 //! 2. The arena's bits do not depend on arrival order: sorted, shuffled
 //!    and late-out-of-order (spilling) pushes of the same triples give the
 //!    same `total_wtp` bits, fingerprint, and row/column slices.
-//! 3. Any [`MarketView`] — item subset, user subset, or both — answers
-//!    every solve **bit-identically** to a `Market` built from scratch on
-//!    the restricted triples: same revenue, same prices, same bundles,
-//!    for every configurator in the registry.
+//! 3. Any [`MarketView`] of a user subset answers every solve
+//!    **bit-identically** to a `Market` built from scratch on the kept
+//!    triples: same revenue, same prices, same bundles, for every
+//!    configurator in the registry.
 
 use proptest::prelude::*;
 use revmax_core::algorithms::registry;
@@ -162,18 +162,12 @@ proptest! {
     #[test]
     fn market_view_solves_equal_from_scratch_markets(
         (dense, theta) in arb_dense(),
-        item_mask in 1u32..64,
         user_mask in 1u32..64,
     ) {
         let (m, n) = (dense.len(), dense[0].len());
-        // Non-empty subsets carved from the masks.
-        let mut items: Vec<u32> =
-            (0..n as u32).filter(|i| item_mask & (1 << (i % 6)) != 0).collect();
+        // A non-empty subset carved from the mask.
         let mut users: Vec<u32> =
             (0..m as u32).filter(|u| user_mask & (1 << (u % 6)) != 0).collect();
-        if items.is_empty() {
-            items.push(0);
-        }
         if users.is_empty() {
             users.push(0);
         }
@@ -183,19 +177,18 @@ proptest! {
             WtpMatrix::from_triples(m, n, triples_of(&dense), None),
             params,
         );
-        let view = whole.view(Some(&items), Some(&users));
+        let view = whole.view(&users);
 
-        // From-scratch market over the restricted triples with remapped ids.
+        // From-scratch market over the kept triples with remapped user ids.
         let restricted: Vec<(u32, u32, f64)> = triples_of(&dense)
             .into_iter()
             .filter_map(|(u, i, w)| {
                 let lu = users.iter().position(|&x| x == u)?;
-                let li = items.iter().position(|&x| x == i)?;
-                Some((lu as u32, li as u32, w))
+                Some((lu as u32, i, w))
             })
             .collect();
         let scratch_market = Market::new(
-            WtpMatrix::from_triples(users.len(), items.len(), restricted, None),
+            WtpMatrix::from_triples(users.len(), n, restricted, None),
             params,
         );
 

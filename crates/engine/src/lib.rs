@@ -1,6 +1,6 @@
 //! # revmax-engine — the sharded multi-market sweep engine
 //!
-//! PR 3's zero-copy [`revmax_core::market::MarketView`] partitioning and
+//! The [`revmax_core::market::MarketView`] partitioning and
 //! [`revmax_core::algorithms::registry`] give per-cohort solves; this
 //! crate orchestrates them at fleet scale (`DESIGN.md` §8). A
 //! [`SweepSpec`] — a grid over configurators, market partitions, scales,

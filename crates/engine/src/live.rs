@@ -7,10 +7,10 @@
 //! runs the sweep's cell stage over the same deterministic cell axis
 //! ([`crate::dag::cell_axis`]: whole market first, then activity cohorts,
 //! methods inner) — single-threaded, one repetition, no timing budget.
-//! Because a delta batch leaves the content
-//! fingerprint of every untouched cohort unchanged *by construction*
-//! (cohort membership is a pure function of row activity, and untouched
-//! rows read the shared arena), only the cells a batch actually
+//! Every snapshot and every cohort is a fresh arena, and the cache keys on
+//! its content fingerprint, so a delta batch leaves the key of every
+//! cohort whose rows it did not touch unchanged (cohort membership is a
+//! pure function of row activity): only the cells a batch actually
 //! invalidates miss the cache and re-solve — and a miss solves the exact
 //! sub-market a cold engine would, so the resulting report is
 //! **bit-identical** to a from-scratch resolve ([`LiveReport::canonical`]

@@ -95,8 +95,6 @@ pub struct DaemonConfig {
     pub methods: Vec<String>,
     /// Activity-cohort count of the churn thread's resolves.
     pub cohorts: usize,
-    /// `MarketLog::maybe_compact` threshold (0 disables compaction).
-    pub compact_at: f64,
     /// Per-frame payload cap for this daemon's connections.
     pub max_frame: usize,
 }
@@ -109,7 +107,6 @@ impl Default for DaemonConfig {
             query_threads: 1,
             methods: vec!["components".into()],
             cohorts: 0,
-            compact_at: 0.10,
             max_frame: MAX_FRAME,
         }
     }
@@ -720,9 +717,6 @@ fn churn_loop(
             }
         }
         if applied > 0 {
-            if cfg.compact_at > 0.0 {
-                log.maybe_compact(cfg.compact_at);
-            }
             let churned = log.snapshot();
             match live.resolve(&churned) {
                 Ok(report) => {

@@ -10,7 +10,7 @@
 //!   ([`CompiledMenu`](revmax_core::eval::CompiledMenu): the solved
 //!   [`BundleConfig`](revmax_core::config::BundleConfig) flattened into
 //!   structure-of-arrays node tables plus per-item → offer postings, next
-//!   to the market's zero-copy dual-CSR WTP store) with the query
+//!   to the market's `Arc`-shared dual-CSR WTP arena) with the query
 //!   settings — worker threads, kernel, block width — and, on the
 //!   daemon's serving index, an answer table.
 //! * [`MenuIndex::assign`] / [`MenuIndex::expected_revenue`] — batched

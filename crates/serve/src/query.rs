@@ -485,7 +485,7 @@ mod tests {
             let idx = MenuIndex::compile(&m, &config);
             for u in 0..3u32 {
                 let serve = idx.assign(&[u])[0].payment;
-                let solver = config.expected_revenue(&m.view(None, Some(&[u])));
+                let solver = config.expected_revenue(&m.view(&[u]));
                 assert_eq!(serve.to_bits(), solver.to_bits(), "user {u}");
             }
             // One evaluator: the whole-batch total is the solver's
@@ -544,7 +544,7 @@ mod tests {
         // u1 at p 5 < w 10: P ≈ 0.993 → expected payment ≈ 4.97.
         assert!(a[1].payment < 5.0 && a[1].payment > 4.9);
         for u in 0..2u32 {
-            let solver = config.expected_revenue(&m.view(None, Some(&[u])));
+            let solver = config.expected_revenue(&m.view(&[u]));
             assert_eq!(idx.assign(&[u])[0].payment.to_bits(), solver.to_bits());
         }
     }

@@ -1,9 +1,9 @@
 //! End-to-end churn parity (`DESIGN.md` §10, the PR's tentpole guarantee):
 //! apply a ~1% churn batch through the `MarketLog`, re-solve incrementally
-//! (`LiveEngine` over the delta-overlay snapshot), compile the serving
-//! index and hot-swap it — and get **bit-identical** serving
-//! results to the cold path (compact to a fresh arena, solve everything
-//! from scratch, compile a fresh index).
+//! (`LiveEngine` over the log's snapshot), compile the serving index and
+//! hot-swap it — and get **bit-identical** serving results to the cold
+//! path (rebuild the arena, solve everything from scratch, compile a
+//! fresh index).
 
 use revmax_core::marketlog::{Event, MarketLog};
 use revmax_core::prelude::*;
@@ -46,14 +46,12 @@ fn incremental_churn_serves_bit_identical_to_cold_rebuild() {
     let handle = ServeHandle::new(MenuIndex::compile(&market, &initial_whole.outcome.config));
     let gen0 = handle.generation();
 
-    // Churn ~1% of consumers through the log; snapshot is a delta overlay
-    // over the shared arena (no rebuild).
+    // Churn ~1% of consumers through the log.
     let mut log = MarketLog::new(market);
     let batch = churn_batch(log.base());
     assert!(!batch.is_empty());
     log.apply_batch(batch.iter().copied()).unwrap();
     let churned = log.snapshot();
-    assert!(churned.wtp().has_delta(), "snapshot must read through the overlay");
 
     // Incremental re-solve: untouched cohorts must hit the retained cache.
     let inc = live.resolve(&churned).unwrap();
@@ -63,13 +61,12 @@ fn incremental_churn_serves_bit_identical_to_cold_rebuild() {
     handle.swap(inc_index);
     assert_eq!(handle.generation(), gen0 + 1);
 
-    // Cold path: compact to a fresh arena, solve everything from scratch.
+    // Cold path: rebuild the arena, solve everything from scratch.
     let cold_market = churned.with_wtp(churned.wtp().compact());
-    assert!(!cold_market.wtp().has_delta());
     assert_eq!(
         cold_market.fingerprint(),
         churned.fingerprint(),
-        "compaction must preserve the content fingerprint"
+        "a rebuild must preserve the content fingerprint"
     );
     let mut cold_engine = LiveEngine::new(methods, 2).unwrap();
     let cold = cold_engine.resolve(&cold_market).unwrap();
@@ -80,7 +77,7 @@ fn incremental_churn_serves_bit_identical_to_cold_rebuild() {
     assert_eq!(inc.canonical(), cold.canonical());
 
     // Serve parity: the swapped index answers every query bit-identically
-    // to a cold-compiled index over the compacted market.
+    // to a cold-compiled index over the rebuilt market.
     let cold_index = MenuIndex::compile(&cold_market, &cold.cells[0].outcome.config);
     let served = handle.current();
     assert_eq!(

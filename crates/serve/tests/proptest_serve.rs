@@ -67,7 +67,7 @@ proptest! {
         prop_assert_eq!(assignments.len(), users.len());
         for (a, &u) in assignments.iter().zip(&users) {
             prop_assert_eq!(a.user, u);
-            let single = outcome.config.expected_revenue(&market.view(None, Some(&[u])));
+            let single = outcome.config.expected_revenue(&market.view(&[u]));
             prop_assert_eq!(a.payment.to_bits(), single.to_bits());
         }
     }

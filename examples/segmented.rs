@@ -1,12 +1,12 @@
 //! Per-segment bundling: partition the market into consumer cohorts with
-//! `Market::partition_by`, solve each zero-copy `MarketView` with the same
+//! `Market::partition_by`, solve each `MarketView` with the same
 //! configurators as the whole market, and compare.
 //!
 //! Segment-tailored configurations can only help: each segment gets its
 //! own bundle menu and prices, so the summed revenue dominates the single
 //! whole-market menu (third-degree price discrimination on top of
-//! bundling). The views share the whole market's WTP arena — nothing is
-//! rebuilt.
+//! bundling). Each view is a small arena of its segment's rows, so a
+//! segment solve reads exactly what a market built for it would.
 //!
 //! ```sh
 //! cargo run --release --example segmented
